@@ -17,7 +17,6 @@ below-eps witness: a certified f(G) < eps, never a pretended exact hit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from . import fixedlog
 from .autorder import LogValue, two_rank_ratio
 from .errors import PrecisionRefusal, SieveCapacityError
 from .groups import SymbolicGroup
-from .primes import PrimeStream, estimate_sieve_limit, shared_stream
+from .primes import PrimeStream, shared_stream
 from .subsum import (
     CONVERGED,
     DEFAULT_BUDGET,
@@ -90,15 +89,6 @@ class ApproxResult:
         return self.group.materialize(stream or shared_stream(), cap)
 
 
-def _logvalue_from_fraction_bounds(lo: Fraction, hi: Fraction) -> LogValue:
-    mid = float((lo + hi) / 2)
-    rad = max(hi - Fraction(mid), Fraction(mid) - lo, Fraction(0))
-    out = float(rad)
-    while Fraction(out) < rad:
-        out = math.nextafter(out, math.inf)
-    return LogValue(mid, out)
-
-
 def _log_enclosure_of_selection(sel: Selection) -> tuple[Fraction, Fraction]:
     """Enclosure of ln P = -(selected sum) for a log-ratio selection."""
     return (-sel.achieved.hi, -sel.achieved.lo)
@@ -119,16 +109,6 @@ def choose_two_rank(a) -> tuple[int, Fraction]:
     return n, two_rank_ratio(n)
 
 
-def _presize_sieve(stream: PrimeStream, log_target: Fraction) -> None:
-    """Best-effort sieve pre-sizing; the greedy verifies its own progress."""
-    try:
-        stream.extend_to(
-            estimate_sieve_limit(min(float(log_target), 100.0), stream.ceiling)
-        )
-    except SieveCapacityError:
-        pass  # greedy will extend lazily and report capacity honestly
-
-
 def _run_unit_greedy(
     a: Fraction,
     eps: Fraction,
@@ -146,7 +126,6 @@ def _run_unit_greedy(
     eps_log = Fraction(lo_eps, 1 << _PREC)
     if eps_log <= 0:
         raise PrecisionRefusal(f"eps {eps} is below the arithmetic resolution")
-    _presize_sieve(stream, _ln_upper_estimate(q))
     sel = greedy_select(
         source,
         LogTarget(q),
@@ -167,18 +146,12 @@ def _run_unit_greedy(
     lo, hi = _log_enclosure_of_selection(sel)
     return ApproxResult(
         group=group,
-        achieved=_logvalue_from_fraction_bounds(lo, hi),
+        achieved=LogValue.from_interval(lo, hi),
         exact_ratio=exact,
         target=a,
         eps=eps,
         trace=trace,
     )
-
-
-def _ln_upper_estimate(q: Fraction) -> Fraction:
-    """Cheap rational upper bound of ln(q), only for sieve pre-sizing."""
-    bits = (q.numerator // q.denominator).bit_length()
-    return Fraction(7050, 10000) * bits  # 0.705 > ln 2
 
 
 def _trace_from_selection(
@@ -255,7 +228,6 @@ def _below_eps_witness(a, eps, odd_only, stream, config, record_trail):
     # target ln(3/eps) = ln(1/eps) + ln 3 with log tolerance 1: convergence
     # leaves U = prod p/(p-1) > 3/(e*eps) > 1/eps, so f = 1/U < eps
     q = 3 / eps
-    _presize_sieve(stream, _ln_upper_estimate(q))
     source = prime_ratio_terms(odd_only, stream)
     sel = greedy_select(
         source,
@@ -286,7 +258,7 @@ def _below_eps_witness(a, eps, odd_only, stream, config, record_trail):
     lo, hi = _log_enclosure_of_selection(sel)
     return ApproxResult(
         group=group,
-        achieved=_logvalue_from_fraction_bounds(lo, hi),
+        achieved=LogValue.from_interval(lo, hi),
         exact_ratio=exact,
         target=a,
         eps=eps,
@@ -320,25 +292,19 @@ def approx_ray(
             a, eps, odd_only=False, stream=stream, config=config,
             record_trail=record_trail,
         )
+    n, b = choose_two_rank(a)
     # exact representability by an elementary 2-group alone
-    n = 1
-    while True:
-        b = two_rank_ratio(n)
-        if b == a:
-            lna_lo, lna_hi = fixedlog.ln_fraction_bounds(a, _PREC)
-            return ApproxResult(
-                group=SymbolicGroup(n, ()),
-                achieved=_logvalue_from_fraction_bounds(
-                    Fraction(lna_lo, 1 << _PREC), Fraction(lna_hi, 1 << _PREC)
-                ),
-                exact_ratio=a,
-                target=a,
-                eps=eps,
-                trace=ApproxTrace(n, a, None, True, None, 0),
-            )
-        if b > a:
-            break
-        n += 1
+    if two_rank_ratio(n - 1) == a:
+        return ApproxResult(
+            group=SymbolicGroup(n - 1, ()),
+            achieved=LogValue.from_bounds(
+                *fixedlog.ln_fraction_bounds(a, _PREC), _PREC
+            ),
+            exact_ratio=a,
+            target=a,
+            eps=eps,
+            trace=ApproxTrace(n - 1, a, None, True, None, 0),
+        )
     eps1 = eps / b
     inner = approx_in_unit(
         a / b, eps1, odd_only=True, stream=stream, config=config,
@@ -361,7 +327,7 @@ def approx_ray(
     )
     return ApproxResult(
         group=group,
-        achieved=_logvalue_from_fraction_bounds(lo, hi),
+        achieved=LogValue.from_interval(lo, hi),
         exact_ratio=exact,
         target=a,
         eps=eps,

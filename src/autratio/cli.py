@@ -11,6 +11,7 @@ AUTRATIO_ORACLE_WORK_CAP.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -35,8 +36,15 @@ EXIT_CAPACITY = 2
 EXIT_INTERNAL = 3
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of n; unlike str(n), not capped at 4300 digits."""
+    return str(decimal.Decimal(n))
+
+
 def _ratio_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if q.denominator == 1:
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def _parse_rational(text: str, allow_decimal: bool) -> Fraction:
@@ -122,11 +130,11 @@ def _cmd_aut(args) -> int:
         payload = {
             "command": "aut",
             "inputs": {"group": args.group, "oracle": False},
-            "result": {"aut_order": str(formula)},
+            "result": {"aut_order": _int_str(formula)},
             "status": "ok",
             "error": None,
         }
-        _emit(args, payload, [str(formula)])
+        _emit(args, payload, [_int_str(formula)])
         return EXIT_OK
     brute = aut_order_bruteforce(g, _oracle_caps())
     match = formula == brute
@@ -134,14 +142,15 @@ def _cmd_aut(args) -> int:
         "command": "aut",
         "inputs": {"group": args.group, "oracle": True},
         "result": {
-            "aut_order": str(formula),
-            "oracle": str(brute),
+            "aut_order": _int_str(formula),
+            "oracle": _int_str(brute),
             "match": match,
         },
         "status": "ok" if match else "error",
         "error": None if match else "formula/oracle mismatch",
     }
-    _emit(args, payload, [f"{formula} {brute} {'match' if match else 'MISMATCH'}"])
+    verdict = "match" if match else "MISMATCH"
+    _emit(args, payload, [f"{_int_str(formula)} {_int_str(brute)} {verdict}"])
     return EXIT_OK if match else EXIT_INTERNAL
 
 
@@ -319,7 +328,7 @@ def main(argv=None) -> int:
         return EXIT_CAPACITY
     except OSError as exc:
         _fail(args, str(exc))
-        return EXIT_CAPACITY if isinstance(exc, MemoryError) else EXIT_INTERNAL
+        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - surface everything as exit 3
         _fail(args, f"internal error: {exc}")
         return EXIT_INTERNAL

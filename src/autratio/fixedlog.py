@@ -20,7 +20,6 @@ Two precision regimes are used:
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,8 +33,6 @@ __all__ = [
     "ln_fraction_bounds",
     "log_ratio_term_bounds",
     "term_block_fp60",
-    "to_float_interval",
-    "bounds_as_fractions",
 ]
 
 PREC = 192
@@ -159,20 +156,3 @@ def term_block_fp60(primes: np.ndarray) -> np.ndarray:
         acc[:cut] += (scale // pk) // k
         k += 1
     return acc
-
-
-def bounds_as_fractions(lo: int, hi: int, prec: int = PREC) -> tuple[Fraction, Fraction]:
-    d = 1 << prec
-    return Fraction(lo, d), Fraction(hi, d)
-
-
-def to_float_interval(lo: int, hi: int, prec: int = PREC) -> tuple[float, float]:
-    """Collapse an integer enclosure to (midpoint, radius) floats whose
-    implied interval still contains [lo, hi] * 2**-prec."""
-    LO, HI = bounds_as_fractions(lo, hi, prec)
-    mid = float((LO + HI) / 2)
-    rad = max(HI - Fraction(mid), Fraction(mid) - LO, Fraction(0))
-    out = float(rad)
-    while Fraction(out) < rad:
-        out = math.nextafter(out, math.inf)
-    return mid, out

@@ -40,9 +40,17 @@ __all__ = [
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# psi_12: the least strong pseudoprime to all of _SMALL_PRIMES as bases
+# (399165290221 * 798330580441).  Below it, _is_prime is a proof.
+_MR_PROVEN_BELOW = 318665857834031151167461
+
 
 def _is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin, valid far past 10**18)."""
+    """Miller-Rabin with the twelve prime bases 2..37.
+
+    Deterministic for n < _MR_PROVEN_BELOW (about 3.2 * 10**23); above it a
+    True is only "probably prime", and psi_12 itself passes.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -66,7 +74,12 @@ def _is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division, as {prime: exponent}."""
+    """Prime factorization of n >= 1 by trial division, as {prime: exponent}.
+
+    Division stops as soon as the remaining cofactor is proven prime (below
+    _MR_PROVEN_BELOW), so a large prime factor costs one primality test
+    instead of sqrt(n) divisions.  Larger cofactors are divided out in full.
+    """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
@@ -75,11 +88,14 @@ def factorize(n: int) -> dict[int, int]:
             n //= p
             out[p] = out.get(p, 0) + 1
     f = 5
-    while f * f <= n:
+    cofactor_prime = n < _MR_PROVEN_BELOW and _is_prime(n)
+    while f * f <= n and not cofactor_prime:
         for p in (f, f + 2):
-            while n % p == 0:
-                n //= p
-                out[p] = out.get(p, 0) + 1
+            if n % p == 0:
+                while n % p == 0:
+                    n //= p
+                    out[p] = out.get(p, 0) + 1
+                cofactor_prime = n < _MR_PROVEN_BELOW and _is_prime(n)
         f += 6
     if n > 1:
         out[n] = out.get(n, 0) + 1

@@ -136,7 +136,9 @@ def aut_order_bruteforce(g: AbelianGroup, caps: OracleCaps = OracleCaps()) -> in
         memo[key] = total
         return total
 
-    return count(0, trivial, 1)
+    total = count(0, trivial, 1)
+    del count  # count refers to itself; drop the cycle so tab and memo go now
+    return total
 
 
 def aut_order_bruteforce_naive(

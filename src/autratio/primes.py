@@ -1,10 +1,12 @@
-"""Prime generation sized for greedy log-sum budgets.
+"""Prime generation for greedy log-sum budgets and bounded search.
 
-A shared, extendable segmented sieve supplies the indexed prime sequence
-p1 < p2 < ... (1-based, p1 = 2).  ``estimate_sieve_limit`` pre-sizes the
-sieve for a requested sum of ln(p/(p-1)) over odd primes; the estimate is
-deliberately conservative and nothing downstream depends on it for
-correctness, only for avoiding repeated re-sieving.
+A shared, extendable segmented sieve is the package's one prime source: it
+supplies the indexed prime sequence p1 < p2 < ... (1-based, p1 = 2) and the
+list of primes up to a bound, growing on demand but never past its hard
+ceiling.  ``estimate_sieve_limit`` predicts the sieve limit that a requested
+sum of ln(p/(p-1)) over odd primes needs; the estimate is deliberately
+conservative and only reports on the budget (``scripts/sieve_budget.py``);
+nothing sizes the sieve from it.
 """
 
 from __future__ import annotations
@@ -128,6 +130,21 @@ class PrimeStream:
             raise ValueError(f"bad prime index range [{i0}, {i1}]")
         self._ensure_count(i1)
         return self._primes[i0 - 1 : i1]
+
+    def primes_upto(self, n: int) -> list[int]:
+        """All primes <= n as Python ints, ascending.
+
+        Raises SieveCapacityError when n is above the ceiling, since a
+        silently shortened list would make a bounded scan look complete.
+        """
+        if n > self.ceiling:
+            raise SieveCapacityError(
+                f"need all primes up to {n} but the sieve ceiling is "
+                f"{self.ceiling}"
+            )
+        self.extend_to(n)
+        primes = self._primes
+        return primes[: int(np.searchsorted(primes, n, side="right"))].tolist()
 
     def count_under_ceiling(self) -> int:
         """Number of primes available once fully sieved to the ceiling."""

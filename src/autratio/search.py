@@ -32,6 +32,7 @@ from typing import Iterator
 
 from .autorder import aut_order, aut_order_local, f_exact
 from .groups import AbelianGroup, format_group, order
+from .primes import shared_stream
 
 __all__ = [
     "SearchBounds",
@@ -73,19 +74,6 @@ class Witness:
     f_value: Fraction
 
 
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    flags = bytearray([1]) * (n + 1)
-    flags[0] = flags[1] = 0
-    p = 2
-    while p * p <= n:
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-        p += 1
-    return [i for i, f in enumerate(flags) if f]
-
-
 @lru_cache(maxsize=None)
 def _partitions(weight: int, max_len: int, max_part: int | None = None) -> tuple:
     """Ascending partitions of ``weight`` with at most ``max_len`` parts."""
@@ -112,7 +100,10 @@ def _sort_key(g: AbelianGroup):
 
 def enumerate_groups(bounds: SearchBounds) -> Iterator[AbelianGroup]:
     """Every abelian group within bounds, exactly once, in nondecreasing
-    order of group order (ties broken by canonical form)."""
+    order of group order (ties broken by canonical form).
+
+    Raises SieveCapacityError when the prime limit is above the sieve
+    ceiling."""
     groups: list[AbelianGroup] = []
 
     def walk(primes: list[int], idx: int, budget: int, acc: list):
@@ -131,7 +122,7 @@ def enumerate_groups(bounds: SearchBounds) -> Iterator[AbelianGroup]:
             w += 1
             pw *= p
 
-    walk(_primes_upto(bounds.prime_limit), 0, bounds.max_order, [])
+    walk(shared_stream().primes_upto(bounds.prime_limit), 0, bounds.max_order, [])
     groups.sort(key=_sort_key)
     yield from groups
 
@@ -144,6 +135,7 @@ def find_exact(
     An empty list means "no witness within these bounds", nothing more.
     With ``prune=False`` the search degenerates to a plain filtered scan of
     the full enumeration (the reference behavior for differential tests).
+    Raises SieveCapacityError when max_order is above the sieve ceiling.
     """
     a = Fraction(a)
     if a < 0:
@@ -154,8 +146,9 @@ def find_exact(
         ]
     if a == 0:
         return []  # f is strictly positive on every finite group
-    primes = _primes_upto(bounds.prime_limit)
-    strip_primes = _primes_upto(bounds.max_order)
+    stream = shared_stream()
+    primes = stream.primes_upto(bounds.prime_limit)
+    strip_primes = stream.primes_upto(bounds.max_order)
     hits: list[AbelianGroup] = []
 
     def cut(r: Fraction, idx: int, budget: int) -> bool:

@@ -277,18 +277,19 @@ def greedy_select(
 # additive sources: exact Fraction arithmetic throughout
 
 
-def _bisect_first_fitting(fits, lo: int, hi: int) -> int | None:
+def _bisect_first_fitting(fits, lo: int, hi: int | None) -> int | None:
     """Smallest j in [lo, hi] with fits(j), assuming fits is monotone in j.
 
-    Returns None when even hi fails.  Exponential probe, then bisection.
+    Returns None when even hi fails.  With hi None the range is unbounded
+    and some j must fit.  Exponential probe, then bisection.
     """
     if fits(lo):
         return lo
-    if lo == hi or not fits(hi):
+    if hi is not None and (lo == hi or not fits(hi)):
         return None
     step = 1
     known_bad = lo
-    while known_bad + step < hi:
+    while hi is None or known_bad + step < hi:
         mid = known_bad + step
         if fits(mid):
             hi = mid
@@ -340,13 +341,10 @@ def _greedy_additive(source, target, eps, budget, record_trail):
             continue
         if source.nonincreasing:
             # jump the whole run of too-large terms
-            if hard_limit is not None:
-                j = _bisect_first_fitting(
-                    lambda m: source.term(m) <= deficit, i, hard_limit
-                )
-                run_end = (j - 1) if j is not None else hard_limit
-            else:
-                run_end = _first_fitting_unbounded(source, i, deficit) - 1
+            j = _bisect_first_fitting(
+                lambda m: source.term(m) <= deficit, i, hard_limit
+            )
+            run_end = (j - 1) if j is not None else hard_limit
         else:
             run_end = i
         scanned = run_end
@@ -365,24 +363,6 @@ def _greedy_additive(source, target, eps, budget, record_trail):
         exact_sum=total,
         trail=tuple(trail) if record_trail else None,
     )
-
-
-def _first_fitting_unbounded(source, i, deficit):
-    step = 1
-    lo = i
-    while True:
-        hi = lo + step
-        if source.term(hi) <= deficit:
-            break
-        lo = hi
-        step *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if source.term(mid) <= deficit:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 # ---------------------------------------------------------------------------

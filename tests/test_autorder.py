@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -101,6 +102,19 @@ def test_naive_and_fast_oracle_agree():
         assert aut_order_bruteforce(g, BIG_CAPS) == aut_order_bruteforce_naive(
             g, BIG_CAPS
         ), lit
+
+
+def test_oracle_frees_its_tables_on_return():
+    # a reference cycle would keep each call's tables and memo until the
+    # cyclic collector runs
+    g = parse_group("C2 x C4 x C3")
+    gc.collect()
+    gc.disable()
+    try:
+        assert aut_order_bruteforce(g) == aut_order(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_oracle_caps_refused():

@@ -1,7 +1,13 @@
+import decimal
 import json
 from fractions import Fraction
 
+import autratio.primes
+from autratio.approximate import approx_ray
+from autratio.autorder import aut_order, f_exact
 from autratio.cli import main
+from autratio.groups import parse_group
+from autratio.primes import PrimeStream
 
 
 def run(capsys, *argv):
@@ -132,3 +138,37 @@ def test_json_error_envelope(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["f"]) == 1  # missing argument
     assert main(["nosuchcommand"]) == 1
+
+
+def digits_to_int(text: str) -> int:
+    # int(str) is capped at 4300 digits; Decimal parsing is not
+    return int(decimal.Decimal(text))
+
+
+def ratio_from_text(text: str) -> Fraction:
+    num, _, den = text.partition("/")
+    return Fraction(digits_to_int(num), digits_to_int(den or "1"))
+
+
+def test_big_integers_print_in_full(capsys):
+    g = parse_group("C2^200")
+    code, out, _ = run(capsys, "f", "C2^200")
+    assert code == 0 and ratio_from_text(out.strip()) == f_exact(g)
+    code, out, _ = run(capsys, "aut", "C2^200")
+    assert code == 0 and digits_to_int(out.strip()) == aut_order(g)
+    assert len(out.strip()) > 4300
+
+    code, out, _ = run(capsys, "approx", "2.5", "--eps", "1/1000", "--json")
+    assert code == 0
+    res = json.loads(out)["result"]
+    want = approx_ray(Fraction(5, 2), Fraction(1, 1000))
+    assert ratio_from_text(res["exact_ratio"]) == want.exact_ratio
+    assert res["group"]["odd_prime_index_ranges"] == [
+        list(r) for r in want.group.odd_prime_ranges
+    ]
+
+
+def test_search_past_sieve_ceiling_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(autratio.primes, "_shared", PrimeStream(ceiling=1000))
+    code, _, err = run(capsys, "search", "5", "--max-order", "5000")
+    assert code == 2 and "ceiling" in err

@@ -1,7 +1,11 @@
+import random
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import autratio.groups as groups_mod
 from autratio.errors import GroupParseError
 from autratio.groups import (
     TRIVIAL,
@@ -9,6 +13,7 @@ from autratio.groups import (
     SymbolicGroup,
     cyclic,
     direct_product,
+    factorize,
     format_group,
     invariant_factors,
     order,
@@ -116,3 +121,56 @@ def test_symbolic_materialize_cap(stream):
     s = SymbolicGroup.from_indices(0, range(2, 100))
     with pytest.raises(ValueError):
         s.materialize(stream, cap=10)
+
+
+def trial_division(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    rng = random.Random(7)
+    sample = list(range(1, 20_001))
+    sample += [rng.randrange(20_001, 10**6 + 1) for _ in range(3000)]
+    # prime powers, a prime square, large primes and two-prime products
+    sample += [2**19, 3**12, 997**2, 999_983, 2 * 999_983, 991 * 997, 35 * 997]
+    for n in sample:
+        assert factorize(n) == trial_division(n), n
+
+
+@pytest.mark.parametrize("p", [10000000000037, 2**61 - 1])
+def test_factorize_large_prime_cofactor(p):
+    for m in list(range(1, 40)) + [997 * 991, 2**10 * 3**5, 999_983]:
+        want = trial_division(m)
+        want[p] = 1
+        assert factorize(m * p) == want, m
+
+
+def test_is_prime_bound_is_the_first_strong_pseudoprime():
+    psi12 = 399165290221 * 798330580441
+    assert groups_mod._MR_PROVEN_BELOW == psi12
+    assert groups_mod._is_prime(psi12)  # composite, yet passes all twelve bases
+
+
+def test_factorize_trusts_the_primality_test_only_below_the_bound(monkeypatch):
+    # a test that calls everything prime stands in for a pseudoprime; above
+    # the bound factorize must keep dividing and find the true factors
+    monkeypatch.setattr(groups_mod, "_MR_PROVEN_BELOW", 10**6)
+    monkeypatch.setattr(groups_mod, "_is_prime", lambda n: True)
+    for n in [1009 * 1013, 2 * 1009 * 1013 * 1019, 3 * 999_983 * 1_000_003]:
+        assert factorize(n) == trial_division(n), n
+
+
+def test_parse_large_prime_literal_is_fast():
+    start = time.perf_counter()
+    g = parse_group("C2305843009213693951")
+    assert time.perf_counter() - start < 1.0
+    assert g.factors == ((2**61 - 1, (1,)),)

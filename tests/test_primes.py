@@ -87,3 +87,20 @@ def test_estimate_is_conservative(stream, target):
     # returned limit must actually carry the requested log-sum budget
     x = estimate_sieve_limit(target)
     assert odd_log_sum_upto(stream, x) >= target
+
+
+def test_primes_upto_matches_trial_division(stream):
+    ref = trial_division_primes(5000)
+    got = stream.primes_upto(5000)
+    assert got == ref
+    assert all(type(p) is int for p in got)  # p**w must not wrap at int64
+    assert stream.primes_upto(1) == [] and stream.primes_upto(2) == [2]
+
+
+def test_primes_upto_extends_and_refuses_past_ceiling():
+    s = PrimeStream(ceiling=200_000)
+    top = s.primes_upto(150_000)
+    assert s.limit >= 150_000 and top[-1] == 149_993
+    assert s.primes_upto(200_000)[-1] == 199_999
+    with pytest.raises(SieveCapacityError):
+        s.primes_upto(200_001)

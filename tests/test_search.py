@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import autratio.primes
 from autratio.autorder import aut_order, f_exact
+from autratio.errors import SieveCapacityError
 from autratio.groups import format_group, order, parse_group
 from autratio.oracle import OracleCaps, aut_order_bruteforce
+from autratio.primes import PrimeStream
 from autratio.search import (
     TABLE_HEADER_PREFIX,
     SearchBounds,
@@ -153,3 +156,20 @@ def test_table_deterministic_and_idempotent(tmp_path):
     build_f_table(b, p1)  # rewrite in place
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes() == render_table(b)
+
+
+def test_search_refuses_primes_past_the_sieve_ceiling(monkeypatch):
+    # a cut-down prime list would turn "not scanned" into "no witness"
+    monkeypatch.setattr(autratio.primes, "_shared", PrimeStream(ceiling=1000))
+    bounds = SearchBounds(max_order=5000)
+    with pytest.raises(SieveCapacityError):
+        find_exact(Fraction(5), bounds)
+    with pytest.raises(SieveCapacityError):
+        list(enumerate_groups(bounds))
+    small = SearchBounds(max_order=1000, max_rank_per_prime=10)
+    assert [format_group(w.group) for w in find_exact(Fraction(3, 2), small)] == [
+        "C2 x C2"
+    ]
+    assert len(list(enumerate_groups(small))) == sum(
+        abelian_count(n) for n in range(1, 1001)
+    )

@@ -276,3 +276,17 @@ def test_progress_guarantee(named, target):
     assert sel.status == CONVERGED
     assert target - sel.exact_sum < Fraction(1, 10**6)
     assert sel.exact_sum <= target
+
+
+@pytest.mark.parametrize(
+    "target", [Fraction(9, 4), Fraction(7, 3), Fraction(31, 10), Fraction(2, 7)]
+)
+def test_unbounded_budget_matches_bounded(target):
+    # budget=None sends the skip-run bisection down its unbounded probe
+    eps = Fraction(1, 10**6)
+    free = greedy_select(harmonic(), target, eps, budget=None, record_trail=True)
+    capped = greedy_select(harmonic(), target, eps, budget=10**7, record_trail=True)
+    assert free.status == capped.status == CONVERGED
+    assert any(step[0] == "skip_run" for step in free.trail)
+    assert free.ranges == capped.ranges
+    assert free.trail == capped.trail
