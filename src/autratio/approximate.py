@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import fixedlog
 from .autorder import LogValue, two_rank_ratio
@@ -339,25 +340,38 @@ def verify_certificate(
     result: ApproxResult,
     *,
     stream: PrimeStream | None = None,
-    prec: int = 2 * _PREC,
+    prec: int | None = None,
 ) -> bool:
-    """Independent second pass at doubled precision.
+    """Independent second pass over the returned group.
 
-    Re-encloses ln f(G) from the group alone (not the run's bookkeeping)
-    and checks the containment claim: exact results must satisfy
-    |f - a| <= eps as rationals; certified ones must have their enclosure
-    inside (a - eps, a + eps), compared in log space against directed
-    bounds of the interval endpoints.
+    Rebuilds f(G) from the group alone, never from the run's bookkeeping.
+    An exact result must have f(G) equal to its ``exact_ratio`` and
+    |f - a| <= eps (0 < f < eps for a below-eps witness), checked by
+    integer cross-multiplication.  For a certified result, ln f(G) is
+    enclosed and must lie inside (ln(a - eps), ln(a + eps)); so is an
+    exact claim over more than DEFAULT_EXACT_CAP primes, which no default
+    run makes and whose product would cost more than its enclosure.
+
+    With ``prec`` None the enclosure comes from the int64 atanh-series
+    kernel (``fixedlog.term_block_atanh60``), which shares no series with
+    the first pass.  It answers only when it lies certainly inside or
+    certainly outside the interval; otherwise the scalar path decides at
+    2 * PREC, so the verdict always equals the scalar one.  An explicit
+    ``prec`` runs the scalar path at that precision: one enclosure per
+    prime, ``log_ratio_term_bounds`` at ``prec`` bits.
     """
     from .autorder import _f_log_bounds
 
     stream = stream or shared_stream()
+    exact = result.exact_ratio is not None
+    if exact and result.group.index_count <= DEFAULT_EXACT_CAP:
+        return _verify_exact(result, stream)
+    if prec is None:
+        verdict = _fast_verdict(result, stream)
+        if verdict is not None:
+            return verdict
+        prec = 2 * _PREC
     a, eps = result.target, result.eps
-    if result.exact_ratio is not None:
-        f = result.exact_ratio
-        if result.trace.below_eps_witness:
-            return 0 < f < eps
-        return abs(f - a) <= eps
     lo, hi, p_used = _f_log_bounds(result.group, stream, prec)
     upper = a + eps
     up_lo = fixedlog.ln_fraction_bounds(upper, prec)[0]
@@ -369,3 +383,56 @@ def verify_certificate(
         return True
     low_hi = fixedlog.ln_fraction_bounds(lower, prec)[1]
     return Fraction(lo, 1 << p_used) > Fraction(low_hi, 1 << prec)
+
+
+def _product(xs: list[int]) -> int:
+    """Product by halving, so big factors meet only near the root."""
+    if len(xs) <= 16:
+        return prod(xs)
+    mid = len(xs) // 2
+    return _product(xs[:mid]) * _product(xs[mid:])
+
+
+def _verify_exact(result: ApproxResult, stream: PrimeStream) -> bool:
+    g = result.group
+    primes: list[int] = []
+    for lo, hi in g.odd_prime_ranges:
+        primes += stream.primes_slice(lo, hi).tolist()
+    b = two_rank_ratio(g.two_rank)
+    num = b.numerator * _product([p - 1 for p in primes])
+    den = b.denominator * _product(primes)
+    r, a, eps = result.exact_ratio, result.target, result.eps
+    if num * r.denominator != den * r.numerator:
+        return False  # the claimed ratio is not f of the returned group
+    if result.trace.below_eps_witness:
+        return num * eps.denominator < eps.numerator * den
+    # |num/den - a| <= eps, with every denominator cleared
+    gap = abs(num * a.denominator - a.numerator * den)
+    return gap * eps.denominator <= eps.numerator * den * a.denominator
+
+
+def _fast_verdict(result: ApproxResult, stream: PrimeStream) -> bool | None:
+    """True or False when the int64 enclosure of ln f(G) decides the claim
+    by itself, None when it straddles an end of the interval."""
+    g = result.group
+    b_lo, b_hi = fixedlog.ln_fraction_bounds(two_rank_ratio(g.two_rank), _PREC)
+    t_lo = t_hi = 0
+    for i0, i1 in g.odd_prime_ranges:
+        lo, hi = fixedlog.term_block_atanh60(stream.primes_slice(i0, i1))
+        t_lo += lo
+        t_hi += hi
+    # ln f = ln f(C2^n) - sum ln(p/(p-1)), at scale 2**-PREC
+    shift = _PREC - fixedlog.SCALE_BITS
+    lo = b_lo - (t_hi << shift)
+    hi = b_hi - (t_lo << shift)
+    a, eps = result.target, result.eps
+    up_lo, up_hi = fixedlog.ln_fraction_bounds(a + eps, _PREC)
+    if lo >= up_hi:
+        return False  # f >= a + eps
+    below_upper = hi < up_lo
+    if a - eps <= 0:
+        return True if below_upper else None
+    low_lo, low_hi = fixedlog.ln_fraction_bounds(a - eps, _PREC)
+    if hi <= low_lo:
+        return False  # f <= a - eps
+    return True if below_upper and lo > low_hi else None

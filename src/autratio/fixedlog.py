@@ -16,6 +16,9 @@ Two precision regimes are used:
   ln(p/(p-1)) over millions of primes, with the uniform per-term error
   constant ``TERM_ERR60`` (floor values: true value overshoots the stored
   one by strictly less than TERM_ERR60 units of 2**-60).
+
+The second pass encloses the same logarithms with a different series
+(``term_block_atanh60``), so an error in one kernel cannot hide in both.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ __all__ = [
     "TERM_ERR60",
     "ln_int_bounds",
     "ln_fraction_bounds",
+    "ln_quotient_bounds",
     "log_ratio_term_bounds",
     "term_block_fp60",
+    "term_block_atanh60",
 ]
 
 PREC = 192
@@ -110,8 +115,14 @@ def ln_fraction_bounds(q: Fraction | int, prec: int = PREC) -> tuple[int, int]:
     q = Fraction(q)
     if q <= 0:
         raise ValueError("ln requires a positive value")
-    nl, nh = ln_int_bounds(q.numerator, prec)
-    dl, dh = ln_int_bounds(q.denominator, prec)
+    return ln_quotient_bounds(q.numerator, q.denominator, prec)
+
+
+def ln_quotient_bounds(num: int, den: int, prec: int = PREC) -> tuple[int, int]:
+    """Certified enclosure of ln(num/den) for integers num, den >= 1, with no
+    gcd: callers with large unreduced products skip the reduction."""
+    nl, nh = ln_int_bounds(num, prec)
+    dl, dh = ln_int_bounds(den, prec)
     return (nl - dh, nh - dl)
 
 
@@ -134,6 +145,17 @@ def log_ratio_term_bounds(p: int, prec: int = PREC) -> tuple[int, int]:
     return (acc, acc + k + 1)
 
 
+def _root_cut(k: int) -> int:
+    """Largest r with r**k <= 2**60."""
+    scale = 1 << SCALE_BITS
+    r = int(scale ** (1.0 / k))
+    while (r + 1) ** k <= scale:
+        r += 1
+    while r**k > scale:
+        r -= 1
+    return r
+
+
 def term_block_fp60(primes: np.ndarray) -> np.ndarray:
     """Floor values of ln(p/(p-1)) * 2**60 for an ascending int64 array of
     odd primes.  True value exceeds the stored one by < TERM_ERR60 units."""
@@ -143,16 +165,55 @@ def term_block_fp60(primes: np.ndarray) -> np.ndarray:
     acc = scale // primes  # k = 1
     k = 2
     while True:
-        # largest r with r**k <= 2**60; terms for p > r floor to zero
-        r = int(scale ** (1.0 / k))
-        while (r + 1) ** k <= scale:
-            r += 1
-        while r**k > scale:
-            r -= 1
-        cut = int(np.searchsorted(primes, r, side="right"))
+        # terms for p > _root_cut(k) floor to zero
+        cut = int(np.searchsorted(primes, _root_cut(k), side="right"))
         if cut == 0:
             break
         pk = primes[:cut] ** k
         acc[:cut] += (scale // pk) // k
         k += 1
     return acc
+
+
+_ATANH_BLOCK = 1 << 16
+
+
+def term_block_atanh60(primes: np.ndarray) -> tuple[int, int]:
+    """Enclosure (lo, hi) at scale 2**-60 of the sum of ln(p/(p-1)) over an
+    ascending int64 array of odd primes, by a series independent of
+    ``term_block_fp60``.
+
+    With m = 2p - 1,  ln(p/(p-1)) = 2 atanh(1/m) = 2 sum_k 1/(k m^k)  over
+    odd k.  For each prime, term k is computed only where m^k <= 2**60 (the
+    same root cut as ``term_block_fp60``), as floor(floor(2**60 / m^k) / k),
+    which equals floor(2**60 / (k m^k)) and so lies below the true term by
+    less than one unit.  The first omitted term, with m^k > 2**60 and
+    k >= 3, is below 1/3 unit, and each later one is at most 1/m^2 <= 1/25
+    of the one before (p >= 3), so the omitted tail is below
+    (1/3) * 25/24 < 0.35 unit.  If A is the sum of a prime's n computed
+    terms, its true value times 2**60 therefore lies in
+    [2A, 2(A + n + 0.35)) and below 2A + 2n + 1.  Summed over the block,
+    the error is 2 * (terms computed) + (number of primes), where the terms
+    computed are counted from the cuts.
+
+    Blocks of at most 2**16 primes are summed into Python ints: the int64
+    partial sums stay below 2**61 (the sum of 1/(2p - 1) over the first
+    2**16 odd primes is below 2), and no array outgrows the block.
+    """
+    scale = 1 << SCALE_BITS
+    lo = err = 0
+    for start in range(0, len(primes), _ATANH_BLOCK):
+        m = 2 * primes[start : start + _ATANH_BLOCK] - 1
+        acc = scale // m  # k = 1, computed for every prime
+        terms = len(m)
+        k = 3
+        while True:
+            cut = int(np.searchsorted(m, _root_cut(k), side="right"))
+            if cut == 0:
+                break
+            acc[:cut] += (scale // m[:cut] ** k) // k
+            terms += cut
+            k += 2
+        lo += 2 * int(acc.sum())
+        err += 2 * terms + len(m)
+    return lo, lo + err

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from .errors import GroupParseError
 
@@ -73,23 +73,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division, as {prime: exponent}.
+# Trial division removes every prime factor below this before Pollard-Brent
+# sees a cofactor; rho finds small factors slower than dividing does.
+_TRIAL_LIMIT = 1 << 10
 
-    Division stops as soon as the remaining cofactor is proven prime (below
-    _MR_PROVEN_BELOW), so a large prime factor costs one primality test
-    instead of sqrt(n) divisions.  Larger cofactors are divided out in full.
+
+def _trial_divide(
+    n: int, out: dict[int, int], limit: int | None
+) -> tuple[int, bool]:
+    """Divide out of n every prime factor below ``limit`` (None: below
+    sqrt(n)), counting them in ``out``.
+
+    Stops early once the cofactor is proven prime (below _MR_PROVEN_BELOW).
+    Returns the cofactor and whether it is known to be 1 or prime; when it
+    is not, it has no prime factor below ``limit``.
     """
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
-    out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
     f = 5
     cofactor_prime = n < _MR_PROVEN_BELOW and _is_prime(n)
-    while f * f <= n and not cofactor_prime:
+    while f * f <= n and not cofactor_prime and (limit is None or f < limit):
         for p in (f, f + 2):
             if n % p == 0:
                 while n % p == 0:
@@ -97,9 +102,71 @@ def factorize(n: int) -> dict[int, int]:
                     out[p] = out.get(p, 0) + 1
                 cofactor_prime = n < _MR_PROVEN_BELOW and _is_prime(n)
         f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return n, cofactor_prime or f * f > n
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of a composite n that has no prime factor below
+    _TRIAL_LIMIT: Pollard's rho with Brent's cycle detection, gcds batched
+    over 128 steps, polynomials x^2 + c for c = 1, 2, ... until one splits n.
+    """
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"{n} did not split")  # unreachable for composite n
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1, as {prime: exponent}.
+
+    Trial division removes the factors below _TRIAL_LIMIT and stops as
+    soon as the cofactor is proven prime.  A cofactor that Miller-Rabin
+    finds composite (a proof at any size) is split by Pollard-Brent and
+    both parts are factored in turn, so a product of two large primes
+    costs about the fourth root of n steps.  A cofactor that passes
+    Miller-Rabin at or above _MR_PROVEN_BELOW is only probably prime; it
+    is still divided out in full by trial division, which costs sqrt(n).
+    """
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out: dict[int, int] = {}
+    m, known = _trial_divide(n, out, _TRIAL_LIMIT)
+    if known:
+        if m > 1:
+            out[m] = 1  # a prime above every factor divided out
+        return out
+    todo = [m]
+    while todo:
+        m = todo.pop()
+        if not _is_prime(m):
+            d = _pollard_brent(m)
+            todo += [d, m // d]
+            continue
+        if m >= _MR_PROVEN_BELOW:
+            m, _ = _trial_divide(m, out, None)  # only probably prime
+        if m > 1:
+            out[m] = out.get(m, 0) + 1
+    return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)

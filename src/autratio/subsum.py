@@ -371,7 +371,12 @@ def _greedy_additive(source, target, eps, budget, record_trail):
 
 class _ProductState:
     """Running product U = prod p/(p-1) as raw integers (gcd-free), with a
-    float shadow of ln U whose error is tracked for sound fast paths."""
+    float shadow of ln U whose error is tracked for sound fast paths.
+
+    The pair is never reduced while the greedy runs: a gcd of two products
+    of thousands of primes costs more than the rest of the greedy, and the
+    enclosures of ln U are as rigorous without it.  Only the returned
+    exact product and enclosure are reduced."""
 
     __slots__ = ("un", "ud", "lnu", "drift", "since_sync")
 
@@ -389,7 +394,7 @@ class _ProductState:
         self.drift += 5e-16
         self.since_sync += 1
         if self.since_sync >= 1024:
-            lo, hi = fixedlog.ln_fraction_bounds(Fraction(self.un, self.ud), 64)
+            lo, hi = fixedlog.ln_quotient_bounds(self.un, self.ud, 64)
             self.lnu = (lo + hi) / 2 / 2.0**64
             self.drift = 1e-12
             self.since_sync = 0
@@ -399,7 +404,7 @@ def _certified_deficit_below(qn, qd, un, ud, bound: Fraction) -> bool:
     """Certified check  ln(Q/U) < bound  for Q = qn/qd, U = un/ud <= Q."""
     if qn * ud == qd * un:
         return True  # deficit exactly zero
-    _, hi = fixedlog.ln_fraction_bounds(Fraction(qn * ud, qd * un), _PREC)
+    _, hi = fixedlog.ln_quotient_bounds(qn * ud, qd * un, _PREC)
     return Fraction(hi, 1 << _PREC) < bound
 
 
@@ -550,6 +555,38 @@ def _first_fitting_ratio(source, i, st, qn, qd, budget):
         )
 
 
+# The fixed-point scan works through the terms in windows, so its
+# temporaries stay at a window's size however far the sieve reaches.
+_WINDOW = 1 << 16
+
+
+def _fitting_prefix(terms: np.ndarray, room: int) -> tuple[int, int]:
+    """Length n of the longest prefix of ``terms`` whose sum plus _C per
+    term is at most ``room``, and that sum plus n * _C."""
+    take = used = 0
+    for start in range(0, len(terms), _WINDOW):
+        w = terms[start : start + _WINDOW]
+        adj = np.cumsum(w) + _C * np.arange(1, len(w) + 1, dtype=np.int64)
+        bound = min(room - used, int(adj[-1]))  # clamp: keep searchsorted in int64
+        n = int(np.searchsorted(adj, bound, side="right"))
+        if n:
+            take += n
+            used += int(adj[n - 1])
+        if n < len(w):
+            break
+    return take, used
+
+
+def _first_at_most(terms: np.ndarray, bound: int) -> int:
+    """Index of the first term <= bound in a nonincreasing array, or its
+    length when there is none."""
+    for start in range(0, len(terms), _WINDOW):
+        w = terms[start : start + _WINDOW]
+        if w[-1] <= bound:
+            return start + int(np.searchsorted(-w, -bound, side="left"))
+    return len(terms)
+
+
 def _continue_fixed_point(
     source, target, eps, budget, record_trail, st, included, trail, start_i, scanned
 ):
@@ -562,10 +599,9 @@ def _continue_fixed_point(
     end, so the selected sum can never exceed the target; convergence is
     declared against the upper end, so the certificate is sound.
     """
-    ratio = Fraction(
-        target.ratio.numerator * st.ud, target.ratio.denominator * st.un
+    d_lo192, d_hi192 = fixedlog.ln_quotient_bounds(
+        target.ratio.numerator * st.ud, target.ratio.denominator * st.un, _PREC
     )
-    d_lo192, d_hi192 = fixedlog.ln_fraction_bounds(ratio, _PREC)
     shift = _PREC - _SB
     d_lo = d_lo192 >> shift
     d_hi = -((-d_hi192) >> shift)
@@ -605,11 +641,9 @@ def _continue_fixed_point(
         if len(terms) == 0:
             status = BUDGET_EXHAUSTED
             break
-        adj = np.cumsum(terms) + _C * np.arange(1, len(terms) + 1, dtype=np.int64)
-        bound = min(rem_lo, int(adj[-1]))  # clamp: keep searchsorted in int64
-        take = int(np.searchsorted(adj, bound, side="right"))
+        take, used = _fitting_prefix(terms, rem_lo)
         if take > 0:
-            V += int(adj[take - 1]) - take * _C
+            V += used - take * _C
             n_fp += take
             runs.append((i, i + take - 1))
             if record_trail:
@@ -618,8 +652,7 @@ def _continue_fixed_point(
             i += take
             continue
         # front term does not fit: skip to the first fitting index
-        skip_bound = rem_lo - _C
-        fit_at = int(np.searchsorted(-terms, -skip_bound, side="left"))
+        fit_at = _first_at_most(terms, rem_lo - _C)
         if fit_at >= len(terms):
             scanned = i + len(terms) - 1
             if record_trail:

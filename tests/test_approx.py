@@ -1,16 +1,19 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
+from autratio import fixedlog
 from autratio.approximate import (
     approx_in_unit,
     approx_ray,
     choose_two_rank,
     verify_certificate,
 )
-from autratio.autorder import f_exact
+from autratio.autorder import f_exact, two_rank_ratio
 from autratio.errors import PrecisionRefusal, SieveCapacityError
+from autratio.groups import SymbolicGroup
 from autratio.primes import PrimeStream
 
 
@@ -166,3 +169,86 @@ def test_trace_replays_deterministically(stream):
 def test_second_pass_double_precision(stream):
     r = approx_ray(Fraction(2), Fraction(1, 10**3), stream=stream)
     assert verify_certificate(r, stream=stream, prec=384)
+
+
+EPS = Fraction(1, 10**3)
+
+
+@pytest.fixture(scope="module")
+def certified(stream):
+    """Certified (not exact) results on 378k, 41k and 12k selected primes."""
+    out = {}
+    for a in ("1.52", "1.8", "2.0"):
+        r = approx_ray(Fraction(a), EPS, stream=stream)
+        assert r.exact_ratio is None
+        out[a] = r
+    return out
+
+
+def count_scalar_terms(monkeypatch):
+    calls = []
+    real = fixedlog.log_ratio_term_bounds
+
+    def counted(p, prec=fixedlog.PREC):
+        calls.append(p)
+        return real(p, prec)
+
+    monkeypatch.setattr(fixedlog, "log_ratio_term_bounds", counted)
+    return calls
+
+
+@pytest.mark.parametrize("a", ["1.52", "1.8", "2.0"])
+@pytest.mark.parametrize("shift", [0, 2, -2])
+def test_fast_and_scalar_verifiers_agree(certified, stream, a, shift):
+    r = certified[a]
+    if shift:
+        r = dataclasses.replace(r, target=r.target + shift * EPS)
+    fast = verify_certificate(r, stream=stream)
+    assert fast is (shift == 0)
+    assert verify_certificate(r, stream=stream, prec=384) is fast
+
+
+def fast_enclosure_mid(r, stream) -> float:
+    g = r.group
+    b_lo, b_hi = fixedlog.ln_fraction_bounds(two_rank_ratio(g.two_rank))
+    t_lo = t_hi = 0
+    for i0, i1 in g.odd_prime_ranges:
+        lo, hi = fixedlog.term_block_atanh60(stream.primes_slice(i0, i1))
+        t_lo, t_hi = t_lo + lo, t_hi + hi
+    return (b_lo + b_hi) / 2 ** (fixedlog.PREC + 1) - (t_lo + t_hi) / 2 ** (
+        fixedlog.SCALE_BITS + 1
+    )
+
+
+@pytest.mark.parametrize("end", [1, -1])
+def test_straddling_enclosure_falls_back_to_scalar(certified, stream, monkeypatch, end):
+    # put an end of (a - eps, a + eps) at the middle of the int64 enclosure,
+    # where only the scalar path can decide
+    r = certified["1.8"]
+    x = Fraction(math.exp(fast_enclosure_mid(r, stream)))
+    r = dataclasses.replace(r, target=x - end * EPS)
+    scalar = verify_certificate(r, stream=stream, prec=384)
+    calls = count_scalar_terms(monkeypatch)
+    assert verify_certificate(r, stream=stream) is scalar
+    assert len(calls) == r.group.index_count
+
+
+def test_default_verifier_makes_no_scalar_term_calls(certified, stream, monkeypatch):
+    r = certified["1.8"]
+    assert r.group.index_count > 40_000
+    calls = count_scalar_terms(monkeypatch)
+    assert verify_certificate(r, stream=stream)
+    assert calls == []
+
+
+def test_verifier_recomputes_exact_ratio_from_the_group(stream):
+    r = approx_ray(Fraction(9, 2), EPS, stream=stream)
+    assert r.exact_ratio is not None and r.exact_ratio != r.target
+    assert verify_certificate(r, stream=stream)
+    # a claimed ratio that is not f(G) is rejected even when it meets the target
+    assert not verify_certificate(
+        dataclasses.replace(r, exact_ratio=r.target), stream=stream
+    )
+    # so is a group that is not the one the ratio came from
+    fewer = SymbolicGroup(r.group.two_rank, r.group.odd_prime_ranges[:-1])
+    assert not verify_certificate(dataclasses.replace(r, group=fewer), stream=stream)

@@ -174,3 +174,24 @@ def test_parse_large_prime_literal_is_fast():
     g = parse_group("C2305843009213693951")
     assert time.perf_counter() - start < 1.0
     assert g.factors == ((2**61 - 1, (1,)),)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(1_000_003, 1_000_033), (10_000_019, 10_000_079), (1_000_000_007, 1_000_000_009)],
+)
+def test_factorize_splits_large_semiprimes_quickly(p, q):
+    # trial division needs sqrt(pq) steps (minutes at 19 digits)
+    start = time.perf_counter()
+    assert factorize(p * q) == {p: 1, q: 1}
+    assert time.perf_counter() - start < 0.1
+    assert factorize(6 * p * q * q) == {2: 1, 3: 1, p: 1, q: 2}
+
+
+def test_factorize_splits_composites_without_small_factors():
+    # every prime factor above the trial-division limit, repeated factors too
+    for want in [{1031: 2}, {1031: 3, 1033: 1}, {1_048_583: 1, 999_983: 2, 4099: 1}]:
+        n = 1
+        for p, e in want.items():
+            n *= p**e
+        assert factorize(n) == want

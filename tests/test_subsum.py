@@ -234,6 +234,27 @@ def test_mixed_phase_random_differential(stream):
     assert n_mixed >= 25  # the cap choices really exercised the switch
 
 
+def test_windowed_fixed_point_scan_matches_one_pass():
+    # the windowed scan must pick the same prefix and first fitting index as
+    # one cumulative sum over the whole array
+    import numpy as np
+
+    from autratio.subsum import _C, _WINDOW, _first_at_most, _fitting_prefix
+
+    rng = np.random.default_rng(5)
+    terms = np.sort(rng.integers(0, 2**40, 3 * _WINDOW + 123))[::-1].copy()
+    adj = np.cumsum(terms) + _C * np.arange(1, len(terms) + 1)
+    for k in [0, 1, _WINDOW - 1, _WINDOW, 2 * _WINDOW + 7, len(terms) - 1]:
+        for room in [int(adj[k]) - 1, int(adj[k]), int(adj[-1]) + 2**62]:
+            take = int(np.searchsorted(adj, min(room, int(adj[-1])), side="right"))
+            used = int(adj[take - 1]) if take else 0
+            assert _fitting_prefix(terms, room) == (take, used)
+        for bound in [int(terms[k]), int(terms[k]) - 1]:
+            want = int(np.searchsorted(-terms, -bound, side="left"))
+            assert _first_at_most(terms, bound) == want
+    assert _first_at_most(terms, -1) == len(terms)
+
+
 def test_hopeless_targets_fail_fast(stream):
     # targets beyond the certified total budget under the ceiling return
     # capacity_exhausted immediately, without crawling the sieve
