@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from . import fixedlog
-from .autorder import LogValue, two_rank_ratio
+from .autorder import LogValue, product_tree, two_rank_ratio
 from .errors import PrecisionRefusal, SieveCapacityError
 from .groups import SymbolicGroup
 from .primes import PrimeStream, shared_stream
@@ -385,22 +384,14 @@ def verify_certificate(
     return Fraction(lo, 1 << p_used) > Fraction(low_hi, 1 << prec)
 
 
-def _product(xs: list[int]) -> int:
-    """Product by halving, so big factors meet only near the root."""
-    if len(xs) <= 16:
-        return prod(xs)
-    mid = len(xs) // 2
-    return _product(xs[:mid]) * _product(xs[mid:])
-
-
 def _verify_exact(result: ApproxResult, stream: PrimeStream) -> bool:
     g = result.group
     primes: list[int] = []
     for lo, hi in g.odd_prime_ranges:
         primes += stream.primes_slice(lo, hi).tolist()
     b = two_rank_ratio(g.two_rank)
-    num = b.numerator * _product([p - 1 for p in primes])
-    den = b.denominator * _product(primes)
+    num = b.numerator * product_tree([p - 1 for p in primes])
+    den = b.denominator * product_tree(primes)
     r, a, eps = result.exact_ratio, result.target, result.eps
     if num * r.denominator != den * r.numerator:
         return False  # the claimed ratio is not f of the returned group

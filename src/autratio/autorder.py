@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import inf, nextafter, prod
 
 from . import fixedlog
@@ -83,20 +84,39 @@ class LogValue:
         return v - e, v + e
 
 
+def product_tree(xs: list[int]) -> int:
+    """Product by halving, so big factors meet only near the root."""
+    if len(xs) <= 16:
+        return prod(xs)
+    mid = len(xs) // 2
+    return product_tree(xs[:mid]) * product_tree(xs[mid:])
+
+
 def aut_order_local(p: int, partition) -> int:
-    """|Aut| of the p-group with the given ascending exponent partition."""
+    """|Aut| of the p-group with the given ascending exponent partition.
+
+    Equal parts form runs, and a run of m parts at 1-based positions
+    c..d has d_k = d and c_k = c throughout.  Its factors of the first
+    product are p^d - p^(k-1) = p^(k-1) * (p^(d-k+1) - 1) for k = c..d,
+    i.e. (p^j - 1) for j = 1..m times powers of p, so the whole value is
+    the product over runs of (p^j - 1), j <= m, times one power of p.
+    """
     part = list(partition)
     if not part:
         raise ValueError("partition must be non-empty")
     if part != sorted(part) or part[0] < 1:
         raise ValueError(f"partition must be ascending with entries >= 1: {part}")
     n = len(part)
-    d = [max(l for l in range(n) if part[l] == part[k]) + 1 for k in range(n)]
-    c = [min(l for l in range(n) if part[l] == part[k]) + 1 for k in range(n)]
-    a = prod(p ** d[k] - p**k for k in range(n))
-    b = prod(p ** (part[j] * (n - d[j])) for j in range(n))
-    e = prod(p ** ((part[i] - 1) * (n - c[i] + 1)) for i in range(n))
-    return a * b * e
+    units = []
+    power = n * (n - 1) // 2  # the p^(k-1) of every first-product factor
+    c = 1
+    for e, run in groupby(part):
+        m = len(list(run))
+        d = c + m - 1
+        units += [p**j - 1 for j in range(1, m + 1)]
+        power += m * (e * (n - d) + (e - 1) * (n - c + 1))
+        c = d + 1
+    return product_tree(units) * p**power
 
 
 def aut_order(g: AbelianGroup) -> int:
@@ -125,7 +145,7 @@ def two_rank_ratio(n: int) -> Fraction:
     """f(C2^n) = prod_{k=0}^{n-1} (2^n - 2^k) / 2^n  (1 for n = 0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Fraction(prod(2**n - 2**k for k in range(n)), 2**n)
+    return Fraction(product_tree([2**n - 2**k for k in range(n)]), 2**n)
 
 
 # Above this many odd-prime factors, f_log drops to the vectorized 60-bit

@@ -5,18 +5,28 @@ open; this module only ever reports *bound-relative* evidence.  Finding no
 witness under given bounds says nothing beyond those bounds, and the empty
 result is a first-class outcome.
 
-Enumeration walks primes in ascending order, assigning each an exponent
-partition (or none) under the order budget, which visits every isomorphism
-class exactly once.  The pruned search threads the running requirement
-r = a / (product of chosen local ratios) through that same walk and cuts
-branches whose requirement provably cannot be met:
+Enumeration walks only the primes a group includes.  A node is a group
+together with the index of the next prime it may take and the order budget
+left; it reports its group, then loops over the later primes p up to the
+budget and adds one child for each exponent partition of p that fits.
+Each isomorphism class is one node, a skipped prime costs one loop step,
+and pending nodes sit on an explicit stack, so no bound hits Python's
+recursion limit.  The f-table is computed in the same walk: each node
+carries its order, |Aut| and literal as products and joins of per-(p, part)
+values computed once per table, and the rows are sorted at the end.
 
-* a prime q dividing the reduced denominator of r can only be cancelled by
-  the q-part itself (local denominators are prime powers), so q must still
-  be available and q^v must fit the remaining order budget;
+The pruned search threads the running requirement
+r = a / (product of chosen local ratios) through the same kind of walk and
+cuts what provably cannot be met, once per node:
+
 * every prime factor of a future local numerator is either some remaining
   prime q or divides q^j - 1 < remaining budget, so a numerator prime of r
-  at or above the budget is unreachable.
+  at or above the budget is unreachable and the node is dead;
+* a prime q dividing the reduced denominator of r can only be cancelled by
+  the q-part itself (local denominators are prime powers), so q must be a
+  later prime and q^v must fit the remaining budget.  The node is dead
+  otherwise, and its prime loop ends at the smallest such q, since
+  including any prime past it would leave q uncancelled.
 
 Both cuts are conservative; the differential test against the unpruned
 scan is part of the contract.
@@ -24,14 +34,15 @@ scan is part of the contract.
 
 from __future__ import annotations
 
-import io
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterator
 
-from .autorder import aut_order, aut_order_local, f_exact
-from .groups import AbelianGroup, format_group, order
+from .autorder import aut_order_local, f_exact
+from .groups import AbelianGroup, order
 from .primes import shared_stream
 
 __all__ = [
@@ -98,33 +109,60 @@ def _sort_key(g: AbelianGroup):
     return (order(g), g.factors)
 
 
+def _rows(bounds: SearchBounds) -> list[tuple[int, tuple, int, str]]:
+    """Every group within bounds as a row ``(order, factors, |Aut|,
+    literal)``, sorted by (order, factors) as ``_sort_key`` sorts groups;
+    the trivial group's literal is "".
+
+    A node is a row plus the index of the next prime it may include and
+    the order budget left.  The local |Aut| and literal of each (p, part)
+    are computed once per call.
+    """
+    primes = shared_stream().primes_upto(bounds.prime_limit)
+    rank = bounds.max_rank_per_prime
+    blocks: dict[tuple[int, int], list] = {}
+    rows = []
+    stack = [(0, bounds.max_order, 1, (), 1, "")]
+    while stack:
+        start, budget, n, factors, aut, literal = stack.pop()
+        rows.append((n, factors, aut, literal))
+        for j in range(start, bisect_right(primes, budget, start)):
+            p = primes[j]
+            pw, w = p, 1
+            while pw <= budget:
+                block = blocks.get((p, w))
+                if block is None:
+                    block = blocks[(p, w)] = [
+                        (
+                            (p, part),
+                            aut_order_local(p, part),
+                            " x ".join(f"C{p**e}" for e in part),
+                        )
+                        for part in _partitions(w, rank)
+                    ]
+                for factor, a, lit in block:
+                    stack.append((
+                        j + 1,
+                        budget // pw,
+                        n * pw,
+                        factors + (factor,),
+                        aut * a,
+                        f"{literal} x {lit}" if literal else lit,
+                    ))
+                w += 1
+                pw *= p
+    rows.sort()  # (order, factors) is unique, so later fields never compare
+    return rows
+
+
 def enumerate_groups(bounds: SearchBounds) -> Iterator[AbelianGroup]:
     """Every abelian group within bounds, exactly once, in nondecreasing
     order of group order (ties broken by canonical form).
 
     Raises SieveCapacityError when the prime limit is above the sieve
     ceiling."""
-    groups: list[AbelianGroup] = []
-
-    def walk(primes: list[int], idx: int, budget: int, acc: list):
-        if idx == len(primes) or primes[idx] > budget:
-            groups.append(AbelianGroup(tuple(acc)))
-            return
-        p = primes[idx]
-        walk(primes, idx + 1, budget, acc)  # skip p
-        pw = p
-        w = 1
-        while pw <= budget:
-            for part in _partitions(w, bounds.max_rank_per_prime):
-                acc.append((p, part))
-                walk(primes, idx + 1, budget // pw, acc)
-                acc.pop()
-            w += 1
-            pw *= p
-
-    walk(shared_stream().primes_upto(bounds.prime_limit), 0, bounds.max_order, [])
-    groups.sort(key=_sort_key)
-    yield from groups
+    for row in _rows(bounds):
+        yield AbelianGroup(row[1])
 
 
 def find_exact(
@@ -149,25 +187,14 @@ def find_exact(
     stream = shared_stream()
     primes = stream.primes_upto(bounds.prime_limit)
     strip_primes = stream.primes_upto(bounds.max_order)
+    rank = bounds.max_rank_per_prime
     hits: list[AbelianGroup] = []
 
-    def cut(r: Fraction, idx: int, budget: int) -> bool:
-        den = r.denominator
-        if den > 1:
-            # denominator primes can only be cancelled by their own local
-            # part, so each must still be ahead of us and fit the budget
-            for j in range(idx, len(primes)):
-                q = primes[j]
-                if q > den:
-                    break
-                v = 0
-                while den % q == 0:
-                    den //= q
-                    v += 1
-                if v and q**v > budget:
-                    return True
-            if den > 1:
-                return True
+    def reach(r: Fraction, start: int, budget: int) -> int:
+        """End of the prime indices worth including at a node: start when
+        the requirement r cannot be met, else past the smallest prime of
+        its denominator (and never past the budget)."""
+        end = bisect_right(primes, budget, start)
         num = r.numerator
         if num > 1:
             # every future numerator prime is < budget: local q-powers need
@@ -179,29 +206,47 @@ def find_exact(
                 while num % q == 0:
                     num //= q
             if num > 1:
-                return True
-        return False
+                return start
+        den = r.denominator
+        if den > 1:
+            # denominator primes can only be cancelled by their own local
+            # part, so each must be at index >= start and fit the budget;
+            # past the smallest one the first of these can never hold again
+            for j in range(start, end):
+                q = primes[j]
+                if q > den:
+                    break
+                v = 0
+                while den % q == 0:
+                    den //= q
+                    v += 1
+                if v:
+                    if q**v > budget:
+                        return start
+                    end = min(end, j + 1)
+            if den > 1:
+                return start
+        return end
 
-    def walk(idx: int, budget: int, acc: list, r: Fraction):
-        if r != 1 and cut(r, idx, budget):
-            return
-        if idx == len(primes) or primes[idx] > budget:
-            if r == 1:
-                hits.append(AbelianGroup(tuple(acc)))
-            return
-        p = primes[idx]
-        walk(idx + 1, budget, acc, r)
-        pw = p
-        w = 1
-        while pw <= budget:
-            for part in _partitions(w, bounds.max_rank_per_prime):
-                acc.append((p, part))
-                walk(idx + 1, budget // pw, acc, r / _local_ratio(p, part))
-                acc.pop()
-            w += 1
-            pw *= p
+    stack = [(0, bounds.max_order, (), a)]
+    while stack:
+        start, budget, factors, r = stack.pop()
+        if r == 1:
+            hits.append(AbelianGroup(factors))
+        for j in range(start, reach(r, start, budget)):
+            p = primes[j]
+            pw, w = p, 1
+            while pw <= budget:
+                for part in _partitions(w, rank):
+                    stack.append((
+                        j + 1,
+                        budget // pw,
+                        factors + ((p, part),),
+                        r / _local_ratio(p, part),
+                    ))
+                w += 1
+                pw *= p
 
-    walk(0, bounds.max_order, [], a)
     hits.sort(key=_sort_key)
     return [Witness(g, a) for g in hits]
 
@@ -210,15 +255,11 @@ def render_table(bounds: SearchBounds) -> bytes:
     """The f-table as bytes: one row per group,
     ``<literal>\\t<order>\\t<aut_order>\\t<num>/<den>``, sorted by order
     then canonical form, under a version header."""
-    buf = io.StringIO()
-    buf.write(f"{TABLE_HEADER_PREFIX} max_order={bounds.max_order}\n")
-    for g in enumerate_groups(bounds):
-        f = f_exact(g)
-        buf.write(
-            f"{format_group(g)}\t{order(g)}\t{aut_order(g)}\t"
-            f"{f.numerator}/{f.denominator}\n"
-        )
-    return buf.getvalue().encode("utf-8")
+    out = [f"{TABLE_HEADER_PREFIX} max_order={bounds.max_order}\n"]
+    for n, _, aut, literal in _rows(bounds):
+        g = gcd(aut, n)
+        out.append(f"{literal or 'C1'}\t{n}\t{aut}\t{aut // g}/{n // g}\n")
+    return "".join(out).encode("utf-8")
 
 
 def build_f_table(bounds: SearchBounds, path) -> int:

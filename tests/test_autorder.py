@@ -38,6 +38,40 @@ def test_local_formula_pinned_values():
     assert aut_order_local(2, [1, 1, 1]) == 168  # (8-1)(8-2)(8-4)
 
 
+def quadratic_aut_order_local(p, part):
+    """The closed form with d_k and c_k found by scanning every entry."""
+    n = len(part)
+    d = [max(l for l in range(n) if part[l] == part[k]) + 1 for k in range(n)]
+    c = [min(l for l in range(n) if part[l] == part[k]) + 1 for k in range(n)]
+    a = math.prod(p ** d[k] - p**k for k in range(n))
+    b = math.prod(p ** (part[j] * (n - d[j])) for j in range(n))
+    e = math.prod(p ** ((part[i] - 1) * (n - c[i] + 1)) for i in range(n))
+    return a * b * e
+
+
+def partitions(w, largest=None):
+    """Ascending partitions of w with parts <= largest."""
+    if w == 0:
+        yield ()
+        return
+    for top in range(min(w, largest or w), 0, -1):
+        for rest in partitions(w - top, top):
+            yield rest + (top,)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_local_formula_run_lengths_match_the_definition(p):
+    for w in range(1, 13):
+        for part in partitions(w):
+            assert aut_order_local(p, part) == quadratic_aut_order_local(p, part)
+
+
+def test_elementary_two_groups_match_two_rank_ratio():
+    for r in range(401):
+        g = AbelianGroup(((2, (1,) * r),) if r else ())
+        assert f_exact(g) == two_rank_ratio(r), r
+
+
 def test_local_formula_rejects_bad_partitions():
     with pytest.raises(ValueError):
         aut_order_local(2, [2, 1])

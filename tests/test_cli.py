@@ -111,6 +111,18 @@ def test_table(capsys, tmp_path):
     assert out_path.read_bytes().startswith(b"# autratio f-table v1 max_order=8\n")
 
 
+def test_table_and_search_past_one_frame_per_prime(capsys, tmp_path):
+    # both ended in RecursionError (exit 3) while the walk recursed once
+    # per skipped prime
+    out_path = tmp_path / "t.tsv"
+    code, out, _ = run(
+        capsys, "table", "--max-order", "8000", "--json", "--out", str(out_path)
+    )
+    assert code == 0 and json.loads(out)["result"]["rows"] == 17636
+    code, out, _ = run(capsys, "search", "5", "--max-order", "9000", "--json")
+    assert code == 0 and json.loads(out)["status"] == "ok"
+
+
 def test_repeat_invocations_byte_identical(capsys):
     _, out1, _ = run(capsys, "approx", "1.7", "--eps", "1e-4", "--json")
     _, out2, _ = run(capsys, "approx", "1.7", "--eps", "1e-4", "--json")

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,13 @@ def test_prune_differential():
         assert pruned == plain, a
 
 
+@pytest.mark.parametrize("a", [Fraction(5), Fraction(3, 2), Fraction(1)])
+def test_prune_differential_at_scale(a):
+    bounds = SearchBounds(9000)
+    pruned = [w.group for w in find_exact(a, bounds)]
+    assert pruned == [w.group for w in find_exact(a, bounds, prune=False)]
+
+
 def test_find_exact_rejects_negative():
     with pytest.raises(ValueError):
         find_exact(Fraction(-1, 2), SearchBounds(10))
@@ -173,3 +184,56 @@ def test_search_refuses_primes_past_the_sieve_ceiling(monkeypatch):
     assert len(list(enumerate_groups(small))) == sum(
         abelian_count(n) for n in range(1, 1001)
     )
+
+
+def slow_table(bounds: SearchBounds) -> bytes:
+    """The f-table rebuilt row by row from the public per-group functions."""
+    lines = [f"{TABLE_HEADER_PREFIX} max_order={bounds.max_order}\n"]
+    for g in enumerate_groups(bounds):
+        f = f_exact(g)
+        lines.append(
+            f"{format_group(g)}\t{order(g)}\t{aut_order(g)}\t"
+            f"{f.numerator}/{f.denominator}\n"
+        )
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [SearchBounds(n) for n in (1, 2, 96, 500, 2000)]
+    + [SearchBounds(500, max_rank_per_prime=2), SearchBounds(500, max_prime=3)],
+)
+def test_table_equals_per_group_reference(bounds):
+    assert render_table(bounds) == slow_table(bounds)
+
+
+def test_walk_depth_does_not_grow_with_the_prime_count():
+    # a skipped prime must not cost a stack frame, so a recursion limit far
+    # below the number of primes up to the bound (1007 below 8000) is
+    # enough; rank 12 admits C2^12, so every group of order <= 8000 is a row
+    script = (
+        "import sys\n"
+        "from autratio.autorder import f_exact\n"
+        "from autratio.search import SearchBounds, find_exact, render_table\n"
+        "sys.setrecursionlimit(150)\n"
+        "table = render_table(SearchBounds(8000, max_rank_per_prime=12))\n"
+        "print(table.count(b'\\n') - 1)\n"
+        "ws = find_exact(5, SearchBounds(9000))\n"
+        "print(all(f_exact(w.group) == 5 for w in ws))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows, sound = proc.stdout.split()
+    assert int(rows) == sum(abelian_count(n) for n in range(1, 8001))
+    assert sound == "True"
