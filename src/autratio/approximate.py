@@ -17,11 +17,11 @@ below-eps witness: a certified f(G) < eps, never a pretended exact hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import fixedlog
-from .autorder import LogValue, product_tree, two_rank_ratio
+from .autorder import LogValue, _f_log_bounds, product_tree, two_rank_ratio
 from .errors import PrecisionRefusal, SieveCapacityError
 from .groups import SymbolicGroup
 from .primes import PrimeStream, shared_stream
@@ -54,7 +54,6 @@ class ApproxConfig:
 
     budget: int | None = DEFAULT_BUDGET
     exact_cap: int = DEFAULT_EXACT_CAP
-    materialize_cap: int = 10_000
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,6 @@ class ApproxResult:
         return self.group.materialize(stream or shared_stream(), cap)
 
 
-def _log_enclosure_of_selection(sel: Selection) -> tuple[Fraction, Fraction]:
-    """Enclosure of ln P = -(selected sum) for a log-ratio selection."""
-    return (-sel.achieved.hi, -sel.achieved.lo)
-
-
 def choose_two_rank(a) -> tuple[int, Fraction]:
     """Minimal n with f(C2^n) > a (strictly), with the exact value b.
 
@@ -109,23 +103,21 @@ def choose_two_rank(a) -> tuple[int, Fraction]:
     return n, two_rank_ratio(n)
 
 
-def _run_unit_greedy(
+def _greedy_unit(
     a: Fraction,
     eps: Fraction,
+    q: Fraction,
+    eps_log: Fraction,
     odd_only: bool,
     stream: PrimeStream,
     config: ApproxConfig,
     record_trail: bool,
+    below_eps: bool,
 ) -> ApproxResult:
-    """The a in (eps, 1) work-horse: greedy onto t = ln(1/a)."""
+    """Greedy onto t = ln q with log tolerance ``eps_log``; the result
+    encloses ln P = -(selected sum) and is flagged as a below-eps witness
+    when ``below_eps``."""
     source = prime_ratio_terms(odd_only, stream)
-    q = 1 / a
-    # rational lower bound of ln(1 + eps/a): stopping strictly earlier than
-    # the true log tolerance keeps P < a + eps certified
-    lo_eps = fixedlog.ln_fraction_bounds((a + eps) / a, _PREC)[0]
-    eps_log = Fraction(lo_eps, 1 << _PREC)
-    if eps_log <= 0:
-        raise PrecisionRefusal(f"eps {eps} is below the arithmetic resolution")
     sel = greedy_select(
         source,
         LogTarget(q),
@@ -134,37 +126,31 @@ def _run_unit_greedy(
         record_trail=record_trail,
         exact_cap=config.exact_cap,
     )
+    max_p = source.prime(sel.scanned) if sel.scanned else 0
     if sel.status != CONVERGED:
-        raise SieveCapacityError(
-            f"could not approach {a} within {eps}: {sel.status} after "
-            f"scanning {sel.scanned} terms",
-            partial=_trace_from_selection(sel, source, odd_only),
-        )
+        if below_eps:
+            msg = (
+                f"cannot certify a ratio below {eps} under the sieve ceiling "
+                f"({sel.status} after {sel.scanned} terms)"
+            )
+        else:
+            msg = (
+                f"could not approach {a} within {eps}: {sel.status} after "
+                f"scanning {sel.scanned} terms"
+            )
+        partial = ApproxTrace(0, None, None, odd_only, sel, max_p)
+        raise SieveCapacityError(msg, partial=partial)
     group = _group_from_selection(sel, odd_only)
-    trace = _trace_from_selection(sel, source, odd_only, group.two_rank)
     exact = (1 / sel.exact_product) if sel.exact_product is not None else None
-    lo, hi = _log_enclosure_of_selection(sel)
     return ApproxResult(
         group=group,
-        achieved=LogValue.from_interval(lo, hi),
+        achieved=LogValue.from_interval(-sel.achieved.hi, -sel.achieved.lo),
         exact_ratio=exact,
         target=a,
         eps=eps,
-        trace=trace,
-    )
-
-
-def _trace_from_selection(
-    sel: Selection, source, odd_only: bool, two_rank: int = 0
-) -> ApproxTrace:
-    max_p = source.prime(sel.scanned) if sel.scanned else 0
-    return ApproxTrace(
-        two_rank=two_rank,
-        b=None,
-        eps_inner=None,
-        odd_only=odd_only,
-        selection=sel,
-        max_prime_scanned=max_p,
+        trace=ApproxTrace(
+            group.two_rank, None, None, odd_only, sel, max_p, below_eps
+        ),
     )
 
 
@@ -220,49 +206,22 @@ def approx_in_unit(
             trace=ApproxTrace(0, None, None, odd_only, None, 0),
         )
     if a <= eps:
-        return _below_eps_witness(a, eps, odd_only, stream, config, record_trail)
-    return _run_unit_greedy(a, eps, odd_only, stream, config, record_trail)
-
-
-def _below_eps_witness(a, eps, odd_only, stream, config, record_trail):
-    # target ln(3/eps) = ln(1/eps) + ln 3 with log tolerance 1: convergence
-    # leaves U = prod p/(p-1) > 3/(e*eps) > 1/eps, so f = 1/U < eps
-    q = 3 / eps
-    source = prime_ratio_terms(odd_only, stream)
-    sel = greedy_select(
-        source,
-        LogTarget(q),
-        Fraction(1),
-        budget=config.budget,
-        record_trail=record_trail,
-        exact_cap=config.exact_cap,
-    )
-    if sel.status != CONVERGED:
-        raise SieveCapacityError(
-            f"cannot certify a ratio below {eps} under the sieve ceiling "
-            f"({sel.status} after {sel.scanned} terms)",
-            partial=_trace_from_selection(sel, source, odd_only),
+        # target ln(3/eps) = ln(1/eps) + ln 3 with log tolerance 1:
+        # convergence leaves U = prod p/(p-1) > 3/(e*eps) > 1/eps, so
+        # f = 1/U < eps
+        return _greedy_unit(
+            a, eps, 3 / eps, Fraction(1), odd_only, stream, config,
+            record_trail, below_eps=True,
         )
-    group = _group_from_selection(sel, odd_only)
-    base = _trace_from_selection(sel, source, odd_only, group.two_rank)
-    trace = ApproxTrace(
-        two_rank=base.two_rank,
-        b=None,
-        eps_inner=None,
-        odd_only=odd_only,
-        selection=sel,
-        max_prime_scanned=base.max_prime_scanned,
-        below_eps_witness=True,
-    )
-    exact = (1 / sel.exact_product) if sel.exact_product is not None else None
-    lo, hi = _log_enclosure_of_selection(sel)
-    return ApproxResult(
-        group=group,
-        achieved=LogValue.from_interval(lo, hi),
-        exact_ratio=exact,
-        target=a,
-        eps=eps,
-        trace=trace,
+    # rational lower bound of ln(1 + eps/a): stopping strictly earlier than
+    # the true log tolerance keeps P < a + eps certified
+    lo_eps = fixedlog.ln_fraction_bounds((a + eps) / a, _PREC)[0]
+    eps_log = Fraction(lo_eps, 1 << _PREC)
+    if eps_log <= 0:
+        raise PrecisionRefusal(f"eps {eps} is below the arithmetic resolution")
+    return _greedy_unit(
+        a, eps, 1 / a, eps_log, odd_only, stream, config, record_trail,
+        below_eps=False,
     )
 
 
@@ -316,22 +275,13 @@ def approx_ray(
     lo = Fraction(b_lo, 1 << _PREC) + lo_in
     hi = Fraction(b_hi, 1 << _PREC) + hi_in
     exact = b * inner.exact_ratio if inner.exact_ratio is not None else None
-    trace = ApproxTrace(
-        two_rank=n,
-        b=b,
-        eps_inner=eps1,
-        odd_only=True,
-        selection=inner.trace.selection,
-        max_prime_scanned=inner.trace.max_prime_scanned,
-        below_eps_witness=inner.trace.below_eps_witness,
-    )
     return ApproxResult(
         group=group,
         achieved=LogValue.from_interval(lo, hi),
         exact_ratio=exact,
         target=a,
         eps=eps,
-        trace=trace,
+        trace=replace(inner.trace, two_rank=n, b=b, eps_inner=eps1),
     )
 
 
@@ -351,7 +301,8 @@ def verify_certificate(
     exact claim over more than DEFAULT_EXACT_CAP primes, which no default
     run makes and whose product would cost more than its enclosure.
 
-    With ``prec`` None the enclosure comes from the int64 atanh-series
+    Both enclosures come from ``autorder._f_log_bounds`` and are judged by
+    ``_decide``.  With ``prec`` None the first is the int64 atanh-series
     kernel (``fixedlog.term_block_atanh60``), which shares no series with
     the first pass.  It answers only when it lies certainly inside or
     certainly outside the interval; otherwise the scalar path decides at
@@ -359,29 +310,35 @@ def verify_certificate(
     ``prec`` runs the scalar path at that precision: one enclosure per
     prime, ``log_ratio_term_bounds`` at ``prec`` bits.
     """
-    from .autorder import _f_log_bounds
-
     stream = stream or shared_stream()
     exact = result.exact_ratio is not None
     if exact and result.group.index_count <= DEFAULT_EXACT_CAP:
         return _verify_exact(result, stream)
     if prec is None:
-        verdict = _fast_verdict(result, stream)
+        lo, hi = _f_log_bounds(result.group, stream, None)
+        verdict = _decide(lo, hi, _PREC, result)
         if verdict is not None:
             return verdict
         prec = 2 * _PREC
+    lo, hi = _f_log_bounds(result.group, stream, prec)
+    return _decide(lo, hi, prec, result) is True
+
+
+def _decide(lo: int, hi: int, prec: int, result: ApproxResult) -> bool | None:
+    """Compare the enclosure [lo, hi] * 2**-prec of ln f(G) with
+    (ln(a - eps), ln(a + eps)): True when it lies certainly inside, False
+    when certainly outside, None when it straddles an end."""
     a, eps = result.target, result.eps
-    lo, hi, p_used = _f_log_bounds(result.group, stream, prec)
-    upper = a + eps
-    up_lo = fixedlog.ln_fraction_bounds(upper, prec)[0]
-    # compare at matching scale: f < a + eps
-    if Fraction(hi, 1 << p_used) >= Fraction(up_lo, 1 << prec):
-        return False
-    lower = a - eps
-    if lower <= 0:
-        return True
-    low_hi = fixedlog.ln_fraction_bounds(lower, prec)[1]
-    return Fraction(lo, 1 << p_used) > Fraction(low_hi, 1 << prec)
+    up_lo, up_hi = fixedlog.ln_fraction_bounds(a + eps, prec)
+    if lo >= up_hi:
+        return False  # f >= a + eps
+    below_upper = hi < up_lo
+    if a - eps <= 0:
+        return True if below_upper else None
+    low_lo, low_hi = fixedlog.ln_fraction_bounds(a - eps, prec)
+    if hi <= low_lo:
+        return False  # f <= a - eps
+    return True if below_upper and lo > low_hi else None
 
 
 def _verify_exact(result: ApproxResult, stream: PrimeStream) -> bool:
@@ -400,30 +357,3 @@ def _verify_exact(result: ApproxResult, stream: PrimeStream) -> bool:
     # |num/den - a| <= eps, with every denominator cleared
     gap = abs(num * a.denominator - a.numerator * den)
     return gap * eps.denominator <= eps.numerator * den * a.denominator
-
-
-def _fast_verdict(result: ApproxResult, stream: PrimeStream) -> bool | None:
-    """True or False when the int64 enclosure of ln f(G) decides the claim
-    by itself, None when it straddles an end of the interval."""
-    g = result.group
-    b_lo, b_hi = fixedlog.ln_fraction_bounds(two_rank_ratio(g.two_rank), _PREC)
-    t_lo = t_hi = 0
-    for i0, i1 in g.odd_prime_ranges:
-        lo, hi = fixedlog.term_block_atanh60(stream.primes_slice(i0, i1))
-        t_lo += lo
-        t_hi += hi
-    # ln f = ln f(C2^n) - sum ln(p/(p-1)), at scale 2**-PREC
-    shift = _PREC - fixedlog.SCALE_BITS
-    lo = b_lo - (t_hi << shift)
-    hi = b_hi - (t_lo << shift)
-    a, eps = result.target, result.eps
-    up_lo, up_hi = fixedlog.ln_fraction_bounds(a + eps, _PREC)
-    if lo >= up_hi:
-        return False  # f >= a + eps
-    below_upper = hi < up_lo
-    if a - eps <= 0:
-        return True if below_upper else None
-    low_lo, low_hi = fixedlog.ln_fraction_bounds(a - eps, _PREC)
-    if hi <= low_lo:
-        return False  # f <= a - eps
-    return True if below_upper and lo > low_hi else None

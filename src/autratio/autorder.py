@@ -148,42 +148,39 @@ def two_rank_ratio(n: int) -> Fraction:
     return Fraction(product_tree([2**n - 2**k for k in range(n)]), 2**n)
 
 
-# Above this many odd-prime factors, f_log drops to the vectorized 60-bit
-# regime instead of per-term scalar enclosures.
+# Above this many odd-prime factors, f_log sums the int64 atanh kernel
+# instead of one scalar enclosure per prime.
 _VECTOR_THRESHOLD = 65536
 
 
 def _f_log_bounds(
     s: SymbolicGroup, stream: PrimeStream, prec: int | None
-) -> tuple[int, int, int]:
-    """Certified fixed-point enclosure (lo, hi, prec_used) of ln f(G)."""
-    count = s.index_count
-    use_vector = prec is None and count > _VECTOR_THRESHOLD
-    p_used = fixedlog.SCALE_BITS if use_vector else (prec or fixedlog.PREC)
-    b = two_rank_ratio(s.two_rank)
-    if p_used < fixedlog.PREC:
-        shift = fixedlog.PREC - p_used
-        raw_lo, raw_hi = fixedlog.ln_fraction_bounds(b, fixedlog.PREC)
-        b_lo, b_hi = raw_lo >> shift, -((-raw_hi) >> shift)
-    else:
-        b_lo, b_hi = fixedlog.ln_fraction_bounds(b, p_used)
-    if use_vector:
-        t_sum = 0
-        for lo_i, hi_i in s.odd_prime_ranges:
-            block = stream.primes_slice(lo_i, hi_i)
-            t_sum += int(fixedlog.term_block_fp60(block).sum())
-        return (
-            b_lo - t_sum - count * fixedlog.TERM_ERR60,
-            b_hi - t_sum,
-            p_used,
-        )
+) -> tuple[int, int]:
+    """Certified enclosure (lo, hi) of ln f(G) at scale 2**-(prec or PREC).
+
+    ln f = ln f(C2^two_rank) - sum over the odd primes of ln(p/(p-1)).  With
+    ``prec`` None the sum comes from ``fixedlog.term_block_atanh60`` over
+    the index ranges; with an explicit ``prec`` each prime is enclosed at
+    ``prec`` bits by ``fixedlog.log_ratio_term_bounds``.  This is the one
+    enclosure of ln f(G) from a group: ``f_log`` and both passes of
+    ``approximate.verify_certificate`` use it.
+    """
+    p_used = prec or fixedlog.PREC
+    b_lo, b_hi = fixedlog.ln_fraction_bounds(two_rank_ratio(s.two_rank), p_used)
     t_lo = t_hi = 0
-    for i in s.iter_indices():
-        p = stream.nth_prime(i)
-        lo_i, hi_i = fixedlog.log_ratio_term_bounds(p, p_used)
-        t_lo += lo_i
-        t_hi += hi_i
-    return (b_lo - t_hi, b_hi - t_lo, p_used)
+    if prec is None:
+        for i0, i1 in s.odd_prime_ranges:
+            lo, hi = fixedlog.term_block_atanh60(stream.primes_slice(i0, i1))
+            t_lo += lo
+            t_hi += hi
+        shift = p_used - fixedlog.SCALE_BITS
+        t_lo, t_hi = t_lo << shift, t_hi << shift
+    else:
+        for i in s.iter_indices():
+            lo, hi = fixedlog.log_ratio_term_bounds(stream.nth_prime(i), prec)
+            t_lo += lo
+            t_hi += hi
+    return (b_lo - t_hi, b_hi - t_lo)
 
 
 def f_log(
@@ -196,9 +193,15 @@ def f_log(
 
     ln f = ln f(C2^two_rank) + sum over selected odd primes of ln((p-1)/p),
     with every term enclosed by directed fixed-point arithmetic and the
-    per-term bounds summed into abs_error.  Pass ``prec`` (fractional bits)
-    to force scalar evaluation, e.g. for a doubled-precision second pass.
+    per-term bounds summed into abs_error.  Up to 65,536 odd primes each
+    term is enclosed at 192 bits; above that the sum comes from the int64
+    kernel ``fixedlog.term_block_atanh60`` (``term_block_fp60`` is the
+    greedy's kernel, not an enclosure of f).  Pass ``prec`` (fractional
+    bits) to force per-term evaluation, e.g. for a doubled-precision
+    second pass.
     """
     stream = stream or shared_stream()
-    lo, hi, p_used = _f_log_bounds(s, stream, prec)
-    return LogValue.from_bounds(lo, hi, p_used)
+    if prec is None and s.index_count <= _VECTOR_THRESHOLD:
+        prec = fixedlog.PREC
+    lo, hi = _f_log_bounds(s, stream, prec)
+    return LogValue.from_bounds(lo, hi, prec or fixedlog.PREC)

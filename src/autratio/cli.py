@@ -36,9 +36,28 @@ EXIT_CAPACITY = 2
 EXIT_INTERNAL = 3
 
 
+# Decimal(n) is quadratic in the digit count, so larger ints are split at a
+# bit midpoint and the halves joined exactly: n = hi * 2**k + lo.
+_SPLIT_BITS = 1 << 14
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+)
+
+
+def _to_decimal(n: int) -> decimal.Decimal:
+    if n.bit_length() <= _SPLIT_BITS:
+        return decimal.Decimal(n)
+    k = n.bit_length() // 2
+    hi = _EXACT.multiply(_to_decimal(n >> k), _EXACT.power(2, k))
+    return _EXACT.add(hi, _to_decimal(n & ((1 << k) - 1)))
+
+
 def _int_str(n: int) -> str:
-    """Decimal digits of n; unlike str(n), not capped at 4300 digits."""
-    return str(decimal.Decimal(n))
+    """Decimal digits of n; unlike str(n), not capped at 4300 digits, and
+    near-linear time on 10^6-digit values."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    return str(_to_decimal(n))
 
 
 def _ratio_str(q: Fraction) -> str:

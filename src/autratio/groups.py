@@ -361,10 +361,6 @@ class SymbolicGroup:
         for lo, hi in self.odd_prime_ranges:
             yield from range(lo, hi + 1)
 
-    @property
-    def max_index(self) -> int:
-        return self.odd_prime_ranges[-1][1] if self.odd_prime_ranges else 0
-
     def materialize(self, primes, cap: int = 10_000) -> AbelianGroup:
         """Expand to an AbelianGroup; refuses above ``cap`` prime indices."""
         n = self.index_count

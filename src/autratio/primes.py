@@ -79,10 +79,12 @@ class PrimeStream:
         with self._lock:
             if limit <= self._limit:
                 return
-            base = self._primes[self._primes <= math.isqrt(limit)]
-            if base[-1] < math.isqrt(limit):
+            root = math.isqrt(limit)
+            if self._limit < root:
                 # sqrt(limit) outgrew the current sieve; rebuild the base first
-                base = _simple_sieve(math.isqrt(limit))
+                base = _simple_sieve(root)
+            else:
+                base = self._primes[self._primes <= root]
             chunks = [self._primes]
             lo = self._limit + 1
             while lo <= limit:
@@ -145,11 +147,6 @@ class PrimeStream:
         self.extend_to(n)
         primes = self._primes
         return primes[: int(np.searchsorted(primes, n, side="right"))].tolist()
-
-    def count_under_ceiling(self) -> int:
-        """Number of primes available once fully sieved to the ceiling."""
-        self.extend_to(self.ceiling)
-        return self.count
 
 
 _shared: PrimeStream | None = None

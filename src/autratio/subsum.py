@@ -163,17 +163,6 @@ class PrimeRatioSource:
     def prime(self, i: int) -> int:
         return self.stream.nth_prime(self.prime_index(i))
 
-    def ratio(self, i: int) -> Fraction:
-        p = self.prime(i)
-        return Fraction(p, p - 1)
-
-    def term_float(self, i: int) -> float:
-        p = self.prime(i)
-        return math.log(p) - math.log(p - 1)
-
-    def term_enclosure(self, i: int, prec: int = _PREC) -> tuple[int, int]:
-        return fixedlog.log_ratio_term_bounds(self.prime(i), prec)
-
     def available_count(self) -> int:
         """Highest source index under the current sieve (no extension)."""
         return self.stream.count - (1 if self.odd_only else 0)

@@ -6,6 +6,7 @@ import pytest
 
 from autratio import fixedlog
 from autratio.approximate import (
+    ApproxConfig,
     approx_in_unit,
     approx_ray,
     choose_two_rank,
@@ -176,12 +177,17 @@ EPS = Fraction(1, 10**3)
 
 @pytest.fixture(scope="module")
 def certified(stream):
-    """Certified (not exact) results on 378k, 41k and 12k selected primes."""
+    """Certified (not exact) results on 378k, 41k, 12k and 12k selected
+    primes, and a below-eps witness on 607 primes, certified because its
+    greedy leaves the exact phase after one prime."""
     out = {}
-    for a in ("1.52", "1.8", "2.0"):
-        r = approx_ray(Fraction(a), EPS, stream=stream)
-        assert r.exact_ratio is None
-        out[a] = r
+    for a in ("1.52", "1.8", "2.0", "0.047"):
+        out[a] = approx_ray(Fraction(a), EPS, stream=stream)
+    out["0"] = approx_in_unit(
+        0, Fraction(1, 5), stream=stream, config=ApproxConfig(exact_cap=1)
+    )
+    assert out["0"].trace.below_eps_witness
+    assert all(r.exact_ratio is None for r in out.values())
     return out
 
 
@@ -197,12 +203,16 @@ def count_scalar_terms(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("a", ["1.52", "1.8", "2.0"])
+@pytest.mark.parametrize("a", ["1.52", "1.8", "2.0", "0.047", "0"])
 @pytest.mark.parametrize("shift", [0, 2, -2])
 def test_fast_and_scalar_verifiers_agree(certified, stream, a, shift):
     r = certified[a]
     if shift:
-        r = dataclasses.replace(r, target=r.target + shift * EPS)
+        target = r.target + shift * r.eps
+        if target >= 0:
+            r = dataclasses.replace(r, target=target)
+        else:  # the witness: shrink eps below f(G) instead
+            r = dataclasses.replace(r, eps=r.eps / 1000)
     fast = verify_certificate(r, stream=stream)
     assert fast is (shift == 0)
     assert verify_certificate(r, stream=stream, prec=384) is fast

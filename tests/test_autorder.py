@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autratio import autorder
 from autratio.autorder import (
     LogValue,
     aut_order,
@@ -226,6 +227,39 @@ def test_f_log_doubled_precision_pass(stream):
     assert abs(first.log_value - second.log_value) <= (
         first.abs_error + second.abs_error
     )
+
+
+def assert_bulk_enclosure(s, stream):
+    """f_log's int64 branch overlaps the 192-bit enclosure and is no wider
+    than the former floor-kernel bound of 64 units of 2**-60 per prime."""
+    bulk = f_log(s, stream=stream)
+    lo, hi = bulk.interval()
+    lo192, hi192 = f_log(s, stream=stream, prec=192).interval()
+    assert lo <= hi192 and lo192 <= hi
+    assert hi - lo <= Fraction(64 * s.index_count, 1 << 60)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        SymbolicGroup(0, ((2, 2),)),
+        SymbolicGroup.from_indices(2, [2, 3, 5, 8, 13]),
+        SymbolicGroup(3, ((2, 400), (600, 900))),
+    ],
+)
+def test_f_log_bulk_branch_small_groups(stream, monkeypatch, s):
+    monkeypatch.setattr(autorder, "_VECTOR_THRESHOLD", 0)
+    assert_bulk_enclosure(s, stream)
+    lo, hi = f_log(s, stream=stream).interval()
+    f = f_exact(s.materialize(stream))
+    assert math.exp(float(lo)) <= float(f) * (1 + 1e-12)
+    assert float(f) <= math.exp(float(hi)) * (1 + 1e-12)
+
+
+def test_f_log_bulk_branch_above_threshold(stream):
+    s = SymbolicGroup(1, ((2, 70_000),))
+    assert s.index_count > autorder._VECTOR_THRESHOLD
+    assert_bulk_enclosure(s, stream)
 
 
 def test_logvalue_contract():

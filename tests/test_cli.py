@@ -1,8 +1,11 @@
 import decimal
 import json
+import sys
+import time
 from fractions import Fraction
 
 import autratio.primes
+from autratio import cli
 from autratio.approximate import approx_ray
 from autratio.autorder import aut_order, f_exact
 from autratio.cli import main
@@ -184,3 +187,28 @@ def test_search_past_sieve_ceiling_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(autratio.primes, "_shared", PrimeStream(ceiling=1000))
     code, _, err = run(capsys, "search", "5", "--max-order", "5000")
     assert code == 2 and "ceiling" in err
+
+
+def parse_digits(s: str) -> int:
+    """int(s) by halving, an exact check that avoids quadratic int(str)."""
+    if len(s) <= 2000:
+        return int(s)
+    h = len(s) // 2
+    return parse_digits(s[:h]) * 10 ** (len(s) - h) + parse_digits(s[h:])
+
+
+def test_int_str_matches_str():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        edge = 1 << cli._SPLIT_BITS
+        for n in [0, 7, -7, -(10**5000) - 3, edge - 1, edge, edge + 1, -edge, 3**20000]:
+            assert cli._int_str(n) == str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
+    n = aut_order(parse_group("C2^1500"))
+    start = time.perf_counter()
+    s = cli._int_str(n)
+    # str(n) takes seconds on this size; this check is exact and fast
+    assert time.perf_counter() - start < 5
+    assert s[0] != "0" and len(s) == 677_317 and parse_digits(s) == n

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import autratio.primes
 from autratio.errors import SieveCapacityError
 from autratio.primes import PrimeStream, estimate_sieve_limit
 
@@ -16,6 +17,10 @@ def trial_division_primes(limit):
         if all(n % p for p in found if p <= r):
             found.append(n)
     return found
+
+
+def is_prime_td(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def test_sieve_matches_trial_division(stream):
@@ -104,3 +109,30 @@ def test_primes_upto_extends_and_refuses_past_ceiling():
     assert s.primes_upto(200_000)[-1] == 199_999
     with pytest.raises(SieveCapacityError):
         s.primes_upto(200_001)
+
+
+def test_extension_rebuilds_base_sieve_only_past_its_root(monkeypatch):
+    calls = []
+    real = autratio.primes._simple_sieve
+
+    def counted(limit):
+        calls.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(autratio.primes, "_simple_sieve", counted)
+    s = PrimeStream()
+    assert calls == [1 << 16]
+    s.extend_to(10**6)
+    s.extend_to(4 * 10**6)
+    assert calls == [1 << 16]  # sqrt(4e6) = 2000 is inside the first sieve
+    top = s.primes_upto(4 * 10**6)
+    head = trial_division_primes(5000)
+    assert top[: len(head)] == head
+    tail = [n for n in range(4 * 10**6 - 3000, 4 * 10**6) if is_prime_td(n)]
+    assert top[-len(tail) :] == tail
+    # a stream whose sieve ends below sqrt(limit) rebuilds the base once
+    s._primes, s._limit = real(100), 100
+    s.extend_to(20_000)
+    assert calls[1:] == [141]
+    assert s.primes_upto(20_000) == trial_division_primes(20_000)
+

@@ -64,7 +64,7 @@ def test_prime_log_target_ln2(stream):
 
 def test_odd_only_index_shift(stream):
     src = prime_ratio_terms(True, stream)
-    assert src.prime(1) == 3 and src.ratio(1) == Fraction(3, 2)
+    assert src.prime(1) == 3 and src.prime(2) == 5
     all_src = prime_ratio_terms(False, stream)
     assert all_src.prime(1) == 2 and all_src.prime(3) == 5
     assert src.terms_tend_to_zero and src.series_diverges
