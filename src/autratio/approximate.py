@@ -56,9 +56,15 @@ class ApproxConfig:
     exact_cap: int = DEFAULT_EXACT_CAP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApproxTrace:
-    """Everything needed to replay and audit one approximation run."""
+    """Everything needed to replay and audit one approximation run.
+
+    A returned result's ``selection`` has ``exact_product`` None: the
+    result's ``exact_ratio`` (1/exact_product, times b for a ray result)
+    already carries that number, which for a run of thousands of primes is
+    worth keeping only once.
+    """
 
     two_rank: int
     b: Fraction | None  # f(C2^two_rank) when the ray split was used
@@ -69,7 +75,7 @@ class ApproxTrace:
     below_eps_witness: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApproxResult:
     """A synthesized group with a certified ratio enclosure.
 
@@ -149,7 +155,8 @@ def _greedy_unit(
         target=a,
         eps=eps,
         trace=ApproxTrace(
-            group.two_rank, None, None, odd_only, sel, max_p, below_eps
+            group.two_rank, None, None, odd_only,
+            replace(sel, exact_product=None), max_p, below_eps,
         ),
     )
 

@@ -45,7 +45,7 @@ __all__ = [
 Ratio = Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogValue:
     """ln of a positive quantity together with a certified absolute error.
 

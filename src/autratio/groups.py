@@ -169,7 +169,7 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbelianGroup:
     """Primary decomposition: ((p, (e1 <= e2 <= ...)), ...) with p ascending.
 
@@ -327,7 +327,7 @@ def _ranges_from_indices(indices) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicGroup:
     """C2^two_rank x (product of C_p over the odd primes at the given indices).
 

@@ -100,7 +100,9 @@ class PrimeStream:
                 start = max(4, ((lo + 1) // 2) * 2)
                 if start <= hi:
                     flags[start - lo :: 2] = False
-                chunks.append((np.flatnonzero(flags) + lo).astype(np.int64))
+                chunk = np.flatnonzero(flags).astype(np.int64, copy=False)
+                chunk += lo
+                chunks.append(chunk)
                 lo = hi + 1
             self._primes = np.concatenate(chunks)
             self._limit = limit

@@ -15,11 +15,17 @@ Two kinds of term source are supported:
 * ``PrimeRatioSource`` with terms x_i = ln(p_i/(p_i - 1)).  The terms are
   irrational but each is the log of a rational, so against a ``LogTarget``
   (a target of the form ln(Q), Q rational) every greedy decision reduces
-  to an exact comparison on the running product  U = prod p/(p-1).  Runs
-  that outgrow ``exact_cap`` included terms continue in certified 60-bit
-  fixed point, where whole include/skip runs are located by binary search
-  on error-adjusted prefix sums; convergence is declared only when the
-  certified deficit (arithmetic error included) is below the tolerance.
+  to an exact comparison on the running product  U = prod p/(p-1).  A
+  float shadow of ln U with a proven error bound settles most comparisons
+  without touching U.  Once the greedy has included a streak of
+  consecutive terms, it proves a whole run of further inclusions at once
+  with one float64 prefix sum over the sieved terms and multiplies the run
+  into U with one product tree per side; the selection is the one the
+  term-by-term scan makes.  Runs that outgrow ``exact_cap`` included terms
+  continue in certified 60-bit fixed point, where whole include/skip runs
+  are located by binary search on error-adjusted prefix sums; convergence
+  is declared only when the certified deficit (arithmetic error included)
+  is below the tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import fixedlog
+from .autorder import product_tree
 from .errors import PrecisionRefusal, SieveCapacityError
 from .groups import _ranges_from_indices
 from .primes import PrimeStream, shared_stream
@@ -63,7 +70,7 @@ _SB = fixedlog.SCALE_BITS
 _C = fixedlog.TERM_ERR60
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certified:
     """An exact-rational enclosure value +- abs_error of a real quantity."""
 
@@ -87,7 +94,7 @@ class Certified:
         return self.value + self.abs_error
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogTarget:
     """Target sum ln(ratio) for a rational ratio >= 1."""
 
@@ -184,23 +191,27 @@ _LN2_FLOOR60 = np.int64(
 
 
 def _stream_term60_cache(stream: PrimeStream, upto_prime_index: int) -> np.ndarray:
-    """Growing per-stream cache of floor terms for prime indices >= 2."""
+    """Growing per-stream cache of floor terms for prime indices >= 2.
+
+    New terms are computed a window at a time straight into the grown
+    array, so the kernel's temporaries stay at a window's size."""
     cache = getattr(stream, "_term60_cache", None)
     have = 0 if cache is None else len(cache)
     if upto_prime_index - 1 > have:
         stream._ensure_count(upto_prime_index)
-        blocks = [] if cache is None else [cache]
+        grown = np.empty(upto_prime_index - 1, dtype=np.int64)
+        if have:
+            grown[:have] = cache
         lo = have + 2
         while lo <= upto_prime_index:
-            hi = min(lo + 1_000_000 - 1, upto_prime_index)
-            blocks.append(fixedlog.term_block_fp60(stream.primes_slice(lo, hi)))
+            hi = min(lo + _WINDOW - 1, upto_prime_index)
+            grown[lo - 2 : hi - 1] = fixedlog.term_block_fp60(stream.primes_slice(lo, hi))
             lo = hi + 1
-        cache = np.concatenate(blocks)
-        stream._term60_cache = cache
+        cache = stream._term60_cache = grown
     return cache
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Selection:
     """Result of a greedy run.
 
@@ -360,33 +371,77 @@ def _greedy_additive(source, target, eps, budget, record_trail):
 
 class _ProductState:
     """Running product U = prod p/(p-1) as raw integers (gcd-free), with a
-    float shadow of ln U whose error is tracked for sound fast paths.
+    float shadow ``lnu`` of ln U that screens the exact comparisons.
 
     The pair is never reduced while the greedy runs: a gcd of two products
     of thousands of primes costs more than the rest of the greedy, and the
-    enclosures of ln U are as rigorous without it.  Only the returned
-    exact product and enclosure are reduced."""
+    enclosures of ln U are as rigorous without it.  Only a fully exact
+    run's returned product is reduced.
 
-    __slots__ = ("un", "ud", "lnu", "drift", "since_sync")
+    ``drift`` is a proven bound on |lnu - ln U|, so a screen answers only
+    when it is certain, and otherwise the exact comparison decides: every
+    decision, and hence every selection, is the exact one.  The proof
+    assumes float64 arithmetic rounded to nearest and ``log``/``log1p``
+    within one ulp of the true value, and it uses ulp(y) <= 2**-52 * y.
 
-    def __init__(self):
+    * Per term (``term_err``).  math.log(p) - math.log(p - 1) differs from
+      ln(p/(p-1)) by at most 2 ulp(ln p) <= 2**-51 ln p: each log is off
+      by at most ulp(ln p), and the subtraction is exact (Sterbenz: the
+      two logs lie within a factor 2 of each other for p >= 3, and
+      ln 1 = 0).  The run pass computes log1p(1/(p-1)): the division
+      rounds 1/(p-1) by a relative 2**-53, which moves the result by at
+      most 2**-53 x for x = ln(p/(p-1)), and log1p adds one ulp(x) <=
+      2**-52 x; 3 * 2**-53 x <= 2**-51 ln p since x <= ln 2 <= ln p.
+      Adding the term to a running sum rounds once, by at most 2**-53
+      times the new sum, which stays below |ln Q| + 1 while terms fit
+      (``add_err``).
+    * At a sync, ``ln_quotient_bounds(un, ud, 64)`` encloses ln U in
+      [lo, hi] * 2**-64; lnu is its midpoint rounded to float, so
+      |lnu - ln U| <= (hi - lo) / 2**65 + 2**-53 |lnu|.
+    * ``slack`` covers the fixed errors of one screen: the error of
+      ``lnq``, half the width of its 64-bit enclosure plus its rounding,
+      and the rounding of the few float operations that form a screen
+      (a few ``add_err``).
+    """
+
+    __slots__ = ("un", "ud", "lnu", "drift", "since_sync", "lnq", "add_err", "slack")
+
+    def __init__(self, q_lo: int, q_hi: int):
         self.un = 1
         self.ud = 1
         self.lnu = 0.0
-        self.drift = 1e-12
+        self.drift = 0.0
         self.since_sync = 0
+        # ln Q enclosed in [q_lo, q_hi] * 2**-64
+        self.lnq = (q_lo + q_hi) / 2 / 2.0**64
+        self.add_err = 2.0**-53 * (abs(self.lnq) + 1)
+        self.slack = (q_hi - q_lo) / 2.0**65 + 2.0**-52 * abs(self.lnq) + 4 * self.add_err
 
-    def include(self, p: int, x_f: float):
+    def term_err(self, lnp: float) -> float:
+        """Bound on one included term's error for a prime of log ``lnp``
+        (or any larger one), its addition's rounding included."""
+        return 2.0**-51 * lnp + self.add_err
+
+    def include(self, p: int, x_f: float, err: float):
         self.un *= p
         self.ud *= p - 1
         self.lnu += x_f
-        self.drift += 5e-16
+        self.drift += err
         self.since_sync += 1
         if self.since_sync >= 1024:
-            lo, hi = fixedlog.ln_quotient_bounds(self.un, self.ud, 64)
-            self.lnu = (lo + hi) / 2 / 2.0**64
-            self.drift = 1e-12
-            self.since_sync = 0
+            self.sync()
+
+    def include_run(self, primes: np.ndarray):
+        """Multiply a run of primes in by one product tree each side."""
+        self.un *= product_tree(primes.tolist())
+        self.ud *= product_tree((primes - 1).tolist())
+        self.sync()
+
+    def sync(self):
+        lo, hi = fixedlog.ln_quotient_bounds(self.un, self.ud, 64)
+        self.lnu = (lo + hi) / 2 / 2.0**64
+        self.drift = (hi - lo) / 2.0**65 + 2.0**-52 * abs(self.lnu)
+        self.since_sync = 0
 
 
 def _certified_deficit_below(qn, qd, un, ud, bound: Fraction) -> bool:
@@ -411,43 +466,46 @@ def _budget_upper_bound(source) -> Fraction | None:
     return Fraction(total)
 
 
+# After _STREAK consecutive inclusions the exact phase looks for a whole run
+# of certain inclusions at once; the run it tries doubles while whole runs
+# succeed, up to _RUN_MAX terms.
+_STREAK = 256
+_RUN_MAX = 1 << 16
+
+
 def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
     qn, qd = target.ratio.numerator, target.ratio.denominator
-    if max(qn, qd).bit_length() < 900:
-        lnq_f = math.log(qn) - math.log(qd)
-    else:
-        lo, hi = fixedlog.ln_fraction_bounds(target.ratio, 64)
-        lnq_f = (lo + hi) / 2 / 2.0**64
-    eps_f = float(eps)
+    q_lo, q_hi = fixedlog.ln_quotient_bounds(qn, qd, 64)
     avail = _budget_upper_bound(source)
-    if avail is not None:
-        lo_q, _ = fixedlog.ln_fraction_bounds(target.ratio, 64)
-        if Fraction(lo_q, 1 << 64) - avail >= eps:
-            # even selecting every prime under the ceiling leaves a deficit
-            # of at least eps: fail fast instead of crawling the sieve
-            return Selection(
-                ranges=(),
-                count=0,
-                status=CAPACITY_EXHAUSTED,
-                scanned=0,
-                target=target,
-                eps=eps,
-                achieved=Certified.exact(Fraction(0)),
-                exact_product=Fraction(1),
-                trail=() if record_trail else None,
-            )
-    st = _ProductState()
-    included: list[int] = []
+    if avail is not None and Fraction(q_lo, 1 << 64) - avail >= eps:
+        # even selecting every prime under the ceiling leaves a deficit of
+        # at least eps: fail fast instead of crawling the sieve
+        return Selection(
+            ranges=(),
+            count=0,
+            status=CAPACITY_EXHAUSTED,
+            scanned=0,
+            target=target,
+            eps=eps,
+            achieved=Certified.exact(Fraction(0)),
+            exact_product=Fraction(1),
+            trail=() if record_trail else None,
+        )
+    st = _ProductState(q_lo, q_hi)
+    # float eps rounded up, far enough to absorb its own rounding
+    eps_hi = float(eps) * (1 + 2.0**-50)
+    runs: list[tuple[int, int]] = []  # the included indices
+    count = 0
     trail: list[tuple] = []
     i = 1
     scanned = 0
     status = None
     deficit_dirty = True  # the deficit changes only on inclusion
+    streak, block = 0, _STREAK
 
     while True:
         if deficit_dirty:
-            d_est = lnq_f - st.lnu
-            if d_est < eps_f + st.drift + 1e-12:
+            if st.lnq - st.lnu < eps_hi + st.drift + st.slack:
                 if _certified_deficit_below(qn, qd, st.un, st.ud, eps):
                     status = CONVERGED
                     break
@@ -455,21 +513,46 @@ def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
         if budget is not None and i > budget:
             status = BUDGET_EXHAUSTED
             break
-        if len(included) >= exact_cap:
+        if count >= exact_cap:
             return _continue_fixed_point(
                 source, target, eps, budget, record_trail,
-                st, included, trail, i, scanned,
+                st, runs, trail, i, scanned,
             )
+        if streak >= _STREAK:
+            room = min(block, exact_cap - count, source.available_count() - i + 1)
+            if budget is not None:
+                room = min(room, budget - i + 1)
+            if room > 0:
+                run = _certain_run(source, st, i, room, eps_hi)
+                if len(run) < room:
+                    streak, block = 0, _STREAK
+                else:
+                    block = min(2 * block, _RUN_MAX)
+                if len(run):
+                    st.include_run(run)
+                    j = i + len(run)
+                    _add_run(runs, i, j - 1)
+                    count += len(run)
+                    if record_trail:
+                        trail.extend(
+                            ("include", k, p) for k, p in zip(range(i, j), run.tolist())
+                        )
+                    i = j
+                    scanned = i - 1
+                    deficit_dirty = True
+                    continue
         try:
             p = source.prime(i)
         except SieveCapacityError:
             status = CAPACITY_EXHAUSTED
             break
         scanned = i
-        x_f = math.log(p) - math.log(p - 1)
+        lnp = math.log(p)
+        x_f = lnp - math.log(p - 1)
         # include iff U * p/(p-1) <= Q, screened by the float shadow
-        margin = st.drift + 1e-12
-        shadow = st.lnu + x_f - lnq_f
+        err = st.term_err(lnp)
+        margin = st.drift + err + st.slack
+        shadow = st.lnu + x_f - st.lnq
         if shadow <= -margin:
             fits = True
         elif shadow >= margin:
@@ -477,13 +560,16 @@ def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
         else:
             fits = st.un * p * qd <= st.ud * (p - 1) * qn
         if fits:
-            st.include(p, x_f)
-            included.append(i)
+            st.include(p, x_f, err)
+            _add_run(runs, i, i)
+            count += 1
             deficit_dirty = True
+            streak += 1
             if record_trail:
                 trail.append(("include", i, p))
             i += 1
             continue
+        streak = 0
         j, limit_seen = _first_fitting_ratio(source, i, st, qn, qd, budget)
         run_end = (j - 1) if j is not None else limit_seen
         scanned = max(scanned, run_end)
@@ -501,8 +587,8 @@ def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
     product = Fraction(st.un, st.ud)
     lo, hi = fixedlog.ln_fraction_bounds(product, _PREC)
     return Selection(
-        ranges=_ranges_from_indices(included),
-        count=len(included),
+        ranges=tuple(runs),
+        count=count,
         status=status,
         scanned=scanned,
         target=target,
@@ -513,6 +599,43 @@ def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
         exact_product=product,
         trail=tuple(trail) if record_trail else None,
     )
+
+
+def _add_run(runs: list[tuple[int, int]], lo: int, hi: int) -> None:
+    """Append the index run lo..hi, merged with the last run it extends."""
+    if runs and runs[-1][1] + 1 == lo:
+        runs[-1] = (runs[-1][0], hi)
+    else:
+        runs.append((lo, hi))
+
+
+def _certain_run(
+    source, st: _ProductState, i: int, room: int, eps_hi: float
+) -> np.ndarray:
+    """Primes of the longest run of terms i, i+1, ..., i+room-1 (already
+    sieved) that the scalar path would include one after another, as far
+    as one float64 prefix sum proves it.
+
+    With S_k the float sum of ln U and the first k terms and M_k =
+    drift + add_err + k * term_err(ln p_max) + slack its proven error
+    (``_ProductState``), S_k + M_k <= ln Q proves that the k-th term fits,
+    and S_k + M_k <= ln Q - eps proves that the deficit after it is still
+    at least eps, so the scalar path does not stop there.  The run takes
+    k = 1, 2, ... while the k-th term fits and every earlier one left the
+    deficit at eps or more.  Both sides are monotone in k, so one
+    searchsorted each finds the end.  Partial sums only grow and stay at
+    most ln Q inside the run, which is what add_err assumes.
+    """
+    primes = source.stream.primes_slice(
+        source.prime_index(i), source.prime_index(i + room - 1)
+    )
+    s = np.cumsum(np.log1p(1.0 / (primes - 1)))
+    s += st.lnu
+    e = st.term_err(math.log(int(primes[-1])))
+    s += st.drift + st.add_err + st.slack + e * np.arange(1, room + 1)
+    fit = int(np.searchsorted(s, st.lnq, side="right"))
+    open_ = int(np.searchsorted(s, st.lnq - eps_hi, side="right"))
+    return primes[: min(fit, open_ + 1)]
 
 
 def _first_fitting_ratio(source, i, st, qn, qd, budget):
@@ -577,7 +700,7 @@ def _first_at_most(terms: np.ndarray, bound: int) -> int:
 
 
 def _continue_fixed_point(
-    source, target, eps, budget, record_trail, st, included, trail, start_i, scanned
+    source, target, eps, budget, record_trail, st, runs, trail, start_i, scanned
 ):
     """Certified 60-bit continuation once the exact phase hits its cap.
 
@@ -596,7 +719,6 @@ def _continue_fixed_point(
     d_hi = -((-d_hi192) >> shift)
     eps60 = eps * (1 << _SB)
 
-    runs: list[tuple[int, int]] = []
     V = 0
     n_fp = 0
     i = start_i
@@ -634,7 +756,7 @@ def _continue_fixed_point(
         if take > 0:
             V += used - take * _C
             n_fp += take
-            runs.append((i, i + take - 1))
+            _add_run(runs, i, i + take - 1)
             if record_trail:
                 trail.append(("fp_include_run", i, i + take - 1))
             scanned = i + take - 1
@@ -655,16 +777,9 @@ def _continue_fixed_point(
             trail.append(("fp_skip_run", i, run_end))
         i = run_end + 1
 
-    all_runs = _ranges_from_indices(included)
-    merged = list(all_runs)
-    for lo_r, hi_r in runs:
-        if merged and lo_r == merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], hi_r)
-        else:
-            merged.append((lo_r, hi_r))
-    ranges = tuple(merged)
+    ranges = tuple(runs)
     count = sum(hi_r - lo_r + 1 for lo_r, hi_r in ranges)
-    lo_u, hi_u = fixedlog.ln_fraction_bounds(Fraction(st.un, st.ud), _PREC)
+    lo_u, hi_u = fixedlog.ln_quotient_bounds(st.un, st.ud, _PREC)
     ach_lo = Fraction(lo_u, 1 << _PREC) + Fraction(V, 1 << _SB)
     ach_hi = Fraction(hi_u, 1 << _PREC) + Fraction(V + n_fp * _C, 1 << _SB)
     return Selection(

@@ -52,6 +52,8 @@ def test_unit_generic_target(stream):
     assert a <= P < a + eps
     assert independent_product(r.group, stream) == P
     assert verify_certificate(r, stream=stream)
+    # the exact ratio is kept once, on the result, not again in the trace
+    assert r.trace.selection.exact_product is None
 
 
 def test_unit_rejects_bad_inputs(stream):
@@ -262,3 +264,30 @@ def test_verifier_recomputes_exact_ratio_from_the_group(stream):
     # so is a group that is not the one the ratio came from
     fewer = SymbolicGroup(r.group.two_rank, r.group.odd_prime_ranges[:-1])
     assert not verify_certificate(dataclasses.replace(r, group=fewer), stream=stream)
+
+
+@pytest.mark.parametrize("a, cap", [("0.047", None), ("2.0", None), ("0", 1)])
+def test_continuation_encloses_the_unreduced_product(stream, monkeypatch, a, cap):
+    # the continuation encloses ln U from the unreduced pair; that enclosure
+    # must contain ln of the reduced product, and the result must pass both
+    # second passes
+    from autratio import subsum
+
+    states = []
+    continue_fp = subsum._continue_fixed_point
+
+    def recorded(source, target, eps, budget, record_trail, st, *rest):
+        states.append((st.un, st.ud))
+        return continue_fp(source, target, eps, budget, record_trail, st, *rest)
+
+    monkeypatch.setattr(subsum, "_continue_fixed_point", recorded)
+    config = ApproxConfig() if cap is None else ApproxConfig(exact_cap=cap)
+    eps = Fraction(1, 5) if a == "0" else EPS
+    r = approx_ray(Fraction(a), eps, stream=stream, config=config)
+    assert r.exact_ratio is None and len(states) == 1
+    (un, ud), prec = states[0], fixedlog.PREC
+    lo, hi = fixedlog.ln_quotient_bounds(un, ud, prec)
+    t_lo, t_hi = fixedlog.ln_fraction_bounds(Fraction(un, ud), 2 * prec)
+    assert lo << prec <= t_lo and t_hi <= hi << prec
+    assert verify_certificate(r, stream=stream)
+    assert verify_certificate(r, stream=stream, prec=384)

@@ -1,3 +1,7 @@
+import bisect
+import dataclasses
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -5,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autratio.groups import _ranges_from_indices
 from autratio.primes import PrimeStream
 from autratio.subsum import (
     BUDGET_EXHAUSTED,
     CAPACITY_EXHAUSTED,
     CONVERGED,
+    DEFAULT_EXACT_CAP,
     LogTarget,
     TermSource,
     greedy_select,
@@ -311,3 +317,173 @@ def test_unbounded_budget_matches_bounded(target):
     assert any(step[0] == "skip_run" for step in free.trail)
     assert free.ranges == capped.ranges
     assert free.trail == capped.trail
+
+
+# ---------------------------------------------------------------------------
+# differential: the exact phase against a plain exact greedy
+
+
+def _primes_upto(n):
+    """A plain sieve, independent of PrimeStream."""
+    flags = [True] * (n + 1)
+    flags[0] = flags[1] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(range(p * p, n + 1, p))
+    return [p for p in range(n + 1) if flags[p]]
+
+
+@functools.cache
+def _ref_primes():
+    return _primes_upto(1 << 22)
+
+
+def exact_greedy(q, eps, odd_only, budget, exact_cap):
+    """The greedy's exact phase one prime at a time, in integers only.
+
+    Every inclusion is decided by cross-multiplication; a skipped run ends
+    at the smallest prime p with p/(p-1) <= Q/U, i.e. p >= r/(r - 1) for
+    r = Q/U.  Convergence is the greedy's certified test: the 192-bit upper
+    bound of ln(Q/U) below eps, skipped when ln r >= 2(r - 1)/(r + 1) >= eps
+    already proves the deficit is at least eps.  Returns the Selection's
+    fields, or the switch state when ``exact_cap`` inclusions are reached.
+    """
+    from autratio.fixedlog import PREC, ln_quotient_bounds
+
+    primes = _ref_primes()[1:] if odd_only else _ref_primes()
+    qn, qd = q.numerator, q.denominator
+    un = ud = 1
+    included, trail = [], []
+    i, scanned, check = 1, 0, True
+    while True:
+        if check:
+            gap = qn * ud - qd * un  # Q/U - 1 = gap / (qd * un)
+            if gap == 0:
+                status = CONVERGED
+                break
+            if 2 * gap * eps.denominator < eps.numerator * (qn * ud + qd * un):
+                _, hi = ln_quotient_bounds(qn * ud, qd * un, PREC)
+                if Fraction(hi, 1 << PREC) < eps:
+                    status = CONVERGED
+                    break
+            check = False
+        if budget is not None and i > budget:
+            status = BUDGET_EXHAUSTED
+            break
+        if len(included) >= exact_cap:
+            return {"switch": (un, ud, list(_ranges_from_indices(included)), trail, i, scanned)}
+        p = primes[i - 1]
+        scanned = i
+        if un * p * qd <= ud * (p - 1) * qn:
+            un, ud = un * p, ud * (p - 1)
+            included.append(i)
+            trail.append(("include", i, p))
+            i, check = i + 1, True
+            continue
+        gap = qn * ud - qd * un
+        first = -(-(qn * ud) // gap)  # ceil(r / (r - 1))
+        j = bisect.bisect_left(primes, first) + 1
+        assert j <= len(primes), "reference prime list too short"
+        end = j - 1 if budget is None or j <= budget else budget
+        scanned = max(scanned, end)
+        trail.append(("skip_run", i, end))
+        if end != j - 1:
+            status = BUDGET_EXHAUSTED
+            break
+        i = j
+    return {
+        "ranges": _ranges_from_indices(included),
+        "count": len(included),
+        "scanned": scanned,
+        "status": status,
+        "exact_product": Fraction(un, ud),
+        "trail": tuple(trail),
+    }
+
+
+_DIFF_CASES = [
+    # unit targets near 0.04: Q = 1/a over all primes
+    *[(1 / Fraction(a), Fraction(1, 10**6), False) for a in ("0.0401", "0.043")],
+    # below-eps witnesses: Q = 3/e with log tolerance 1; at 1/15 the
+    # deficit falls below it in the middle of an inclusion run
+    *[(3 / Fraction(e), Fraction(1), False) for e in ("1/10", "1/15", "1/20")],
+    # Q is the product over the first 1000 primes (7919 is the 1000th),
+    # less a relative 1e-12: the 1000th prime misses by far less than any
+    # float shadow's error, so only a sound margin stops the run before it
+    (
+        math.prod(Fraction(p, p - 1) for p in _primes_upto(7919)) * (1 - Fraction(1, 10**12)),
+        Fraction(1, 10**6),
+        False,
+    ),
+    # odd-only unit targets a/21 just above 1.5
+    *[(21 / Fraction(a), Fraction(1, 10**5), True) for a in ("1.5001", "1.52")],
+]
+
+
+@pytest.mark.parametrize("q, eps, odd_only", _DIFF_CASES)
+@pytest.mark.parametrize("exact_cap", [1, 50, 300, None])
+def test_exact_phase_matches_plain_exact_greedy(q, eps, odd_only, exact_cap, monkeypatch):
+    import types
+
+    from autratio import subsum
+
+    cap = DEFAULT_EXACT_CAP if exact_cap is None else exact_cap
+    switches = []
+    continue_fp = subsum._continue_fixed_point
+
+    def recorded(source, target, eps, budget, record_trail, st, runs, trail, i, scanned):
+        switches.append(
+            (st.un, st.ud, list(runs), list(trail), i, scanned, source.stream.limit)
+        )
+        return continue_fp(source, target, eps, budget, record_trail, st, runs, trail, i, scanned)
+
+    monkeypatch.setattr(subsum, "_continue_fixed_point", recorded)
+    # a fresh stream, so that inclusion runs meet the sieve's extent
+    src = prime_ratio_terms(odd_only, PrimeStream())
+    got = greedy_select(src, LogTarget(q), eps, exact_cap=cap, record_trail=True)
+    want = exact_greedy(q, eps, odd_only, subsum.DEFAULT_BUDGET, cap)
+    if "switch" in want:
+        assert [s[:6] for s in switches] == [want["switch"]]
+        # the continuation reads the sieve as far as it reaches, so replay
+        # it on a stream of the same extent
+        un, ud, runs, trail, i, scanned = want["switch"]
+        ref_stream = PrimeStream()
+        ref_stream.extend_to(switches[0][6])
+        want = continue_fp(
+            prime_ratio_terms(odd_only, ref_stream), LogTarget(q), eps,
+            subsum.DEFAULT_BUDGET, True,
+            types.SimpleNamespace(un=un, ud=ud), runs, trail, i, scanned,
+        )
+        assert got == want
+    else:
+        assert switches == []
+        assert {k: getattr(got, k) for k in want} == want
+    untraced = greedy_select(
+        prime_ratio_terms(odd_only, PrimeStream()), LogTarget(q), eps, exact_cap=cap
+    )
+    assert untraced.trail is None
+    assert dataclasses.replace(untraced, trail=got.trail) == got
+
+
+def test_exact_phase_budget_cut_matches_plain_exact_greedy():
+    q, eps = 1 / Fraction("0.0401"), Fraction(1, 10**6)
+    for budget in (700, 5000):
+        got = greedy_select(
+            prime_ratio_terms(False, PrimeStream()), LogTarget(q), eps,
+            budget=budget, record_trail=True,
+        )
+        want = exact_greedy(q, eps, False, budget, DEFAULT_EXACT_CAP)
+        assert got.status == BUDGET_EXHAUSTED
+        assert {k: getattr(got, k) for k in want} == want
+
+
+def test_term60_cache_grows_in_place():
+    from autratio.fixedlog import term_block_fp60
+
+    s = PrimeStream()
+    src = prime_ratio_terms(True, s)
+    head = src.term60_array(1000).copy()
+    s.extend_to(10**6)
+    grown = src.term60_array(70_000)
+    assert (grown[:1000] == head).all()
+    assert (grown == term_block_fp60(s.primes_slice(2, 70_001))).all()
