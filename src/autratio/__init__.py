@@ -12,6 +12,7 @@ Three capabilities built on one exact core:
 from .errors import (
     AutratioError,
     GroupParseError,
+    InputLimitExceeded,
     OracleCapExceeded,
     PrecisionRefusal,
     SieveCapacityError,
@@ -120,4 +121,5 @@ __all__ = [
     "SieveCapacityError",
     "OracleCapExceeded",
     "PrecisionRefusal",
+    "InputLimitExceeded",
 ]

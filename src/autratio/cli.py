@@ -21,6 +21,7 @@ from .approximate import ApproxResult, approx_ray, verify_certificate
 from .autorder import aut_order, f_exact, f_prime_exact
 from .errors import (
     GroupParseError,
+    InputLimitExceeded,
     OracleCapExceeded,
     PrecisionRefusal,
     SieveCapacityError,
@@ -342,7 +343,9 @@ def main(argv=None) -> int:
     except (GroupParseError, ValueError) as exc:
         _fail(args, str(exc))
         return EXIT_USAGE
-    except (SieveCapacityError, OracleCapExceeded, PrecisionRefusal) as exc:
+    except (
+        SieveCapacityError, OracleCapExceeded, PrecisionRefusal, InputLimitExceeded
+    ) as exc:
         _fail(args, str(exc))
         return EXIT_CAPACITY
     except OSError as exc:

@@ -25,5 +25,10 @@ class OracleCapExceeded(AutratioError):
     """A brute-force oracle call exceeded its configured order or work cap."""
 
 
+class InputLimitExceeded(AutratioError):
+    """An input whose exact answer would be too large to compute in bounded
+    time and memory, such as a group literal above ``MAX_LITERAL_AUT_BITS``."""
+
+
 class PrecisionRefusal(AutratioError):
     """Requested tolerance is below the achievable arithmetic error bound."""

@@ -5,19 +5,15 @@ open; this module only ever reports *bound-relative* evidence.  Finding no
 witness under given bounds says nothing beyond those bounds, and the empty
 result is a first-class outcome.
 
-Enumeration walks only the primes a group includes.  A node is a group
-together with the index of the next prime it may take and the order budget
-left; it reports its group, then loops over the later primes p up to the
-budget and adds one child for each exponent partition of p that fits.
-Each isomorphism class is one node, a skipped prime costs one loop step,
-and pending nodes sit on an explicit stack, so no bound hits Python's
-recursion limit.  The f-table is computed in the same walk: each node
-carries its order, |Aut| and literal as products and joins of per-(p, part)
-values computed once per table, and the rows are sorted at the end.
+Enumeration and the f-table go order by order.  Order n = m * p^w, p its
+largest prime, joins each group of order m, whose primes lie below p,
+with each p-part of weight w, so taking both in order gives (order,
+factors) order without a sort.  A heap yields the orders ascending, each
+once, and each block of p-parts is made once per call.
 
-The pruned search threads the running requirement
-r = a / (product of chosen local ratios) through the same kind of walk and
-cuts what provably cannot be met, once per node:
+The pruned search walks only the primes a group includes, keeping pending
+nodes on a stack and threading r = a / (product of chosen local ratios)
+through them.  It cuts what provably cannot be met, once per node:
 
 * every prime factor of a future local numerator is either some remaining
   prime q or divides q^j - 1 < remaining budget, so a numerator prime of r
@@ -34,10 +30,12 @@ scan is part of the contract.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import gcd
 from typing import Iterator
 
@@ -86,18 +84,15 @@ class Witness:
 
 
 @lru_cache(maxsize=None)
-def _partitions(weight: int, max_len: int, max_part: int | None = None) -> tuple:
-    """Ascending partitions of ``weight`` with at most ``max_len`` parts."""
+def _partitions(weight: int, max_len: int, min_part: int = 1) -> tuple:
+    """Ascending partitions of ``weight`` into at most ``max_len`` parts,
+    each at least ``min_part``, in tuple order."""
     if weight == 0:
         return ((),)
-    if max_len == 0:
-        return ()
-    cap = max_part if max_part is not None else weight
-    out = []
-    for largest in range(1, min(weight, cap) + 1):
-        for rest in _partitions(weight - largest, max_len - 1, largest):
-            out.append(rest + (largest,))
-    return tuple(out)
+    return tuple(
+        (first,) + rest for first in range(min_part, weight + 1) if max_len
+        for rest in _partitions(weight - first, max_len - 1, first)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -105,64 +100,44 @@ def _local_ratio(p: int, part: tuple[int, ...]) -> Fraction:
     return Fraction(aut_order_local(p, part), p ** sum(part))
 
 
-def _sort_key(g: AbelianGroup):
-    return (order(g), g.factors)
-
-
-def _rows(bounds: SearchBounds) -> list[tuple[int, tuple, int, str]]:
-    """Every group within bounds as a row ``(order, factors, |Aut|,
-    literal)``, sorted by (order, factors) as ``_sort_key`` sorts groups;
-    the trivial group's literal is "".
-
-    A node is a row plus the index of the next prime it may include and
-    the order budget left.  The local |Aut| and literal of each (p, part)
-    are computed once per call.
-    """
-    primes = shared_stream().primes_upto(bounds.prime_limit)
-    rank = bounds.max_rank_per_prime
-    blocks: dict[tuple[int, int], list] = {}
-    rows = []
-    stack = [(0, bounds.max_order, 1, (), 1, "")]
-    while stack:
-        start, budget, n, factors, aut, literal = stack.pop()
-        rows.append((n, factors, aut, literal))
-        for j in range(start, bisect_right(primes, budget, start)):
-            p = primes[j]
-            pw, w = p, 1
-            while pw <= budget:
-                block = blocks.get((p, w))
-                if block is None:
-                    block = blocks[(p, w)] = [
-                        (
-                            (p, part),
-                            aut_order_local(p, part),
-                            " x ".join(f"C{p**e}" for e in part),
-                        )
-                        for part in _partitions(w, rank)
-                    ]
-                for factor, a, lit in block:
-                    stack.append((
-                        j + 1,
-                        budget // pw,
-                        n * pw,
-                        factors + (factor,),
-                        aut * a,
-                        f"{literal} x {lit}" if literal else lit,
-                    ))
-                w += 1
-                pw *= p
-    rows.sort()  # (order, factors) is unique, so later fields never compare
-    return rows
+def _by_order(primes: list[int], bounds: SearchBounds, unit, part_row, join):
+    """``(n, base, block)``, n ascending, per order 2 <= n <= max_order of
+    ``primes``: with p the largest prime of n = m * p**w, base is the rows
+    of order m (``[unit]`` if m = 1) and block the ``part_row(p, partition)``
+    of weight w.  ``join(base, block)`` is kept while a larger prime can join
+    it.  Heap entry n = x * primes[j] leads to n * primes[j], x * primes[j+1]."""
+    max_order, rank = bounds.max_order, bounds.max_rank_per_prime
+    blocks = [[None] for _ in primes]  # blocks[j][w] for p = primes[j]
+    for p, block in zip(primes, blocks):
+        while p ** len(block) <= max_order:
+            block.append([part_row(p, e) for e in _partitions(len(block), rank)])
+    rows, size = {1: [unit]}, len(primes)
+    pending = [2 * size] if primes else []  # n * size + j for p = primes[j]
+    while pending:
+        n, j = divmod(heappop(pending), size)
+        p = primes[j]
+        m, w = n // p, 1
+        while m % p == 0:
+            m, w = m // p, w + 1
+        base, block = rows[m], blocks[j][w]
+        if n * (p + 1) <= max_order:
+            rows[n] = join(base, block)
+        yield n, base, block
+        if n * p <= max_order:
+            heappush(pending, n * p * size + j)
+        if j + 1 < size and (x := n // p * primes[j + 1]) <= max_order:
+            heappush(pending, x * size + j + 1)
 
 
 def enumerate_groups(bounds: SearchBounds) -> Iterator[AbelianGroup]:
     """Every abelian group within bounds, exactly once, in nondecreasing
-    order of group order (ties broken by canonical form).
-
-    Raises SieveCapacityError when the prime limit is above the sieve
-    ceiling."""
-    for row in _rows(bounds):
-        yield AbelianGroup(row[1])
+    order of group order (ties broken by canonical form).  Raises
+    SieveCapacityError when the prime limit is above the sieve ceiling."""
+    primes = shared_stream().primes_upto(bounds.prime_limit)
+    join = lambda base, block: [fm + fb for fm in base for fb in block]
+    yield AbelianGroup._trusted(())
+    for _, base, block in _by_order(primes, bounds, (), lambda p, e: ((p, e),), join):
+        yield from map(AbelianGroup._trusted, join(base, block))
 
 
 def find_exact(
@@ -232,7 +207,7 @@ def find_exact(
     while stack:
         start, budget, factors, r = stack.pop()
         if r == 1:
-            hits.append(AbelianGroup(factors))
+            hits.append(AbelianGroup._trusted(factors))
         for j in range(start, reach(r, start, budget)):
             p = primes[j]
             pw, w = p, 1
@@ -247,25 +222,50 @@ def find_exact(
                 w += 1
                 pw *= p
 
-    hits.sort(key=_sort_key)
+    hits.sort(key=lambda g: (order(g), g.factors))
     return [Witness(g, a) for g in hits]
+
+
+def _table_text(bounds: SearchBounds) -> Iterator[str]:
+    """The f-table as its header, its first row, then one chunk per order."""
+    primes = shared_stream().primes_upto(bounds.prime_limit)
+    yield f"{TABLE_HEADER_PREFIX} max_order={bounds.max_order}\n"
+    yield "C1\t1\t1\t1/1\n"
+    for n, base, block in _by_order(primes, bounds, ("", 1), lambda p, e: (
+        (f"C{p}", p - 1) if e == (1,)  # |Aut(C_p)| = p - 1
+        else (" x ".join([f"C{p**k}" for k in e]), aut_order_local(p, e))
+    ), lambda base, block: [  # kept rows: (literal + " x ", |Aut|)
+        (f"{lm}{lb} x ", am * ab) for lm, am in base for lb, ab in block
+    ]):
+        tail = f"\t{n}\t"
+        yield "".join([
+            f"{lm}{lb}{tail}{(a := am * ab)}\t{a // (g := gcd(a, n))}/{n // g}\n"
+            for lm, am in base for lb, ab in block
+        ])
 
 
 def render_table(bounds: SearchBounds) -> bytes:
     """The f-table as bytes: one row per group,
     ``<literal>\\t<order>\\t<aut_order>\\t<num>/<den>``, sorted by order
     then canonical form, under a version header."""
-    out = [f"{TABLE_HEADER_PREFIX} max_order={bounds.max_order}\n"]
-    for n, _, aut, literal in _rows(bounds):
-        g = gcd(aut, n)
-        out.append(f"{literal or 'C1'}\t{n}\t{aut}\t{aut // g}/{n // g}\n")
-    return "".join(out).encode("utf-8")
+    return "".join(_table_text(bounds)).encode("utf-8")
 
 
 def build_f_table(bounds: SearchBounds, path) -> int:
-    """Write the f-table to ``path`` (idempotent, byte-deterministic).
-    Returns the number of data rows."""
-    data = render_table(bounds)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return data.count(b"\n") - 1
+    """Write the f-table to ``path``; return the number of data rows.  The
+    rows stream into a temporary file that replaces ``path`` once complete,
+    so a refused bound or a failure part way leaves ``path`` as it was."""
+    chunks = _table_text(bounds)
+    header, rows = next(chunks), 0  # sieves first: a refused bound opens no file
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(header)
+            for chunk in chunks:
+                fh.write(chunk)
+                rows += chunk.count("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return rows

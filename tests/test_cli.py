@@ -1,8 +1,11 @@
 import decimal
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import autratio.primes
 from autratio import cli
@@ -112,6 +115,41 @@ def test_table(capsys, tmp_path):
     code, out, _ = run(capsys, "table", "--max-order", "8", "--out", str(out_path))
     assert code == 0 and out == "11 rows\n"
     assert out_path.read_bytes().startswith(b"# autratio f-table v1 max_order=8\n")
+
+
+def test_gigantic_literal_is_refused_before_it_is_expanded():
+    # C2^100000000 would expand to a list of 10^8 exponents
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    for argv in (["aut", "C2^100000000"], ["f", "C2^100000000", "--json"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "autratio.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2, proc.stderr
+        message = proc.stderr if "--json" not in argv else json.loads(proc.stdout)["error"]
+        assert "MAX_LITERAL_AUT_BITS = 4194304" in message
+
+
+def test_materialized_literal_round_trips_through_f(capsys):
+    # 2512 primes of rank 1: a long literal, but a small |Aut| bound
+    argv = ("approx", "0.055", "--eps", "1e-3", "--materialize")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lit = [ln for ln in out.splitlines() if ln.startswith("literal: ")][0]
+    lit = lit.removeprefix("literal: ")
+    assert lit.count(" x ") + 1 == 2512
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    exact = json.loads(out)["result"]["exact_ratio"]
+    code, out, _ = run(capsys, "f", lit, "--json")
+    assert code == 0 and json.loads(out)["result"]["value"] == exact
 
 
 def test_table_and_search_past_one_frame_per_prime(capsys, tmp_path):

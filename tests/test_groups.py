@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import autratio.groups as groups_mod
-from autratio.errors import GroupParseError
+from autratio.errors import GroupParseError, InputLimitExceeded
 from autratio.groups import (
+    MAX_LITERAL_AUT_BITS,
     TRIVIAL,
     AbelianGroup,
     SymbolicGroup,
@@ -80,6 +81,36 @@ def test_parse_examples():
 def test_parse_rejects(bad):
     with pytest.raises(GroupParseError):
         parse_group(bad)
+
+
+def test_literal_aut_bits_limit():
+    assert MAX_LITERAL_AUT_BITS == 2048 * 2048  # |C2^2048|^2048
+    for literal, rank in [
+        ("C2^2048", 2048),
+        ("C4^1448", 1448),
+        ("C6^1024", 2048),
+        ("C2^1000 x C3^1000 x C5^48", 2048),
+        (f"C{2**100}^204", 204),  # 204 * log2 |G_2| = 204 * 20400 bits
+    ]:
+        assert parse_group(literal).rank == rank, literal
+    for literal in [
+        "C2^2049",
+        "C2^2048 x C2",
+        "C3^2048",
+        "C1000003^1024",
+        f"C{2**100}^205",  # the exponent counts, not only the rank
+        "C2^100000000",
+        "C2^100000000 x C7",
+    ]:
+        with pytest.raises(InputLimitExceeded, match="MAX_LITERAL_AUT_BITS"):
+            parse_group(literal)
+
+
+def test_many_distinct_primes_are_within_the_literal_limit(stream):
+    # each prime of rank 1 adds only log2 p bits to the bound
+    primes = [stream.nth_prime(i) for i in range(1, 5001)]
+    g = parse_group(" x ".join(f"C{p}" for p in primes))
+    assert g.rank == len(g.factors) == 5000  # of rank 1 each
 
 
 @given(groups)

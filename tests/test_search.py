@@ -1,8 +1,11 @@
+import hashlib
 import os
 import random
+from bisect import bisect_right
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,7 @@ import pytest
 import autratio.primes
 from autratio.autorder import aut_order, f_exact
 from autratio.errors import SieveCapacityError
-from autratio.groups import format_group, order, parse_group
+from autratio.groups import AbelianGroup, format_group, order, parse_group
 from autratio.oracle import OracleCaps, aut_order_bruteforce
 from autratio.primes import PrimeStream
 from autratio.search import (
@@ -32,12 +35,22 @@ def partition_count(n: int) -> int:
     return table[n]
 
 
-def abelian_count(n: int) -> int:
+def partition_count_at_most(n: int, parts: int) -> int:
+    """Partitions of n into at most ``parts`` parts (parts of size <= parts,
+    by conjugation)."""
+    table = [1] + [0] * n
+    for part in range(1, parts + 1):
+        for total in range(part, n + 1):
+            table[total] += table[total - part]
+    return table[n]
+
+
+def abelian_count(n: int, rank: int | None = None) -> int:
     from autratio.groups import factorize
 
     out = 1
     for _, k in factorize(n).items() if n > 1 else []:
-        out *= partition_count(k)
+        out *= partition_count(k) if rank is None else partition_count_at_most(k, rank)
     return out
 
 
@@ -186,10 +199,53 @@ def test_search_refuses_primes_past_the_sieve_ceiling(monkeypatch):
     )
 
 
+def reference_partitions(weight: int, max_len: int, least: int = 1):
+    """Ascending exponent tuples summing to ``weight``, at most ``max_len``
+    long, in any order."""
+    if weight == 0:
+        yield ()
+        return
+    if max_len == 0:
+        return
+    for first in range(least, weight + 1):
+        for rest in reference_partitions(weight - first, max_len - 1, first):
+            yield (first,) + rest
+
+
+def reference_rows(bounds: SearchBounds) -> list[tuple[int, tuple]]:
+    """Every group within bounds as ``(order, factors)``, sorted.
+
+    This is the include-only stack walk with a final sort that built the
+    f-table before the order-by-order walk, kept as an independent
+    reference for it: its primes come from trial division and its
+    partitions from ``reference_partitions``."""
+    primes = [
+        p for p in range(2, bounds.prime_limit + 1)
+        if all(p % q for q in range(2, isqrt(p) + 1))
+    ]
+    rows = []
+    stack = [(0, bounds.max_order, 1, ())]
+    while stack:
+        start, budget, n, factors = stack.pop()
+        rows.append((n, factors))
+        for j in range(start, bisect_right(primes, budget, start)):
+            p = primes[j]
+            pw, w = p, 1
+            while pw <= budget:
+                for part in reference_partitions(w, bounds.max_rank_per_prime):
+                    stack.append((j + 1, budget // pw, n * pw, factors + ((p, part),)))
+                w += 1
+                pw *= p
+    rows.sort()
+    return rows
+
+
 def slow_table(bounds: SearchBounds) -> bytes:
-    """The f-table rebuilt row by row from the public per-group functions."""
+    """The f-table rebuilt row by row from the reference walk and the
+    public per-group functions."""
     lines = [f"{TABLE_HEADER_PREFIX} max_order={bounds.max_order}\n"]
-    for g in enumerate_groups(bounds):
+    for _, factors in reference_rows(bounds):
+        g = AbelianGroup(factors)
         f = f_exact(g)
         lines.append(
             f"{format_group(g)}\t{order(g)}\t{aut_order(g)}\t"
@@ -205,6 +261,110 @@ def slow_table(bounds: SearchBounds) -> bytes:
 )
 def test_table_equals_per_group_reference(bounds):
     assert render_table(bounds) == slow_table(bounds)
+
+
+WALK_BOUNDS = [SearchBounds(n) for n in (1, 2, 3, 96, 500, 1990, 2010, 8000)] + [
+    SearchBounds(2010, max_rank_per_prime=1),
+    SearchBounds(2010, max_rank_per_prime=2),
+    SearchBounds(2010, max_prime=2),
+    SearchBounds(2010, max_prime=3),
+]
+
+
+@pytest.mark.parametrize("bounds", WALK_BOUNDS, ids=repr)
+def test_order_by_order_walk_matches_the_stack_walk(bounds):
+    reference = reference_rows(bounds)
+    assert [g.factors for g in enumerate_groups(bounds)] == [f for _, f in reference]
+    assert render_table(bounds) == slow_table(bounds)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [SearchBounds(2000), SearchBounds(2000, max_rank_per_prime=2, max_prime=3)],
+    ids=repr,
+)
+def test_walk_groups_equal_validated_groups(bounds):
+    # the walk builds its groups without the constructor's checks
+    for g in enumerate_groups(bounds):
+        assert g == AbelianGroup(g.factors)
+        assert g == parse_group(format_group(g))
+        assert hash(g) == hash(AbelianGroup(g.factors))
+    for w in find_exact(Fraction(3, 2), bounds):
+        assert w.group == parse_group(format_group(w.group))
+
+
+def test_table_file_streams_the_rendered_bytes(tmp_path):
+    bounds = SearchBounds(3000, max_rank_per_prime=3)
+    out = tmp_path / "table.tsv"
+    rows = build_f_table(bounds, out)
+    data = render_table(bounds)
+    assert out.read_bytes() == data
+    assert rows == data.count(b"\n") - 1 == sum(
+        abelian_count(n, 3) for n in range(1, 3001)
+    )
+
+
+def test_refused_table_leaves_the_file_untouched(tmp_path, monkeypatch):
+    out = tmp_path / "table.tsv"
+    out.write_bytes(b"an earlier table\n")
+    monkeypatch.setattr(autratio.primes, "_shared", PrimeStream(ceiling=1000))
+    with pytest.raises(SieveCapacityError):
+        build_f_table(SearchBounds(5000), out)
+    assert out.read_bytes() == b"an earlier table\n"
+
+
+def test_failed_table_leaves_the_file_untouched(tmp_path, monkeypatch):
+    import autratio.search as search
+
+    def failing(bounds):
+        chunks = render_chunks(bounds)
+        yield next(chunks)
+        yield next(chunks)
+        raise KeyboardInterrupt
+
+    render_chunks = search._table_text
+    out = tmp_path / "table.tsv"
+    out.write_bytes(b"an earlier table\n")
+    monkeypatch.setattr(search, "_table_text", failing)
+    with pytest.raises(KeyboardInterrupt):
+        build_f_table(SearchBounds(500), out)
+    assert out.read_bytes() == b"an earlier table\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
+
+
+SPARSE_BOUNDS = [
+    SearchBounds(10**15, max_prime=3, max_rank_per_prime=2),
+    SearchBounds(10**12, max_prime=5, max_rank_per_prime=2),
+]
+
+
+@pytest.mark.parametrize("bounds", SPARSE_BOUNDS, ids=repr)
+def test_walk_cost_follows_the_groups_not_the_order_bound(bounds):
+    # far fewer groups than orders: under a 1 GiB address-space limit, a
+    # walk that allocated per order up to max_order would fail
+    script = (
+        "import hashlib, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from autratio.search import SearchBounds, enumerate_groups, render_table\n"
+        f"b = SearchBounds({bounds.max_order}, max_prime={bounds.max_prime}, "
+        f"max_rank_per_prime={bounds.max_rank_per_prime})\n"
+        "print(hashlib.sha256(repr([g.factors for g in enumerate_groups(b)]).encode()).hexdigest())\n"
+        "print(hashlib.sha256(render_table(b)).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    factors = [f for _, f in reference_rows(bounds)]
+    assert proc.stdout.split() == [
+        hashlib.sha256(repr(factors).encode()).hexdigest(),
+        hashlib.sha256(render_table(bounds)).hexdigest(),
+    ]
 
 
 def test_walk_depth_does_not_grow_with_the_prime_count():
