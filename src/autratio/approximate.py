@@ -132,7 +132,7 @@ def _greedy_unit(
         record_trail=record_trail,
         exact_cap=config.exact_cap,
     )
-    max_p = source.prime(sel.scanned) if sel.scanned else 0
+    max_p = source.far_prime(sel.scanned) if sel.scanned else 0
     if sel.status != CONVERGED:
         if below_eps:
             msg = (

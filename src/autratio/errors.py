@@ -27,7 +27,9 @@ class OracleCapExceeded(AutratioError):
 
 class InputLimitExceeded(AutratioError):
     """An input whose exact answer would be too large to compute in bounded
-    time and memory, such as a group literal above ``MAX_LITERAL_AUT_BITS``."""
+    time and memory, such as a group literal above ``MAX_LITERAL_AUT_BITS``
+    or ``MAX_LITERAL_DIGITS``, or a number with a probable-prime factor at
+    or above psi_12 that ``factorize`` cannot prove prime."""
 
 
 class PrecisionRefusal(AutratioError):

@@ -8,6 +8,16 @@ obtained from exact integer arithmetic with directed rounding and explicit
 series-truncation bounds.  No float ever enters a bound, so downstream
 comparisons against exact rationals are rigorous.
 
+ln of an integer n = 2**e * m, 1 <= m < 2, is e ln 2 + ln m.  ln m is
+reduced by a table (Tang's table-driven logarithm, done in exact
+integers): with j the top five fraction bits of m, m = (1 + j/32) * m'
+and m' < 1 + 1/32, so the atanh series in z = (m'-1)/(m'+1) < 1/65 needs
+15 rounds at 192 bits, where the unreduced z <= 1/3 took 66.  The 33 table
+entries ln(1 + j/32), ln 2 among them, come from the same direct series at
+16 guard bits, rounded outward once per precision and cached; m' is
+rounded down from the lower end of m and up from the upper end.  Every
+piece is an outward enclosure, so their sum is one.
+
 Two precision regimes are used:
 
 * scalar enclosures at ``prec`` fractional bits (default 192), for targets,
@@ -58,42 +68,89 @@ def _div_ceil(a: int, b: int) -> int:
 
 def _atanh_series(z: int, prec: int, upper: bool) -> int:
     """2 * sum z^(2j+1)/(2j+1) at fixed point, rounded down (or up, with a
-    certified tail bound, when ``upper``).  Requires 0 <= z <= 2**prec / 3
-    up to one unit, which holds for z = (m-1)/(m+1) with m in [1, 2]."""
-    one = 1 << prec
-    div = _div_ceil if upper else _div_floor
-    z2 = div(z * z, one)
-    # z < 0.334 shrinks z^(2j+1) by > 3.1 bits per round; this many rounds
-    # drives the true tail below one fixed-point unit
-    rounds = prec // 3 + 2
-    acc = z
-    zpow = z
+    certified tail bound, when ``upper``).  Requires 0 <= z < 2**(prec-1),
+    that is z < 1/2.
+
+    The round count comes from z's bit length L: z < 2**-s with
+    s = prec - L >= 1, and after r rounds the omitted tail is at most
+    z^(2r+3) / ((2r+3) (1 - z^2)) < z^(2r+3) * 4/9, below one unit once
+    s (2r+3) >= prec.  Each round gains 2s bits: the reduced arguments of
+    ``_ln_mantissa_bounds`` (z < 1/65, s >= 6) take 15 rounds at 192 bits,
+    where the unreduced z <= 1/3 took 66."""
+    if z == 0:
+        return 0
+    s = prec - z.bit_length()
+    rounds = max(0, (-(-prec // s) - 2) // 2)
+    acc = zpow = z
     k = 1
-    for _ in range(rounds):
-        zpow = div(zpow * z2, one)
-        if zpow == 0:
-            break
-        k += 2
-        acc += div(zpow, k)
+    # division by 2**prec is a shift: floor is >>, ceil is -((-x) >> prec)
     if upper:
+        z2 = -(-z * z >> prec)
+        for _ in range(rounds):
+            zpow = -(-zpow * z2 >> prec)
+            k += 2
+            acc -= -zpow // k
         acc += 1  # covers the sub-unit truncated tail
+    else:
+        z2 = z * z >> prec
+        for _ in range(rounds):
+            zpow = zpow * z2 >> prec
+            if zpow == 0:
+                break
+            k += 2
+            acc += zpow // k
     return 2 * acc
 
 
-def _ln_mantissa_bounds(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
-    """Enclosure of ln(m) for m in [m_lo, m_hi] * 2**-prec, 1 <= m <= 2."""
+def _ln_direct_bounds(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
+    """Enclosure of ln(m) for m in [m_lo, m_hi] * 2**-prec, 1 <= m <= 2, by
+    the series in z = (m-1)/(m+1) <= 1/3 with no reduction."""
     one = 1 << prec
     z_lo = _div_floor((m_lo - one) << prec, m_lo + one)
     z_hi = _div_ceil((m_hi - one) << prec, m_hi + one)
-    lo = _atanh_series(z_lo, prec, upper=False)
-    hi = _atanh_series(z_hi, prec, upper=True)
-    return lo, hi
+    return _atanh_series(z_lo, prec, upper=False), _atanh_series(z_hi, prec, upper=True)
+
+
+# Table-driven argument reduction (Tang, ACM TOMS 16(4), 1990) in exact
+# integers: m = (1 + j/K) * m' with j the top _RED_BITS bits of m's
+# fraction, so that m' < 1 + 1/K and the series argument z < 1/(2K + 1).
+_RED_BITS = 5
+_RED_K = 1 << _RED_BITS
+_TABLE_GUARD = 16
 
 
 @lru_cache(maxsize=8)
-def _ln2_bounds(prec: int) -> tuple[int, int]:
+def _ln_table(prec: int) -> tuple[tuple[int, int], ...]:
+    """Enclosures of ln(1 + j/K) for j = 0..K (the last is ln 2) at
+    ``prec`` bits: the direct series at prec + _TABLE_GUARD bits, where
+    1 + j/K is exact, rounded outward.  Each entry is at most two units
+    wide, so ln 2 adds at most two units per binary exponent."""
+    wide = prec + _TABLE_GUARD
+    one = 1 << wide
+    table = []
+    for j in range(_RED_K + 1):
+        m = one + (j << (wide - _RED_BITS))
+        lo, hi = _ln_direct_bounds(m, m, wide)
+        table.append((lo >> _TABLE_GUARD, -((-hi) >> _TABLE_GUARD)))
+    return tuple(table)
+
+
+def _ln_mantissa_bounds(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
+    """Enclosure of ln(m) for m in [m_lo, m_hi] * 2**-prec, 1 <= m < 2.
+
+    With j = floor(K (m_lo - 1)), ln m = ln(1 + j/K) + ln m', where
+    m' = m K / (K + j) lies in [1, 1 + 1/K) up to the width of [m_lo, m_hi].
+    m' is rounded outward (down from m_lo, up from m_hi), the table entry
+    is outward, and the series is outward, so the sum encloses ln m."""
     one = 1 << prec
-    return _ln_mantissa_bounds(2 * one, 2 * one, prec)
+    j = (m_lo - one) >> (prec - _RED_BITS)
+    t_lo, t_hi = _ln_table(prec)[j]
+    if j:
+        d = _RED_K + j
+        m_lo = (m_lo << _RED_BITS) // d
+        m_hi = _div_ceil(m_hi << _RED_BITS, d)
+    lo, hi = _ln_direct_bounds(m_lo, m_hi, prec)
+    return t_lo + lo, t_hi + hi
 
 
 def ln_int_bounds(n: int, prec: int = PREC) -> tuple[int, int]:
@@ -109,7 +166,7 @@ def ln_int_bounds(n: int, prec: int = PREC) -> tuple[int, int]:
     else:
         m_lo = m_hi = n << (prec - e)
     ml, mh = _ln_mantissa_bounds(m_lo, m_hi, prec)
-    l2l, l2h = _ln2_bounds(prec)
+    l2l, l2h = _ln_table(prec)[_RED_K]
     return (e * l2l + ml, e * l2h + mh)
 
 

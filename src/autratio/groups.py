@@ -38,6 +38,7 @@ __all__ = [
     "format_group",
     "cyclic",
     "MAX_LITERAL_AUT_BITS",
+    "MAX_LITERAL_DIGITS",
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -146,8 +147,9 @@ def factorize(n: int) -> dict[int, int]:
     finds composite (a proof at any size) is split by Pollard-Brent and
     both parts are factored in turn, so a product of two large primes
     costs about the fourth root of n steps.  A cofactor that passes
-    Miller-Rabin at or above _MR_PROVEN_BELOW is only probably prime; it
-    is still divided out in full by trial division, which costs sqrt(n).
+    Miller-Rabin at or above _MR_PROVEN_BELOW is only probably prime, and
+    proving it prime or composite is out of reach here (trial division
+    would cost sqrt(n) steps), so factorize raises InputLimitExceeded.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -165,10 +167,19 @@ def factorize(n: int) -> dict[int, int]:
             todo += [d, m // d]
             continue
         if m >= _MR_PROVEN_BELOW:
-            m, _ = _trial_divide(m, out, None)  # only probably prime
-        if m > 1:
-            out[m] = out.get(m, 0) + 1
+            raise InputLimitExceeded(
+                f"cannot factor {_short(n)}: a cofactor of {m.bit_length()} "
+                f"bits passes Miller-Rabin to the bases 2..37 but lies at "
+                f"or above psi_12 = {_MR_PROVEN_BELOW}, the limit below which "
+                f"that test proves primality"
+            )
+        out[m] = out.get(m, 0) + 1
     return dict(sorted(out.items()))
+
+
+def _short(n: int) -> str:
+    """n in decimal up to 200 bits (60 digits), else its bit length."""
+    return str(n) if n.bit_length() <= 200 else f"a number of {n.bit_length()} bits"
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,6 +301,12 @@ _FACTOR_RE = re.compile(r"C(\d+)(?:\^(\d+))?$")
 # about 1.5 * 10^5 bits.
 MAX_LITERAL_AUT_BITS = 2**22
 
+# The most significant digits of one base or exponent in a literal, which
+# is CPython's default limit on int() of a decimal string.  An exponent of
+# more than four digits is refused by MAX_LITERAL_AUT_BITS in any case (the
+# bound is at least its square).
+MAX_LITERAL_DIGITS = 4300
+
 
 def parse_group(text: str) -> AbelianGroup:
     """Parse a group literal:  Group := Factor ("x" Factor)*,  Factor := C<m>[^<k>].
@@ -297,7 +314,10 @@ def parse_group(text: str) -> AbelianGroup:
     Whitespace is ignored.  Composite bases are split into prime powers, so
     "C12" means C4 x C3.  "C1" and the empty string denote the trivial group.
     A literal whose bound sum_p r_p * log2 |G_p| on log2 |Aut(G)| is above
-    MAX_LITERAL_AUT_BITS raises InputLimitExceeded before it is expanded.
+    MAX_LITERAL_AUT_BITS, or with a base or exponent of more than
+    MAX_LITERAL_DIGITS digits, raises InputLimitExceeded before it is
+    expanded; so does a base with a probable-prime factor at or above
+    psi_12 (see ``factorize``).
 
     >>> parse_group("C2^3") == AbelianGroup.from_primary({2: [1, 1, 1]})
     True
@@ -312,8 +332,8 @@ def parse_group(text: str) -> AbelianGroup:
         m = _FACTOR_RE.match(chunk)
         if not m:
             raise GroupParseError(f"bad group factor {chunk!r} in {text!r}")
-        base = int(m.group(1))
-        mult = int(m.group(2)) if m.group(2) else 1
+        base = _literal_int(m.group(1))
+        mult = _literal_int(m.group(2)) if m.group(2) else 1
         if base == 0:
             raise GroupParseError("factor base 0 is not a finite cyclic group")
         if m.group(2) is not None and mult == 0:
@@ -333,6 +353,18 @@ def parse_group(text: str) -> AbelianGroup:
     return AbelianGroup.from_primary(
         {p: [e for e, c in pe for _ in range(c)] for p, pe in runs.items()}
     )
+
+
+def _literal_int(digits: str) -> int:
+    """A literal's base or exponent, refused above MAX_LITERAL_DIGITS
+    significant digits before int() sees it."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise InputLimitExceeded(
+            f"group literal refused: a number of {len(digits)} digits is "
+            f"longer than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}"
+        )
+    return int(digits)
 
 
 def _refuse_literal(bits) -> NoReturn:

@@ -161,6 +161,9 @@ class PrimeRatioSource:
         self.description = "ln(p/(p-1)) over " + (
             "odd primes" if odd_only else "all primes"
         )
+        # primes of source indices _block_start, _block_start + 1, ...
+        self._block_start = 0
+        self._block: list[int] = []
 
     def prime_index(self, i: int) -> int:
         if i < 1:
@@ -168,6 +171,21 @@ class PrimeRatioSource:
         return i + 1 if self.odd_only else i
 
     def prime(self, i: int) -> int:
+        """The prime of source index i, read from a list slice of the
+        stream: consecutive reads, as the greedy's scan makes, cost a list
+        index.  Far probes (``far_prime``) leave the slice alone."""
+        k = i - self._block_start
+        if 0 <= k < len(self._block):
+            return self._block[k]
+        j = self.prime_index(i)
+        hi = max(j, min(j + _READ_BLOCK - 1, self.stream.count))
+        self._block = self.stream.primes_slice(j, hi).tolist()
+        self._block_start = i
+        return self._block[0]
+
+    def far_prime(self, i: int) -> int:
+        """The prime of source index i, read alone, for probes far ahead
+        of the scan."""
         return self.stream.nth_prime(self.prime_index(i))
 
     def available_count(self) -> int:
@@ -184,6 +202,9 @@ class PrimeRatioSource:
             return cache[:count]
         return np.concatenate(([_LN2_FLOOR60], cache[: count - 1]))
 
+
+# primes per list slice that PrimeRatioSource.prime reads at once
+_READ_BLOCK = 256
 
 _LN2_FLOOR60 = np.int64(
     fixedlog.ln_fraction_bounds(Fraction(2), _PREC)[0] >> (_PREC - _SB)
@@ -647,7 +668,7 @@ def _first_fitting_ratio(source, i, st, qn, qd, budget):
     """
 
     def fits(j: int) -> bool:
-        p = source.prime(j)
+        p = source.far_prime(j)
         return st.un * p * qd <= st.ud * (p - 1) * qn
 
     while True:

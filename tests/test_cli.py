@@ -117,24 +117,50 @@ def test_table(capsys, tmp_path):
     assert out_path.read_bytes().startswith(b"# autratio f-table v1 max_order=8\n")
 
 
-def test_gigantic_literal_is_refused_before_it_is_expanded():
-    # C2^100000000 would expand to a list of 10^8 exponents
+def run_cold(argv, timeout):
+    """One `python -m autratio.cli` process on this checkout's source: its
+    exit code and error message (stderr, or the JSON envelope's error)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    proc = subprocess.run(
+        [sys.executable, "-m", "autratio.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    message = proc.stderr if "--json" not in argv else json.loads(proc.stdout)["error"]
+    return proc.returncode, message
+
+
+def test_gigantic_literal_is_refused_before_it_is_expanded():
+    # C2^100000000 would expand to a list of 10^8 exponents
     for argv in (["aut", "C2^100000000"], ["f", "C2^100000000", "--json"]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "autratio.cli", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-        assert proc.returncode == 2, proc.stderr
-        message = proc.stderr if "--json" not in argv else json.loads(proc.stdout)["error"]
+        code, message = run_cold(argv, timeout=30)
+        assert code == 2, message
         assert "MAX_LITERAL_AUT_BITS = 4194304" in message
+
+
+def test_overlong_number_in_literal_exit_code(capsys):
+    # int() of more than 4300 digits raises Python's own ValueError (exit 1)
+    for literal in ["C2^" + "1" * 5000, "C" + "3" * 5000]:
+        code, _, err = run(capsys, "f", literal)
+        assert code == 2 and "MAX_LITERAL_DIGITS = 4300" in err
+    code, out, _ = run(capsys, "aut", "--json", "C2^" + "1" * 5000)
+    assert code == 2 and "MAX_LITERAL_DIGITS" in json.loads(out)["error"]
+
+
+def test_probable_prime_above_psi12_is_refused_in_bounded_time():
+    # 2^89 - 1: trial division to its square root would run for days
+    start = time.perf_counter()
+    for argv in (["f", "C618970019642690137449562111"], ["aut", "C2^89 x C618970019642690137449562111", "--json"]):
+        code, message = run_cold(argv, timeout=30)
+        assert code == 2, message
+        assert "psi_12 = 318665857834031151167461" in message
+    assert time.perf_counter() - start < 10
 
 
 def test_materialized_literal_round_trips_through_f(capsys):

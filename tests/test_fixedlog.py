@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autratio.fixedlog import (
+    _RED_BITS,
+    _RED_K,
     PREC,
     SCALE_BITS,
     TERM_ERR60,
+    _ln_direct_bounds,
+    _ln_mantissa_bounds,
+    _ln_table,
+    ln_int_bounds,
     log_ratio_term_bounds,
     term_block_atanh60,
     term_block_fp60,
@@ -68,3 +76,94 @@ def test_atanh_kernel_blocks_agree_with_first_pass_kernel():
 
 def test_atanh_kernel_empty_block():
     assert term_block_atanh60(np.zeros(0, dtype=np.int64)) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# table-reduced logarithms against the unreduced series at twice the bits
+
+PRECS = (64, 192, 384)
+
+
+def direct_ln_int(n, prec):
+    """ln n enclosed with no table: e * ln 2 plus the unreduced series on
+    the mantissa (inexact, one unit wide, when n >= 2**prec)."""
+    one = 1 << prec
+    e = n.bit_length() - 1
+    if e >= prec:
+        m_lo = n >> (e - prec)
+        m_hi = m_lo + 1
+    else:
+        m_lo = m_hi = n << (prec - e)
+    l2_lo, l2_hi = _ln_direct_bounds(2 * one, 2 * one, prec)
+    m_l, m_h = _ln_direct_bounds(m_lo, m_hi, prec)
+    return e * l2_lo + m_l, e * l2_hi + m_h
+
+
+def assert_overlaps(bounds, reference, prec):
+    """[lo, hi] at prec bits meets [r_lo, r_hi] at 2 * prec bits."""
+    (lo, hi), (r_lo, r_hi) = bounds, reference
+    assert lo <= hi and r_lo <= r_hi
+    assert lo << prec <= r_hi and r_lo <= hi << prec
+
+
+def width_bound(n, prec):
+    """The stated width of ln_int_bounds(n, prec): the ln 2 entry's width
+    per binary exponent, plus prec // 4 + 16 units for the table entry, the
+    rounding of m' and z, and the series."""
+    l2_lo, l2_hi = _ln_table(prec)[_RED_K]
+    return (n.bit_length() - 1) * (l2_hi - l2_lo) + prec // 4 + 16
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_table_entries_overlap_the_direct_series(prec):
+    table = _ln_table(prec)
+    assert len(table) == _RED_K + 1 and table[0] == (0, 0)
+    wide = 2 * prec
+    for j, entry in enumerate(table):
+        m = (1 << wide) + (j << (wide - _RED_BITS))  # 1 + j/K, exact
+        assert_overlaps(entry, _ln_direct_bounds(m, m, wide), prec)
+        assert entry[1] - entry[0] <= 2  # outward rounding of a guarded series
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_mantissas_on_and_beside_table_steps(prec):
+    one, step = 1 << prec, 1 << (prec - _RED_BITS)
+    table = _ln_table(prec)
+    for j in range(_RED_K):
+        m = one + j * step  # exactly 1 + j/K: m' = 1, only the table entry
+        assert _ln_mantissa_bounds(m, m, prec) == table[j]
+        assert_overlaps(table[j], _ln_direct_bounds(m << prec, m << prec, 2 * prec), prec)
+        for m in (one + (j + 1) * step - 1, one + j * step + 1):  # beside the steps
+            assert_overlaps(
+                _ln_mantissa_bounds(m, m, prec),
+                _ln_direct_bounds(m << prec, m << prec, 2 * prec),
+                prec,
+            )
+    m = 2 * one - 1  # 2 - 2**-prec, the largest mantissa
+    got = _ln_mantissa_bounds(m, m, prec)
+    assert_overlaps(got, _ln_direct_bounds(m << prec, m << prec, 2 * prec), prec)
+    # an inexact mantissa [m, m + 1] that reaches 2 itself
+    got = _ln_mantissa_bounds(m, m + 1, prec)
+    assert_overlaps(got, _ln_direct_bounds(m << prec, (m + 1) << prec, 2 * prec), prec)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_ln_int_at_powers_of_two_and_past_the_exact_mantissa(prec):
+    assert ln_int_bounds(1, prec) == (0, 0)
+    ns = [2, 3]
+    for k in (1, 5, 31, prec - 1, prec, prec + 1, 2 * prec + 7, 399):
+        ns += [(1 << k) - 1, 1 << k, (1 << k) + 1]
+    # n >= 2**prec: the shifted-off bits make the mantissa one unit wide
+    ns += [3**300, (1 << (prec + 40)) - (1 << 20), 10**150 + 1]
+    for n in ns:
+        got = ln_int_bounds(n, prec)
+        assert_overlaps(got, direct_ln_int(n, 2 * prec), prec)
+        assert got[1] - got[0] <= width_bound(n, prec), n
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 2**400 - 1), st.sampled_from(PRECS))
+def test_ln_int_overlaps_the_direct_series_at_twice_the_bits(n, prec):
+    got = ln_int_bounds(n, prec)
+    assert_overlaps(got, direct_ln_int(n, 2 * prec), prec)
+    assert got[1] - got[0] <= width_bound(n, prec)

@@ -9,6 +9,7 @@ import autratio.groups as groups_mod
 from autratio.errors import GroupParseError, InputLimitExceeded
 from autratio.groups import (
     MAX_LITERAL_AUT_BITS,
+    MAX_LITERAL_DIGITS,
     TRIVIAL,
     AbelianGroup,
     SymbolicGroup,
@@ -106,6 +107,17 @@ def test_literal_aut_bits_limit():
             parse_group(literal)
 
 
+def test_literal_digits_limit():
+    assert MAX_LITERAL_DIGITS == 4300
+    # leading zeros are not significant; 10^4299 has 4300 digits
+    assert parse_group("C" + "0" * 5000 + "7^" + "0" * 5000 + "2").factors == ((7, (1, 1)),)
+    g = parse_group("C1" + "0" * 4299)
+    assert g.factors == ((2, (4299,)), (5, (4299,)))
+    for literal in ["C2^" + "1" * 5000, "C1" + "0" * 4300, "C3 x C" + "7" * 4301 + "^2"]:
+        with pytest.raises(InputLimitExceeded, match="MAX_LITERAL_DIGITS = 4300"):
+            parse_group(literal)
+
+
 def test_many_distinct_primes_are_within_the_literal_limit(stream):
     # each prime of rank 1 adds only log2 p bits to the bound
     primes = [stream.nth_prime(i) for i in range(1, 5001)]
@@ -192,12 +204,41 @@ def test_is_prime_bound_is_the_first_strong_pseudoprime():
 
 
 def test_factorize_trusts_the_primality_test_only_below_the_bound(monkeypatch):
-    # a test that calls everything prime stands in for a pseudoprime; above
-    # the bound factorize must keep dividing and find the true factors
+    # a test that calls everything prime stands in for a pseudoprime; below
+    # the bound its answer is trusted, and trial division below 1024 still
+    # finds small factors; above the bound factorize refuses
     monkeypatch.setattr(groups_mod, "_MR_PROVEN_BELOW", 10**6)
     monkeypatch.setattr(groups_mod, "_is_prime", lambda n: True)
-    for n in [1009 * 1013, 2 * 1009 * 1013 * 1019, 3 * 999_983 * 1_000_003]:
+    for n in [1009 * 1013, 2 * 1009 * 1013 * 1019]:
         assert factorize(n) == trial_division(n), n
+    with pytest.raises(InputLimitExceeded, match="psi_12 = 1000000"):
+        factorize(3 * 999_983 * 1_000_003)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2**89 - 1,  # a Mersenne prime, 27 digits
+        3 * 5 * (2**89 - 1),
+        399165290221 * 798330580441,  # psi_12 itself: composite, passes all bases
+        2**521 - 1,
+        (2**127 - 1) * 1_000_003,  # rho splits off 1000003, the rest is refused
+    ],
+)
+def test_factorize_refuses_probable_primes_above_psi12(n):
+    start = time.perf_counter()
+    with pytest.raises(InputLimitExceeded, match="psi_12 = 318665857834031151167461"):
+        factorize(n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_factorize_below_psi12_is_a_proof():
+    # the largest prime below the bound: Miller-Rabin proves it prime
+    p = groups_mod._MR_PROVEN_BELOW - 2
+    while not groups_mod._is_prime(p):
+        p -= 2
+    assert factorize(p) == {p: 1}
+    assert factorize(6 * p) == {2: 1, 3: 1, p: 1}
 
 
 def test_parse_large_prime_literal_is_fast():
