@@ -12,7 +12,7 @@ ln of an integer n = 2**e * m, 1 <= m < 2, is e ln 2 + ln m.  ln m is
 reduced by a table (Tang's table-driven logarithm, done in exact
 integers): with j the top five fraction bits of m, m = (1 + j/32) * m'
 and m' < 1 + 1/32, so the atanh series in z = (m'-1)/(m'+1) < 1/65 needs
-15 rounds at 192 bits, where the unreduced z <= 1/3 took 66.  The 33 table
+15 rounds at 192 bits, against 95 for an unreduced z <= 1/3.  The 33 table
 entries ln(1 + j/32), ln 2 among them, come from the same direct series at
 16 guard bits, rounded outward once per precision and cached; m' is
 rounded down from the lower end of m and up from the upper end.  Every
@@ -74,9 +74,9 @@ def _atanh_series(z: int, prec: int, upper: bool) -> int:
     The round count comes from z's bit length L: z < 2**-s with
     s = prec - L >= 1, and after r rounds the omitted tail is at most
     z^(2r+3) / ((2r+3) (1 - z^2)) < z^(2r+3) * 4/9, below one unit once
-    s (2r+3) >= prec.  Each round gains 2s bits: the reduced arguments of
-    ``_ln_mantissa_bounds`` (z < 1/65, s >= 6) take 15 rounds at 192 bits,
-    where the unreduced z <= 1/3 took 66."""
+    s (2r+3) >= prec.  Each round gains 2s bits: at 192 bits the reduced
+    arguments of ``_ln_mantissa_bounds`` (z < 1/65, s >= 6) take 15 rounds,
+    and the table's unreduced z <= 1/3 (s = 1) takes 95."""
     if z == 0:
         return 0
     s = prec - z.bit_length()
@@ -154,7 +154,8 @@ def _ln_mantissa_bounds(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
 
 
 def ln_int_bounds(n: int, prec: int = PREC) -> tuple[int, int]:
-    """Certified enclosure of ln(n) for an integer n >= 1."""
+    """Certified enclosure of ln(n) for an integer n >= 1, at prec >= 5
+    fractional bits (the table reduction reads five bits of n)."""
     if n < 1:
         raise ValueError("ln requires n >= 1")
     if n == 1:
