@@ -58,10 +58,6 @@ SCALE_BITS = 60
 TERM_ERR60 = 64  # proven bound is < 40 for p >= 3; padded for headroom
 
 
-def _div_floor(a: int, b: int) -> int:
-    return a // b
-
-
 def _div_ceil(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -106,7 +102,7 @@ def _ln_direct_bounds(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
     """Enclosure of ln(m) for m in [m_lo, m_hi] * 2**-prec, 1 <= m <= 2, by
     the series in z = (m-1)/(m+1) <= 1/3 with no reduction."""
     one = 1 << prec
-    z_lo = _div_floor((m_lo - one) << prec, m_lo + one)
+    z_lo = ((m_lo - one) << prec) // (m_lo + one)
     z_hi = _div_ceil((m_hi - one) << prec, m_hi + one)
     return _atanh_series(z_lo, prec, upper=False), _atanh_series(z_hi, prec, upper=True)
 

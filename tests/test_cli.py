@@ -145,7 +145,8 @@ def test_gigantic_literal_is_refused_before_it_is_expanded():
 
 
 def test_overlong_number_in_literal_exit_code(capsys):
-    # int() of more than 4300 digits raises Python's own ValueError (exit 1)
+    # without the limit, int() of more than 4300 digits raises CPython's own
+    # ValueError, which exits 1
     for literal in ["C2^" + "1" * 5000, "C" + "3" * 5000]:
         code, _, err = run(capsys, "f", literal)
         assert code == 2 and "MAX_LITERAL_DIGITS = 4300" in err
@@ -156,7 +157,8 @@ def test_overlong_number_in_literal_exit_code(capsys):
 def test_probable_prime_above_psi12_is_refused_in_bounded_time():
     # 2^89 - 1: trial division to its square root would run for days
     start = time.perf_counter()
-    for argv in (["f", "C618970019642690137449562111"], ["aut", "C2^89 x C618970019642690137449562111", "--json"]):
+    mersenne = "C618970019642690137449562111"
+    for argv in (["f", mersenne], ["aut", f"C2^89 x {mersenne}", "--json"]):
         code, message = run_cold(argv, timeout=30)
         assert code == 2, message
         assert "psi_12 = 318665857834031151167461" in message
