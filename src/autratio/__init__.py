@@ -44,7 +44,6 @@ from .subsum import (
     BUDGET_EXHAUSTED,
     CAPACITY_EXHAUSTED,
     CONVERGED,
-    Certified,
     LogTarget,
     PrimeRatioSource,
     Selection,
@@ -100,7 +99,6 @@ __all__ = [
     "prime_ratio_terms",
     "LogTarget",
     "Selection",
-    "Certified",
     "greedy_select",
     "CONVERGED",
     "BUDGET_EXHAUSTED",

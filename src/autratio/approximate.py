@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import fixedlog
 from .autorder import LogValue, _f_log_bounds, product_tree, two_rank_ratio
 from .errors import PrecisionRefusal, SieveCapacityError
-from .groups import SymbolicGroup
+from .groups import SymbolicGroup, _short
 from .primes import PrimeStream, shared_stream
 from .subsum import (
     CONVERGED,
@@ -136,21 +136,22 @@ def _greedy_unit(
     if sel.status != CONVERGED:
         if below_eps:
             msg = (
-                f"cannot certify a ratio below {eps} under the sieve ceiling "
-                f"({sel.status} after {sel.scanned} terms)"
+                f"cannot certify a ratio below {_short(eps)} under the sieve "
+                f"ceiling ({sel.status} after {sel.scanned} terms)"
             )
         else:
             msg = (
-                f"could not approach {a} within {eps}: {sel.status} after "
-                f"scanning {sel.scanned} terms"
+                f"could not approach {_short(a)} within {_short(eps)}: "
+                f"{sel.status} after scanning {sel.scanned} terms"
             )
         partial = ApproxTrace(0, None, None, odd_only, sel, max_p)
         raise SieveCapacityError(msg, partial=partial)
     group = _group_from_selection(sel, odd_only)
     exact = (1 / sel.exact_product) if sel.exact_product is not None else None
+    lo, hi = sel.achieved
     return ApproxResult(
         group=group,
-        achieved=LogValue.from_interval(-sel.achieved.hi, -sel.achieved.lo),
+        achieved=LogValue.from_bounds(-hi, -lo, _PREC),
         exact_ratio=exact,
         target=a,
         eps=eps,
@@ -225,7 +226,10 @@ def approx_in_unit(
     lo_eps = fixedlog.ln_fraction_bounds((a + eps) / a, _PREC)[0]
     eps_log = Fraction(lo_eps, 1 << _PREC)
     if eps_log <= 0:
-        raise PrecisionRefusal(f"eps {eps} is below the arithmetic resolution")
+        raise PrecisionRefusal(
+            f"eps ({_short(eps)}) is below the arithmetic resolution 2^-{_PREC} "
+            f"of the log tolerance ln(1 + eps/a)"
+        )
     return _greedy_unit(
         a, eps, 1 / a, eps_log, odd_only, stream, config, record_trail,
         below_eps=False,
@@ -278,6 +282,8 @@ def approx_ray(
     )
     group = SymbolicGroup(n, inner.group.odd_prime_ranges)
     b_lo, b_hi = fixedlog.ln_fraction_bounds(b, _PREC)
+    # composing inner's integer pair instead would narrow the enclosure,
+    # a deliberate change of every certified ray result's abs_error
     lo_in, hi_in = inner.achieved.interval()
     lo = Fraction(b_lo, 1 << _PREC) + lo_in
     hi = Fraction(b_hi, 1 << _PREC) + hi_in

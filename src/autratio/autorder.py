@@ -142,10 +142,10 @@ def f_prime_exact(g: AbelianGroup) -> Fraction:
 
 
 def two_rank_ratio(n: int) -> Fraction:
-    """f(C2^n) = prod_{k=0}^{n-1} (2^n - 2^k) / 2^n  (1 for n = 0)."""
+    """f(C2^n) = |GL_n(F_2)| / 2^n  (1 for n = 0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Fraction(product_tree([2**n - 2**k for k in range(n)]), 2**n)
+    return Fraction(aut_order_local(2, (1,) * n), 2**n) if n else Fraction(1)
 
 
 # Above this many odd-prime factors, f_log sums the int64 atanh kernel

@@ -14,6 +14,7 @@ import argparse
 import decimal
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from .errors import (
     PrecisionRefusal,
     SieveCapacityError,
 )
-from .groups import format_group, parse_group
+from .groups import MAX_LITERAL_DIGITS, format_group, parse_group
 from .oracle import OracleCaps, aut_order_bruteforce
 from .primes import shared_stream
 from .search import SearchBounds, build_f_table, find_exact
@@ -67,17 +68,58 @@ def _ratio_str(q: Fraction) -> str:
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
-def _parse_rational(text: str, allow_decimal: bool) -> Fraction:
+# The grammar of Fraction(str): p/q, or a decimal with an optional exponent,
+# digits optionally grouped by single underscores.
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL_RE = re.compile(
+    rf"[-+]?(?=\d|\.\d)(?P<num>(?:{_DIGITS})?)(?:/(?P<den>{_DIGITS})"
+    rf"|(?:\.(?P<frac>(?:{_DIGITS})?))?(?:e(?P<exp>[-+]?{_DIGITS}))?)",
+    re.IGNORECASE,
+)
+
+
+def _parse_rational(text: str, what: str, allow_decimal: bool) -> Fraction:
+    """The rational ``text`` as Fraction(str) reads it, refused with
+    InputLimitExceeded when its numerator or denominator as written (before
+    reduction to lowest terms) has more than MAX_LITERAL_DIGITS digits,
+    before any of it is expanded."""
     text = text.strip()
-    try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GroupParseError(f"cannot parse {text!r} as a rational: {exc}") from exc
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        raise GroupParseError(f"cannot parse {text!r} as a rational")
     if not allow_decimal and "/" not in text and not text.lstrip("+-").isdigit():
         raise GroupParseError(
             f"{text!r}: exact search targets must be integers or p/q rationals"
         )
-    return q
+
+    def digits(s: str | None) -> str:
+        return (s or "").replace("_", "").lstrip("0")
+
+    sign = -1 if text.startswith("-") else 1
+    if m["den"] is not None:
+        num, den = digits(m["num"]), digits(m["den"])
+        _check_digits(what, numerator=len(num), denominator=len(den))
+        if not den:
+            raise GroupParseError(f"cannot parse {text!r} as a rational: zero denominator")
+        return Fraction(sign * int(num or "0"), int(den))
+    frac = (m["frac"] or "").replace("_", "")
+    mant = digits(m["num"] + frac)
+    if not mant:
+        return Fraction(0)
+    exp = m["exp"] or "0"
+    _check_digits(what, exponent=len(digits(exp.lstrip("+-"))))
+    e = int(exp.replace("_", "")) - len(frac)
+    _check_digits(what, numerator=len(mant) + max(e, 0), denominator=max(-e, 0) + 1)
+    return Fraction(sign * int(mant) * 10 ** max(e, 0), 10 ** max(-e, 0))
+
+
+def _check_digits(what: str, **counts: int) -> None:
+    for name, n in counts.items():
+        if n > MAX_LITERAL_DIGITS:
+            raise InputLimitExceeded(
+                f"{what} refused: its {name} has {n} digits, more than "
+                f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}"
+            )
 
 
 def _oracle_caps() -> OracleCaps:
@@ -184,8 +226,8 @@ def _describe_achieved(res: ApproxResult) -> str:
 
 
 def _cmd_approx(args) -> int:
-    a = _parse_rational(args.target, allow_decimal=True)
-    eps = _parse_rational(args.eps, allow_decimal=True)
+    a = _parse_rational(args.target, "target", allow_decimal=True)
+    eps = _parse_rational(args.eps, "eps", allow_decimal=True)
     stream = shared_stream()
     if args.odd_only:
         from .approximate import approx_in_unit
@@ -236,7 +278,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    a = _parse_rational(args.target, allow_decimal=False)
+    a = _parse_rational(args.target, "target", allow_decimal=False)
     bounds = SearchBounds(
         max_order=args.max_order,
         max_prime=args.max_prime,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, log2, prod
 from typing import NoReturn
 
@@ -39,6 +40,7 @@ __all__ = [
     "cyclic",
     "MAX_LITERAL_AUT_BITS",
     "MAX_LITERAL_DIGITS",
+    "RHO_STEP_BUDGET",
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -108,14 +110,27 @@ def _trial_divide(
     return n, cofactor_prime or f * f > n
 
 
-def _pollard_brent(n: int) -> int:
+# The most rho steps (iterations of x -> x^2 + c) that factorize spends on
+# one composite cofactor.  Random semiprimes with a 30-bit factor took at
+# most 123,518; a 1128-bit cofactor spends the budget in about 2.6 s on one
+# core of a 2-vCPU Xeon, and the cost of a step grows with the square of
+# the cofactor's size.
+RHO_STEP_BUDGET = 1 << 18
+
+
+def _pollard_brent(n: int) -> int | None:
     """A proper divisor of a composite n that has no prime factor below
     _TRIAL_LIMIT: Pollard's rho with Brent's cycle detection, gcds batched
     over 128 steps, polynomials x^2 + c for c = 1, 2, ... until one splits n.
+    None when RHO_STEP_BUDGET steps found no divisor.
     """
+    steps = 0
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r  # this round: r steps, then at most r more
+            if steps > RHO_STEP_BUDGET:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -149,7 +164,9 @@ def factorize(n: int) -> dict[int, int]:
     costs about the fourth root of n steps.  A cofactor that passes
     Miller-Rabin at or above _MR_PROVEN_BELOW is only probably prime, and
     proving it prime or composite is out of reach here (trial division
-    would cost sqrt(n) steps), so factorize raises InputLimitExceeded.
+    would cost sqrt(n) steps), so factorize raises InputLimitExceeded; so
+    it does when Pollard-Brent spends RHO_STEP_BUDGET steps on a cofactor
+    without splitting it.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -164,6 +181,12 @@ def factorize(n: int) -> dict[int, int]:
         m = todo.pop()
         if not _is_prime(m):
             d = _pollard_brent(m)
+            if d is None:
+                raise InputLimitExceeded(
+                    f"cannot factor {_short(n)}: Pollard-Brent found no "
+                    f"factor of a composite cofactor of {m.bit_length()} bits "
+                    f"within RHO_STEP_BUDGET = {RHO_STEP_BUDGET} steps"
+                )
             todo += [d, m // d]
             continue
         if m >= _MR_PROVEN_BELOW:
@@ -177,9 +200,16 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def _short(n: int) -> str:
-    """n in decimal up to 200 bits (60 digits), else its bit length."""
-    return str(n) if n.bit_length() <= 200 else f"a number of {n.bit_length()} bits"
+def _short(x: int | Fraction) -> str:
+    """x in decimal while its numerator and denominator have at most 200
+    bits (60 digits), else their bit lengths."""
+    x = Fraction(x)
+    n, d = x.numerator.bit_length(), x.denominator.bit_length()
+    if max(n, d) <= 200:
+        return str(x)
+    if d == 1:
+        return f"a number of {n} bits"
+    return f"a rational with a {n}-bit numerator and a {d}-bit denominator"
 
 
 @dataclass(frozen=True, slots=True)

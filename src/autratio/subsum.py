@@ -26,6 +26,11 @@ Two kinds of term source are supported:
   are located by binary search on error-adjusted prefix sums; convergence
   is declared only when the certified deficit (arithmetic error included)
   is below the tolerance.
+
+A log-ratio run returns its enclosure of the selected sum as one integer
+pair (lo, hi) at scale 2**-``fixedlog.PREC``, the form ``fixedlog``
+returns, and its certified convergence tests compare integers by
+cross-multiplication.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ __all__ = [
     "CONVERGED",
     "BUDGET_EXHAUSTED",
     "CAPACITY_EXHAUSTED",
-    "Certified",
     "LogTarget",
     "TermSource",
     "PrimeRatioSource",
@@ -68,30 +72,6 @@ DEFAULT_EXACT_CAP = 10_000
 _PREC = fixedlog.PREC
 _SB = fixedlog.SCALE_BITS
 _C = fixedlog.TERM_ERR60
-
-
-@dataclass(frozen=True, slots=True)
-class Certified:
-    """An exact-rational enclosure value +- abs_error of a real quantity."""
-
-    value: Fraction
-    abs_error: Fraction
-
-    @classmethod
-    def exact(cls, value) -> "Certified":
-        return cls(Fraction(value), Fraction(0))
-
-    @classmethod
-    def from_bounds(cls, lo: Fraction, hi: Fraction) -> "Certified":
-        return cls((lo + hi) / 2, (hi - lo) / 2)
-
-    @property
-    def lo(self) -> Fraction:
-        return self.value - self.abs_error
-
-    @property
-    def hi(self) -> Fraction:
-        return self.value + self.abs_error
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,11 +216,12 @@ def _stream_term60_cache(stream: PrimeStream, upto_prime_index: int) -> np.ndarr
 class Selection:
     """Result of a greedy run.
 
-    ``ranges`` run-length encodes the chosen source indices.  ``achieved``
-    encloses the true selected sum; for fully exact runs the error is zero
-    and ``exact_sum`` or ``exact_product`` carries the closed value (the
-    sum itself, or prod p/(p-1) = exp(sum) for log sources).  On
-    ``converged`` the contract is  target - eps < sum <= target.
+    ``ranges`` run-length encodes the chosen source indices.  For a
+    prime-ratio source ``achieved`` is the integer pair (lo, hi) with the
+    true selected sum in [lo, hi] * 2**-``fixedlog.PREC``, and a fully
+    exact run also sets ``exact_product`` = prod p/(p-1) = exp(sum).  For
+    an additive source ``achieved`` is None: ``exact_sum`` is the sum
+    itself.  On ``converged`` the contract is  target - eps < sum <= target.
     """
 
     ranges: tuple[tuple[int, int], ...]
@@ -249,7 +230,7 @@ class Selection:
     scanned: int
     target: Fraction | LogTarget
     eps: Fraction
-    achieved: Certified
+    achieved: tuple[int, int] | None
     exact_sum: Fraction | None = None
     exact_product: Fraction | None = None
     trail: tuple | None = None
@@ -380,7 +361,7 @@ def _greedy_additive(source, target, eps, budget, record_trail):
         scanned=scanned,
         target=target,
         eps=eps,
-        achieved=Certified.exact(total),
+        achieved=None,
         exact_sum=total,
         trail=tuple(trail) if record_trail else None,
     )
@@ -470,7 +451,7 @@ def _certified_deficit_below(qn, qd, un, ud, bound: Fraction) -> bool:
     if qn * ud == qd * un:
         return True  # deficit exactly zero
     _, hi = fixedlog.ln_quotient_bounds(qn * ud, qd * un, _PREC)
-    return Fraction(hi, 1 << _PREC) < bound
+    return hi * bound.denominator < bound.numerator << _PREC
 
 
 def _budget_upper_bound(source) -> Fraction | None:
@@ -508,7 +489,7 @@ def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
             scanned=0,
             target=target,
             eps=eps,
-            achieved=Certified.exact(Fraction(0)),
+            achieved=(0, 0),
             exact_product=Fraction(1),
             trail=() if record_trail else None,
         )
@@ -606,7 +587,6 @@ def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
         i = j
 
     product = Fraction(st.un, st.ud)
-    lo, hi = fixedlog.ln_fraction_bounds(product, _PREC)
     return Selection(
         ranges=tuple(runs),
         count=count,
@@ -614,9 +594,7 @@ def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
         scanned=scanned,
         target=target,
         eps=eps,
-        achieved=Certified.from_bounds(
-            Fraction(lo, 1 << _PREC), Fraction(hi, 1 << _PREC)
-        ),
+        achieved=fixedlog.ln_fraction_bounds(product, _PREC),
         exact_product=product,
         trail=tuple(trail) if record_trail else None,
     )
@@ -738,7 +716,6 @@ def _continue_fixed_point(
     shift = _PREC - _SB
     d_lo = d_lo192 >> shift
     d_hi = -((-d_hi192) >> shift)
-    eps60 = eps * (1 << _SB)
 
     V = 0
     n_fp = 0
@@ -746,7 +723,7 @@ def _continue_fixed_point(
     status = None
 
     while True:
-        if Fraction(d_hi - V) < eps60:
+        if (d_hi - V) * eps.denominator < eps.numerator << _SB:
             status = CONVERGED
             break
         if budget is not None and i > budget:
@@ -801,8 +778,6 @@ def _continue_fixed_point(
     ranges = tuple(runs)
     count = sum(hi_r - lo_r + 1 for lo_r, hi_r in ranges)
     lo_u, hi_u = fixedlog.ln_quotient_bounds(st.un, st.ud, _PREC)
-    ach_lo = Fraction(lo_u, 1 << _PREC) + Fraction(V, 1 << _SB)
-    ach_hi = Fraction(hi_u, 1 << _PREC) + Fraction(V + n_fp * _C, 1 << _SB)
     return Selection(
         ranges=ranges,
         count=count,
@@ -810,7 +785,7 @@ def _continue_fixed_point(
         scanned=scanned,
         target=target,
         eps=eps,
-        achieved=Certified.from_bounds(ach_lo, ach_hi),
+        achieved=(lo_u + (V << shift), hi_u + ((V + n_fp * _C) << shift)),
         exact_product=None,
         trail=tuple(trail) if record_trail else None,
     )

@@ -12,7 +12,7 @@ from autratio.approximate import (
     choose_two_rank,
     verify_certificate,
 )
-from autratio.autorder import f_exact, two_rank_ratio
+from autratio.autorder import LogValue, f_exact, two_rank_ratio
 from autratio.errors import PrecisionRefusal, SieveCapacityError
 from autratio.groups import SymbolicGroup
 from autratio.primes import PrimeStream
@@ -29,6 +29,18 @@ def independent_product(group, stream) -> Fraction:
         p = stream.nth_prime(i)
         prod *= Fraction(p - 1, p)
     return prod
+
+
+@pytest.mark.parametrize("exact_cap", [10_000, 3])
+def test_unit_result_encloses_the_selection_pair(stream, exact_cap):
+    # the result's LogValue is built from the selection's integer pair
+    r = approx_in_unit(
+        Fraction(3, 10), Fraction(1, 1000), stream=stream,
+        config=ApproxConfig(exact_cap=exact_cap),
+    )
+    assert (r.exact_ratio is None) == (exact_cap == 3)
+    lo, hi = r.trace.selection.achieved
+    assert r.achieved == LogValue.from_bounds(-hi, -lo, fixedlog.PREC)
 
 
 def test_unit_exact_one(stream):

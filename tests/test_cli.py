@@ -7,6 +7,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import autratio.primes
 from autratio import cli
 from autratio.approximate import approx_ray
@@ -162,6 +164,33 @@ def test_probable_prime_above_psi12_is_refused_in_bounded_time():
         code, message = run_cold(argv, timeout=30)
         assert code == 2, message
         assert "psi_12 = 318665857834031151167461" in message
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        # the digit bound refuses these from the text, before Fraction
+        # expands them; 1e1000000 used to run for minutes, the others to
+        # exit 1 with CPython's int conversion limit
+        (["approx", "1e1000000", "--eps", "1e-3"], "MAX_LITERAL_DIGITS = 4300"),
+        (["approx", "1e100000", "--eps", "1e-3"], "MAX_LITERAL_DIGITS = 4300"),
+        (["approx", "0.5", "--eps", "1e-100000"], "MAX_LITERAL_DIGITS = 4300"),
+        (["search", "7" * 5000, "--json"], "MAX_LITERAL_DIGITS = 4300"),
+        (["search", "1/" + "3" * 4301], "MAX_LITERAL_DIGITS = 4300"),
+        # within the digit bound, but eps/b has thousands of digits: the
+        # refusal must not print it
+        (["approx", "1e4299", "--eps", "1e-3"], "resolution 2^-192"),
+        (["approx", "1e4000", "--eps", "1e-3", "--json"], "resolution 2^-192"),
+        # rho spends its step budget on a 1128-bit cofactor
+        (["f", f"C{(2**521 - 1) * (2**607 - 1) * 12}"], "RHO_STEP_BUDGET = 262144"),
+    ],
+)
+def test_unbounded_inputs_are_refused_in_bounded_time(argv, limit):
+    start = time.perf_counter()
+    code, message = run_cold(argv, timeout=60)
+    assert code == 2, message
+    assert limit in message and len(message) < 300, message
     assert time.perf_counter() - start < 10
 
 

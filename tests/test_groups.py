@@ -260,6 +260,15 @@ def test_factorize_splits_large_semiprimes_quickly(p, q):
     assert factorize(6 * p * q * q) == {2: 1, 3: 1, p: 1, q: 2}
 
 
+def test_factorize_refuses_when_rho_spends_its_budget(monkeypatch):
+    # a budget too small for a factor near 10^6 stands in for a composite
+    # whose factors are all too large for rho
+    monkeypatch.setattr(groups_mod, "RHO_STEP_BUDGET", 64)
+    with pytest.raises(InputLimitExceeded, match="RHO_STEP_BUDGET = 64 steps"):
+        factorize(12 * 1_000_003 * 1_000_033)
+    assert factorize(12 * 1031 * 1033) == {2: 2, 3: 1, 1031: 1, 1033: 1}
+
+
 def test_factorize_splits_composites_without_small_factors():
     # every prime factor above the trial-division limit, repeated factors too
     for want in [{1031: 2}, {1031: 3, 1033: 1}, {1_048_583: 1, 999_983: 2, 4099: 1}]:

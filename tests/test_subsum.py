@@ -45,7 +45,6 @@ def test_harmonic_exact_hit():
     assert sel.status == CONVERGED
     assert list(sel.indices()) == [1, 2]
     assert sel.exact_sum == Fraction(3, 2)
-    assert sel.achieved.abs_error == 0
     # exhaustive oracle over the first 20 terms: {1, 2} is an exact hit,
     # and no subset achieves a sum in (3/2, 3/2] beyond it (one-sidedness)
     import itertools
@@ -193,14 +192,53 @@ def test_exact_cap_switches_to_fixed_point(stream):
     assert Fraction(hi, 1 << PREC) < eps
     # the run's enclosure really contains the true selected sum
     lo_t, hi_t = ln_fraction_bounds(recomputed, PREC)
-    assert mixed.achieved.lo <= Fraction(hi_t, 1 << PREC)
-    assert mixed.achieved.hi >= Fraction(lo_t, 1 << PREC)
+    assert mixed.achieved[0] <= hi_t
+    assert mixed.achieved[1] >= lo_t
     # the fully exact run of the same instance obeys the same contract
     exact = greedy_select(src, LogTarget(q), eps, exact_cap=10**6)
     assert exact.status == CONVERGED and exact.exact_product is not None
     assert exact.exact_product <= q
     _, hi2 = ln_fraction_bounds(q / exact.exact_product, PREC)
     assert Fraction(hi2, 1 << PREC) < eps
+
+
+@pytest.mark.parametrize(
+    "q, exact_cap, status",
+    [
+        (Fraction(27, 10), DEFAULT_EXACT_CAP, "exact"),
+        (Fraction(27, 10), 3, "continuation"),
+        (Fraction(40), DEFAULT_EXACT_CAP, CAPACITY_EXHAUSTED),  # fail-fast
+    ],
+)
+def test_log_ratio_achieved_is_an_integer_enclosure(stream, q, exact_cap, status):
+    # achieved is (lo, hi) with the selected sum in [lo, hi] * 2**-PREC,
+    # checked against an enclosure of the re-multiplied product at 2 * PREC
+    from autratio.fixedlog import PREC, ln_fraction_bounds
+
+    src = prime_ratio_terms(False, stream)
+    sel = greedy_select(src, LogTarget(q), Fraction(1, 10**5), exact_cap=exact_cap)
+    if status == CAPACITY_EXHAUSTED:
+        assert sel.status == status and sel.scanned == 0
+    else:
+        assert sel.status == CONVERGED
+        assert (sel.exact_product is not None) == (status == "exact")
+    lo, hi = sel.achieved
+    assert type(lo) is int and type(hi) is int and lo <= hi
+    product = math.prod(Fraction(p, p - 1) for p in map(src.prime, sel.indices()))
+    t_lo, t_hi = ln_fraction_bounds(product, 2 * PREC)
+    assert lo << PREC <= t_hi and t_lo <= hi << PREC
+
+
+def test_certified_deficit_below_decides_at_the_bound():
+    # the float screen reaches this check only when the deficit is within
+    # a few ulps of eps, so the greedy's own tests barely exercise it:
+    # ln 2 = 0.693147...
+    from autratio.subsum import _certified_deficit_below
+
+    assert _certified_deficit_below(2, 1, 1, 1, Fraction(6932, 10000))
+    assert not _certified_deficit_below(2, 1, 1, 1, Fraction(6931, 10000))
+    assert not _certified_deficit_below(4, 1, 3, 2, Fraction(6931, 10000))
+    assert _certified_deficit_below(3, 2, 3, 2, Fraction(1, 10**30))  # zero
 
 
 def test_mixed_phase_random_differential(stream):
