@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from math import inf, nextafter, prod
 
@@ -141,8 +142,9 @@ def f_prime_exact(g: AbelianGroup) -> Fraction:
     return Fraction(aut_order(g), euler_phi_of_order(g))
 
 
+@lru_cache(maxsize=128)
 def two_rank_ratio(n: int) -> Fraction:
-    """f(C2^n) = |GL_n(F_2)| / 2^n  (1 for n = 0)."""
+    """f(C2^n) = |GL_n(F_2)| / 2^n  (1 for n = 0), computed once per n."""
     if n < 0:
         raise ValueError("n must be >= 0")
     return Fraction(aut_order_local(2, (1,) * n), 2**n) if n else Fraction(1)

@@ -25,10 +25,12 @@ Two precision regimes are used:
 * a vectorized int64 regime at 60 fractional bits for bulk evaluation of
   ln(p/(p-1)) over millions of primes.
 
-There are two int64 kernels.  ``term_block_fp60`` is the greedy's kernel:
-floor values per prime, with the uniform per-term error constant
-``TERM_ERR60`` (the true value overshoots the stored one by strictly less
-than TERM_ERR60 units of 2**-60).  ``term_block_atanh60`` sums a different
+There are two int64 kernels.  ``term_block_fp60`` is the greedy's kernel
+in both of its phases: floor values per prime, with the uniform per-term
+error constant ``TERM_ERR60`` (the true value overshoots the stored one by
+strictly less than TERM_ERR60 units of 2**-60).  The exact phase screens
+its decisions with integer enclosures built from these terms, and the
+60-bit continuation sums them.  ``term_block_atanh60`` sums a different
 series into one enclosure per block; it encloses ln f(G) for the second
 pass and for ``autorder.f_log`` above 65,536 odd primes, so an error in
 one kernel cannot hide in both the greedy and its verifier.

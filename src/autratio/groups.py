@@ -9,7 +9,7 @@ equal exactly when the groups are isomorphic.
 >>> g.factors
 ((2, (1, 2)), (3, (2,)))
 >>> order(g)
-36
+72
 >>> format_group(g)
 'C2 x C4 x C9'
 
@@ -83,15 +83,13 @@ def _is_prime(n: int) -> bool:
 _TRIAL_LIMIT = 1 << 10
 
 
-def _trial_divide(
-    n: int, out: dict[int, int], limit: int | None
-) -> tuple[int, bool]:
-    """Divide out of n every prime factor below ``limit`` (None: below
-    sqrt(n)), counting them in ``out``.
+def _trial_divide(n: int, out: dict[int, int]) -> tuple[int, bool]:
+    """Divide out of n every prime factor below _TRIAL_LIMIT, counting them
+    in ``out``.
 
     Stops early once the cofactor is proven prime (below _MR_PROVEN_BELOW).
     Returns the cofactor and whether it is known to be 1 or prime; when it
-    is not, it has no prime factor below ``limit``.
+    is not, it has no prime factor below _TRIAL_LIMIT.
     """
     for p in (2, 3):
         while n % p == 0:
@@ -99,7 +97,7 @@ def _trial_divide(
             out[p] = out.get(p, 0) + 1
     f = 5
     cofactor_prime = n < _MR_PROVEN_BELOW and _is_prime(n)
-    while f * f <= n and not cofactor_prime and (limit is None or f < limit):
+    while f * f <= n and not cofactor_prime and f < _TRIAL_LIMIT:
         for p in (f, f + 2):
             if n % p == 0:
                 while n % p == 0:
@@ -111,10 +109,11 @@ def _trial_divide(
 
 
 # The most rho steps (iterations of x -> x^2 + c) that factorize spends on
-# one composite cofactor.  Random semiprimes with a 30-bit factor took at
-# most 123,518; a 1128-bit cofactor spends the budget in about 2.6 s on one
-# core of a 2-vCPU Xeon, and the cost of a step grows with the square of
-# the cofactor's size.
+# one composite cofactor of up to 1128 bits.  Random semiprimes with a
+# 30-bit factor took at most 123,518; a 1128-bit cofactor spends the budget
+# in about 2.6 s on one core of a 2-vCPU Xeon.  The cost of a step grows
+# with the square of the cofactor's size, so a larger cofactor gets
+# RHO_STEP_BUDGET * (1128 / bits)**2 steps, about the same time.
 RHO_STEP_BUDGET = 1 << 18
 
 
@@ -122,14 +121,17 @@ def _pollard_brent(n: int) -> int | None:
     """A proper divisor of a composite n that has no prime factor below
     _TRIAL_LIMIT: Pollard's rho with Brent's cycle detection, gcds batched
     over 128 steps, polynomials x^2 + c for c = 1, 2, ... until one splits n.
-    None when RHO_STEP_BUDGET steps found no divisor.
+    None when the step budget (RHO_STEP_BUDGET, scaled down above 1128
+    bits) found no divisor.
     """
+    bits = n.bit_length()
+    budget = RHO_STEP_BUDGET * min(bits, 1128) ** 2 // bits**2
     steps = 0
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             steps += 2 * r  # this round: r steps, then at most r more
-            if steps > RHO_STEP_BUDGET:
+            if steps > budget:
                 return None
             x = y
             for _ in range(r):
@@ -165,13 +167,13 @@ def factorize(n: int) -> dict[int, int]:
     Miller-Rabin at or above _MR_PROVEN_BELOW is only probably prime, and
     proving it prime or composite is out of reach here (trial division
     would cost sqrt(n) steps), so factorize raises InputLimitExceeded; so
-    it does when Pollard-Brent spends RHO_STEP_BUDGET steps on a cofactor
+    it does when Pollard-Brent spends its step budget on a cofactor
     without splitting it.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
-    m, known = _trial_divide(n, out, _TRIAL_LIMIT)
+    m, known = _trial_divide(n, out)
     if known:
         if m > 1:
             out[m] = 1  # a prime above every factor divided out
@@ -185,7 +187,8 @@ def factorize(n: int) -> dict[int, int]:
                 raise InputLimitExceeded(
                     f"cannot factor {_short(n)}: Pollard-Brent found no "
                     f"factor of a composite cofactor of {m.bit_length()} bits "
-                    f"within RHO_STEP_BUDGET = {RHO_STEP_BUDGET} steps"
+                    f"within RHO_STEP_BUDGET = {RHO_STEP_BUDGET} steps, "
+                    f"scaled by (1128 / bits)^2 above 1128 bits"
                 )
             todo += [d, m // d]
             continue

@@ -15,17 +15,21 @@ Two kinds of term source are supported:
 * ``PrimeRatioSource`` with terms x_i = ln(p_i/(p_i - 1)).  The terms are
   irrational but each is the log of a rational, so against a ``LogTarget``
   (a target of the form ln(Q), Q rational) every greedy decision reduces
-  to an exact comparison on the running product  U = prod p/(p-1).  A
-  float shadow of ln U with a proven error bound settles most comparisons
-  without touching U.  Once the greedy has included a streak of
+  to an exact comparison on the running product  U = prod p/(p-1).  Both
+  phases read one table of floor terms at scale 2**-60
+  (``fixedlog.term_block_fp60``, each under its true value by less than
+  ``fixedlog.TERM_ERR60`` units), so there is one error model.  The exact
+  phase keeps an integer enclosure of ln U built from those terms, which
+  settles most comparisons without touching U; the ambiguous rest is
+  decided on U exactly.  Once the greedy has included a streak of
   consecutive terms, it proves a whole run of further inclusions at once
-  with one float64 prefix sum over the sieved terms and multiplies the run
-  into U with one product tree per side; the selection is the one the
-  term-by-term scan makes.  Runs that outgrow ``exact_cap`` included terms
-  continue in certified 60-bit fixed point, where whole include/skip runs
-  are located by binary search on error-adjusted prefix sums; convergence
-  is declared only when the certified deficit (arithmetic error included)
-  is below the tolerance.
+  with one prefix sum over the table and multiplies the run into U with
+  one product tree per side; the selection is the one the term-by-term
+  scan makes.  Runs that outgrow ``exact_cap`` included terms continue in
+  certified 60-bit fixed point, where whole include/skip runs are located
+  by binary search on error-adjusted prefix sums; convergence is declared
+  only when the certified deficit (arithmetic error included) is below
+  the tolerance.
 
 A log-ratio run returns its enclosure of the selected sum as one integer
 pair (lo, hi) at scale 2**-``fixedlog.PREC``, the form ``fixedlog``
@@ -141,27 +145,34 @@ class PrimeRatioSource:
         self.description = "ln(p/(p-1)) over " + (
             "odd primes" if odd_only else "all primes"
         )
-        # primes of source indices _block_start, _block_start + 1, ...
+        # (prime, floor term) of source indices _block_start, _block_start + 1, ...
         self._block_start = 0
-        self._block: list[int] = []
+        self._block: list[tuple[int, int]] = []
 
     def prime_index(self, i: int) -> int:
         if i < 1:
             raise ValueError("term index must be >= 1")
         return i + 1 if self.odd_only else i
 
-    def prime(self, i: int) -> int:
-        """The prime of source index i, read from a list slice of the
-        stream: consecutive reads, as the greedy's scan makes, cost a list
-        index.  Far probes (``far_prime``) leave the slice alone."""
+    def read(self, i: int) -> tuple[int, int]:
+        """The prime of source index i and its floor term at scale 2**-60,
+        from one block sliced from the stream and from its term table:
+        consecutive reads, as the greedy's scan makes, cost a list index.
+        Far probes (``far_prime``) leave the block alone."""
         k = i - self._block_start
         if 0 <= k < len(self._block):
             return self._block[k]
         j = self.prime_index(i)
         hi = max(j, min(j + _READ_BLOCK - 1, self.stream.count))
-        self._block = self.stream.primes_slice(j, hi).tolist()
+        primes = self.stream.primes_slice(j, hi).tolist()
+        terms = _stream_term60_cache(self.stream, hi)[j - 1 : hi].tolist()
+        self._block = list(zip(primes, terms))
         self._block_start = i
         return self._block[0]
+
+    def prime(self, i: int) -> int:
+        """The prime of source index i (see ``read``)."""
+        return self.read(i)[0]
 
     def far_prime(self, i: int) -> int:
         """The prime of source index i, read alone, for probes far ahead
@@ -173,17 +184,17 @@ class PrimeRatioSource:
         return self.stream.count - (1 if self.odd_only else 0)
 
     def term60_array(self, count: int) -> np.ndarray:
-        """Floor terms at scale 2**-60 for source indices 1..count.
+        """Floor terms at scale 2**-60 for source indices 1..count, a view
+        of the stream's table.
 
         Requires the stream to already cover the needed primes.
         """
-        cache = _stream_term60_cache(self.stream, self.prime_index(count))
-        if self.odd_only:
-            return cache[:count]
-        return np.concatenate(([_LN2_FLOOR60], cache[: count - 1]))
+        first = self.prime_index(1)
+        cache = _stream_term60_cache(self.stream, first + count - 1)
+        return cache[first - 1 : first - 1 + count]
 
 
-# primes per list slice that PrimeRatioSource.prime reads at once
+# (prime, term) pairs per block that PrimeRatioSource.read reads at once
 _READ_BLOCK = 256
 
 _LN2_FLOOR60 = np.int64(
@@ -192,21 +203,27 @@ _LN2_FLOOR60 = np.int64(
 
 
 def _stream_term60_cache(stream: PrimeStream, upto_prime_index: int) -> np.ndarray:
-    """Growing per-stream cache of floor terms for prime indices >= 2.
+    """Growing per-stream table of floor terms: entry k - 1 is that of the
+    k-th prime, ln 2's at entry 0.
 
-    New terms are computed a window at a time straight into the grown
+    The table at least doubles when it grows, up to the sieve's extent, and
+    new terms are computed a window at a time straight into the grown
     array, so the kernel's temporaries stay at a window's size."""
     cache = getattr(stream, "_term60_cache", None)
     have = 0 if cache is None else len(cache)
-    if upto_prime_index - 1 > have:
+    if upto_prime_index > have:
         stream._ensure_count(upto_prime_index)
-        grown = np.empty(upto_prime_index - 1, dtype=np.int64)
+        size = max(upto_prime_index, min(2 * have, stream.count))
+        grown = np.empty(size, dtype=np.int64)
         if have:
             grown[:have] = cache
-        lo = have + 2
-        while lo <= upto_prime_index:
-            hi = min(lo + _WINDOW - 1, upto_prime_index)
-            grown[lo - 2 : hi - 1] = fixedlog.term_block_fp60(stream.primes_slice(lo, hi))
+        else:
+            grown[0] = _LN2_FLOOR60
+            have = 1
+        lo = have + 1
+        while lo <= size:
+            hi = min(lo + _WINDOW - 1, size)
+            grown[lo - 1 : hi] = fixedlog.term_block_fp60(stream.primes_slice(lo, hi))
             lo = hi + 1
         cache = stream._term60_cache = grown
     return cache
@@ -372,78 +389,39 @@ def _greedy_additive(source, target, eps, budget, record_trail):
 
 
 class _ProductState:
-    """Running product U = prod p/(p-1) as raw integers (gcd-free), with a
-    float shadow ``lnu`` of ln U that screens the exact comparisons.
+    """Running product U = prod p/(p-1) as raw integers (gcd-free), with an
+    integer enclosure [lo, hi] * 2**-60 of ln U that screens the exact
+    comparisons.
 
     The pair is never reduced while the greedy runs: a gcd of two products
     of thousands of primes costs more than the rest of the greedy, and the
-    enclosures of ln U are as rigorous without it.  Only a fully exact
-    run's returned product is reduced.
+    enclosure of ln U is as rigorous without it.  Only a fully exact run's
+    returned product is reduced.
 
-    ``drift`` is a proven bound on |lnu - ln U|, so a screen answers only
-    when it is certain, and otherwise the exact comparison decides: every
-    decision, and hence every selection, is the exact one.  The proof
-    assumes float64 arithmetic rounded to nearest and ``log``/``log1p``
-    within one ulp of the true value, and it uses ulp(y) <= 2**-52 * y.
-
-    * Per term (``term_err``).  math.log(p) - math.log(p - 1) differs from
-      ln(p/(p-1)) by at most 2 ulp(ln p) <= 2**-51 ln p: each log is off
-      by at most ulp(ln p), and the subtraction is exact (Sterbenz: the
-      two logs lie within a factor 2 of each other for p >= 3, and
-      ln 1 = 0).  The run pass computes log1p(1/(p-1)): the division
-      rounds 1/(p-1) by a relative 2**-53, which moves the result by at
-      most 2**-53 x for x = ln(p/(p-1)), and log1p adds one ulp(x) <=
-      2**-52 x; 3 * 2**-53 x <= 2**-51 ln p since x <= ln 2 <= ln p.
-      Adding the term to a running sum rounds once, by at most 2**-53
-      times the new sum, which stays below |ln Q| + 1 while terms fit
-      (``add_err``).
-    * At a sync, ``ln_quotient_bounds(un, ud, 64)`` encloses ln U in
-      [lo, hi] * 2**-64; lnu is its midpoint rounded to float, so
-      |lnu - ln U| <= (hi - lo) / 2**65 + 2**-53 |lnu|.
-    * ``slack`` covers the fixed errors of one screen: the error of
-      ``lnq``, half the width of its 64-bit enclosure plus its rounding,
-      and the rounding of the few float operations that form a screen
-      (a few ``add_err``).
+    The enclosure is the table's model: a term's true value lies in
+    [t, t + TERM_ERR60) units for its floor term t, so an inclusion adds t
+    to ``lo`` and t + TERM_ERR60 to ``hi``.
     """
 
-    __slots__ = ("un", "ud", "lnu", "drift", "since_sync", "lnq", "add_err", "slack")
+    __slots__ = ("un", "ud", "lo", "hi")
 
-    def __init__(self, q_lo: int, q_hi: int):
-        self.un = 1
-        self.ud = 1
-        self.lnu = 0.0
-        self.drift = 0.0
-        self.since_sync = 0
-        # ln Q enclosed in [q_lo, q_hi] * 2**-64
-        self.lnq = (q_lo + q_hi) / 2 / 2.0**64
-        self.add_err = 2.0**-53 * (abs(self.lnq) + 1)
-        self.slack = (q_hi - q_lo) / 2.0**65 + 2.0**-52 * abs(self.lnq) + 4 * self.add_err
+    def __init__(self):
+        self.un = self.ud = 1
+        self.lo = self.hi = 0
 
-    def term_err(self, lnp: float) -> float:
-        """Bound on one included term's error for a prime of log ``lnp``
-        (or any larger one), its addition's rounding included."""
-        return 2.0**-51 * lnp + self.add_err
-
-    def include(self, p: int, x_f: float, err: float):
+    def include(self, p: int, t: int):
         self.un *= p
         self.ud *= p - 1
-        self.lnu += x_f
-        self.drift += err
-        self.since_sync += 1
-        if self.since_sync >= 1024:
-            self.sync()
+        self.lo += t
+        self.hi += t + _C
 
-    def include_run(self, primes: np.ndarray):
+    def include_run(self, primes: np.ndarray, terms: np.ndarray):
         """Multiply a run of primes in by one product tree each side."""
         self.un *= product_tree(primes.tolist())
         self.ud *= product_tree((primes - 1).tolist())
-        self.sync()
-
-    def sync(self):
-        lo, hi = fixedlog.ln_quotient_bounds(self.un, self.ud, 64)
-        self.lnu = (lo + hi) / 2 / 2.0**64
-        self.drift = (hi - lo) / 2.0**65 + 2.0**-52 * abs(self.lnu)
-        self.since_sync = 0
+        total = int(terms.sum())
+        self.lo += total
+        self.hi += total + len(terms) * _C
 
 
 def _certified_deficit_below(qn, qd, un, ud, bound: Fraction) -> bool:
@@ -477,9 +455,10 @@ _RUN_MAX = 1 << 16
 
 def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
     qn, qd = target.ratio.numerator, target.ratio.denominator
-    q_lo, q_hi = fixedlog.ln_quotient_bounds(qn, qd, 64)
+    # ln Q enclosed in [q_lo, q_hi] * 2**-60, the scale of the term table
+    q_lo, q_hi = fixedlog.ln_quotient_bounds(qn, qd, _SB)
     avail = _budget_upper_bound(source)
-    if avail is not None and Fraction(q_lo, 1 << 64) - avail >= eps:
+    if avail is not None and Fraction(q_lo, 1 << _SB) - avail >= eps:
         # even selecting every prime under the ceiling leaves a deficit of
         # at least eps: fail fast instead of crawling the sieve
         return Selection(
@@ -493,9 +472,8 @@ def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
             exact_product=Fraction(1),
             trail=() if record_trail else None,
         )
-    st = _ProductState(q_lo, q_hi)
-    # float eps rounded up, far enough to absorb its own rounding
-    eps_hi = float(eps) * (1 + 2.0**-50)
+    st = _ProductState()
+    eps60 = -((-eps.numerator << _SB) // eps.denominator)  # ceil(eps * 2**60)
     runs: list[tuple[int, int]] = []  # the included indices
     count = 0
     trail: list[tuple] = []
@@ -507,10 +485,13 @@ def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
 
     while True:
         if deficit_dirty:
-            if st.lnq - st.lnu < eps_hi + st.drift + st.slack:
-                if _certified_deficit_below(qn, qd, st.un, st.ud, eps):
-                    status = CONVERGED
-                    break
+            # ln(Q/U) >= (q_lo - hi) * 2**-60, so the certified test can
+            # only succeed below eps60
+            if q_lo - st.hi < eps60 and _certified_deficit_below(
+                qn, qd, st.un, st.ud, eps
+            ):
+                status = CONVERGED
+                break
             deficit_dirty = False
         if budget is not None and i > budget:
             status = BUDGET_EXHAUSTED
@@ -525,44 +506,40 @@ def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
             if budget is not None:
                 room = min(room, budget - i + 1)
             if room > 0:
-                run = _certain_run(source, st, i, room, eps_hi)
-                if len(run) < room:
+                primes, terms = _certain_run(source, st, i, room, q_lo, eps60)
+                if len(primes) < room:
                     streak, block = 0, _STREAK
                 else:
                     block = min(2 * block, _RUN_MAX)
-                if len(run):
-                    st.include_run(run)
-                    j = i + len(run)
+                if len(primes):
+                    st.include_run(primes, terms)
+                    j = i + len(primes)
                     _add_run(runs, i, j - 1)
-                    count += len(run)
+                    count += len(primes)
                     if record_trail:
                         trail.extend(
-                            ("include", k, p) for k, p in zip(range(i, j), run.tolist())
+                            ("include", k, p) for k, p in zip(range(i, j), primes.tolist())
                         )
                     i = j
                     scanned = i - 1
                     deficit_dirty = True
                     continue
         try:
-            p = source.prime(i)
+            p, t = source.read(i)
         except SieveCapacityError:
             status = CAPACITY_EXHAUSTED
             break
         scanned = i
-        lnp = math.log(p)
-        x_f = lnp - math.log(p - 1)
-        # include iff U * p/(p-1) <= Q, screened by the float shadow
-        err = st.term_err(lnp)
-        margin = st.drift + err + st.slack
-        shadow = st.lnu + x_f - st.lnq
-        if shadow <= -margin:
+        # include iff U * p/(p-1) <= Q, screened by the enclosures of ln U,
+        # of the term (in [t, t + C)) and of ln Q
+        if st.hi + t + _C <= q_lo:
             fits = True
-        elif shadow >= margin:
+        elif st.lo + t > q_hi:
             fits = False
         else:
             fits = st.un * p * qd <= st.ud * (p - 1) * qn
         if fits:
-            st.include(p, x_f, err)
+            st.include(p, t)
             _add_run(runs, i, i)
             count += 1
             deficit_dirty = True
@@ -609,32 +586,28 @@ def _add_run(runs: list[tuple[int, int]], lo: int, hi: int) -> None:
 
 
 def _certain_run(
-    source, st: _ProductState, i: int, room: int, eps_hi: float
-) -> np.ndarray:
-    """Primes of the longest run of terms i, i+1, ..., i+room-1 (already
-    sieved) that the scalar path would include one after another, as far
-    as one float64 prefix sum proves it.
+    source, st: _ProductState, i: int, room: int, q_lo: int, eps60: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Primes and floor terms of the longest run of terms i, i+1, ...,
+    i+room-1 (already sieved) that the scalar path would include one after
+    another, as far as the integer enclosures prove it.
 
-    With S_k the float sum of ln U and the first k terms and M_k =
-    drift + add_err + k * term_err(ln p_max) + slack its proven error
-    (``_ProductState``), S_k + M_k <= ln Q proves that the k-th term fits,
-    and S_k + M_k <= ln Q - eps proves that the deficit after it is still
-    at least eps, so the scalar path does not stop there.  The run takes
-    k = 1, 2, ... while the k-th term fits and every earlier one left the
-    deficit at eps or more.  Both sides are monotone in k, so one
-    searchsorted each finds the end.  Partial sums only grow and stay at
-    most ln Q inside the run, which is what add_err assumes.
+    With T_k the sum of the first k table terms plus k * C, the true sum of
+    ln U and those terms is below hi + T_k, so hi + T_k <= q_lo proves that
+    the k-th term fits, and hi + T_k <= q_lo - eps60 proves that the
+    deficit after it is still at least eps, so the scalar path does not
+    stop there.  The run takes k = 1, 2, ... while the k-th term fits and
+    every earlier one left the deficit at eps or more; both prefixes come
+    from ``_fitting_prefix``.
     """
-    primes = source.stream.primes_slice(
-        source.prime_index(i), source.prime_index(i + room - 1)
-    )
-    s = np.cumsum(np.log1p(1.0 / (primes - 1)))
-    s += st.lnu
-    e = st.term_err(math.log(int(primes[-1])))
-    s += st.drift + st.add_err + st.slack + e * np.arange(1, room + 1)
-    fit = int(np.searchsorted(s, st.lnq, side="right"))
-    open_ = int(np.searchsorted(s, st.lnq - eps_hi, side="right"))
-    return primes[: min(fit, open_ + 1)]
+    j = source.prime_index(i)
+    primes = source.stream.primes_slice(j, j + room - 1)
+    terms = source.term60_array(i + room - 1)[i - 1 :]
+    gap = q_lo - st.hi
+    fit, _ = _fitting_prefix(terms, gap)
+    open_, _ = _fitting_prefix(terms, gap - eps60)
+    n = min(fit, open_ + 1)
+    return primes[:n], terms[:n]
 
 
 def _first_fitting_ratio(source, i, st, qn, qd, budget):

@@ -269,6 +269,15 @@ def test_factorize_refuses_when_rho_spends_its_budget(monkeypatch):
     assert factorize(12 * 1031 * 1033) == {2: 2, 3: 1, 1031: 1, 1033: 1}
 
 
+def test_factorize_rho_budget_scales_with_cofactor_size():
+    # M2203 * M2281 (4484 bits): a rho step costs about 16 times one at
+    # 1128 bits, so the full step budget would take about 25 s
+    start = time.perf_counter()
+    with pytest.raises(InputLimitExceeded, match="4484 bits"):
+        factorize((2**2203 - 1) * (2**2281 - 1))
+    assert time.perf_counter() - start < 5.0
+
+
 def test_factorize_splits_composites_without_small_factors():
     # every prime factor above the trial-division limit, repeated factors too
     for want in [{1031: 2}, {1031: 3, 1033: 1}, {1_048_583: 1, 999_983: 2, 4099: 1}]:

@@ -446,8 +446,8 @@ _DIFF_CASES = [
     # deficit falls below it in the middle of an inclusion run
     *[(3 / Fraction(e), Fraction(1), False) for e in ("1/10", "1/15", "1/20")],
     # Q is the product over the first 1000 primes (7919 is the 1000th),
-    # less a relative 1e-12: the 1000th prime misses by far less than any
-    # float shadow's error, so only a sound margin stops the run before it
+    # less a relative 1e-12: the 1000th prime misses by less than a float's
+    # rounding, so only a sound margin stops the run before it
     (
         math.prod(Fraction(p, p - 1) for p in _primes_upto(7919)) * (1 - Fraction(1, 10**12)),
         Fraction(1, 10**6),
@@ -455,6 +455,14 @@ _DIFF_CASES = [
     ),
     # odd-only unit targets a/21 just above 1.5
     *[(21 / Fraction(a), Fraction(1, 10**5), True) for a in ("1.5001", "1.52")],
+    # the same product less a relative 1e-16: the miss is below the table
+    # model's accumulated width (1000 * 64 * 2**-60 = 5.6e-14), so only the
+    # exact comparison stops the run
+    (
+        math.prod(Fraction(p, p - 1) for p in _primes_upto(7919)) * (1 - Fraction(1, 10**16)),
+        Fraction(1, 10**6),
+        False,
+    ),
 ]
 
 
@@ -513,6 +521,59 @@ def test_exact_phase_budget_cut_matches_plain_exact_greedy():
         want = exact_greedy(q, eps, False, budget, DEFAULT_EXACT_CAP)
         assert got.status == BUDGET_EXHAUSTED
         assert {k: getattr(got, k) for k in want} == want
+
+
+def test_stream_term_table_layout():
+    import numpy as np
+
+    from autratio.fixedlog import term_block_fp60
+    from autratio.subsum import _LN2_FLOOR60
+
+    s = PrimeStream()
+    odd, every = prime_ratio_terms(True, s), prime_ratio_terms(False, s)
+    assert not hasattr(s, "_term60_cache")  # made on first read
+    odd.term60_array(5000)
+    table = s._term60_cache
+    # entry 0 is ln 2's floor, entry k - 1 the k-th prime's term for k >= 2
+    assert table[0] == _LN2_FLOOR60
+    assert (table[1:5001] == term_block_fp60(s.primes_slice(2, 5001))).all()
+    for src, first in [(odd, 2), (every, 1)]:
+        view = src.term60_array(3000)
+        assert len(view) == 3000 and np.shares_memory(view, s._term60_cache)
+        assert (view == s._term60_cache[first - 1 : first + 2999]).all()
+    for src in (odd, every):
+        for i in [1, 2, 255, 256, 257, 2999, 3000]:
+            assert src.read(i) == (src.prime(i), int(src.term60_array(i)[i - 1]))
+            assert src.prime(i) == s.nth_prime(src.prime_index(i))
+
+
+def test_product_state_encloses_ln_u(stream):
+    # random include and run sequences keep lo * 2**-60 <= ln U <= hi * 2**-60
+    from autratio.fixedlog import ln_quotient_bounds
+    from autratio.subsum import _ProductState
+
+    rng = random.Random(77)
+    for odd_only in (False, True):
+        src = prime_ratio_terms(odd_only, stream)
+        for _ in range(20):
+            st = _ProductState()
+            i = 1
+            for _ in range(rng.randint(1, 12)):
+                i += rng.randint(0, 50)  # skipped indices
+                n = rng.randint(1, 300)
+                if rng.random() < 0.5:
+                    for k in range(i, i + n):
+                        st.include(*src.read(k))
+                else:
+                    j = src.prime_index(i)
+                    st.include_run(
+                        stream.primes_slice(j, j + n - 1),
+                        src.term60_array(i + n - 1)[i - 1 :],
+                    )
+                i += n
+            assert type(st.lo) is int and type(st.hi) is int
+            lo120, hi120 = ln_quotient_bounds(st.un, st.ud, 120)
+            assert st.lo << 60 <= lo120 and hi120 <= st.hi << 60
 
 
 def test_term60_cache_grows_in_place():
