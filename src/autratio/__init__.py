@@ -28,7 +28,7 @@ from .groups import (
     order,
     parse_group,
 )
-from .primes import PrimeStream, estimate_sieve_limit, nth_prime, shared_stream
+from .primes import PrimeStream, nth_prime, shared_stream
 from .autorder import (
     LogValue,
     Ratio,
@@ -82,7 +82,6 @@ __all__ = [
     "PrimeStream",
     "shared_stream",
     "nth_prime",
-    "estimate_sieve_limit",
     "Ratio",
     "LogValue",
     "aut_order",

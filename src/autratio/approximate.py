@@ -50,7 +50,14 @@ _PREC = fixedlog.PREC
 
 @dataclass(frozen=True)
 class ApproxConfig:
-    """Resource knobs; correctness never depends on them."""
+    """Resource knobs; correctness never depends on them.
+
+    ``budget`` caps the greedy's highest term index.  ``exact_cap`` is the
+    number of included primes up to which a decision that the greedy's
+    60-bit enclosures cannot settle is taken exactly on the product, and
+    an exact ratio is returned; past it such a decision is conservative
+    and the result is certified by its enclosure.
+    """
 
     budget: int | None = DEFAULT_BUDGET
     exact_cap: int = DEFAULT_EXACT_CAP
@@ -132,7 +139,7 @@ def _greedy_unit(
         record_trail=record_trail,
         exact_cap=config.exact_cap,
     )
-    max_p = source.far_prime(sel.scanned) if sel.scanned else 0
+    max_p = source.prime(sel.scanned) if sel.scanned else 0
     if sel.status != CONVERGED:
         if below_eps:
             msg = (

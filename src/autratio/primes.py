@@ -3,10 +3,7 @@
 A shared, extendable segmented sieve is the package's one prime source: it
 supplies the indexed prime sequence p1 < p2 < ... (1-based, p1 = 2) and the
 list of primes up to a bound, growing on demand but never past its hard
-ceiling.  ``estimate_sieve_limit`` predicts the sieve limit that a requested
-sum of ln(p/(p-1)) over odd primes needs; the estimate is deliberately
-conservative and only reports on the budget (``scripts/sieve_budget.py``);
-nothing sizes the sieve from it.
+ceiling.
 """
 
 from __future__ import annotations
@@ -23,14 +20,9 @@ __all__ = [
     "PrimeStream",
     "shared_stream",
     "nth_prime",
-    "estimate_sieve_limit",
     "DEFAULT_CEILING",
-    "MERTENS",
-    "EULER_GAMMA",
 ]
 
-MERTENS = 0.2614972128476428
-EULER_GAMMA = 0.5772156649015329
 DEFAULT_CEILING = 10**8
 _SEGMENT = 1 << 22
 
@@ -60,7 +52,7 @@ class PrimeStream:
     def __init__(self, ceiling: int | None = None):
         self.ceiling = _hard_ceiling(ceiling)
         self._lock = threading.Lock()
-        self._limit = 1 << 16
+        self._limit = min(1 << 16, self.ceiling)
         self._primes = _simple_sieve(self._limit)
 
     @property
@@ -168,37 +160,3 @@ def shared_stream() -> PrimeStream:
 def nth_prime(i: int, stream: PrimeStream | None = None) -> int:
     return (stream or shared_stream()).nth_prime(i)
 
-
-def estimate_sieve_limit(
-    target_log_sum: float, ceiling: int | None = None
-) -> int:
-    """Sieve limit x whose odd primes should carry at least ``target_log_sum``
-    of ln(p/(p-1)) budget.
-
-    Primary sizing inverts  lnln x + M - ln 2 >= target + 0.5  (Mertens
-    constant M, fixed safety margin 0.5).  That is loose by design; when it
-    overshoots the hard ceiling, a tighter Euler-gamma-based bound with a
-    0.1 margin is tried before giving up.  Raises SieveCapacityError when
-    the target is unreachable under the ceiling.
-    """
-    if target_log_sum < 0:
-        raise ValueError("target_log_sum must be >= 0")
-    cap = _hard_ceiling(ceiling)
-
-    def invert(margin: float, constant: float) -> float:
-        inner = target_log_sum + margin + math.log(2) - constant
-        if inner > 6.0:  # exp(exp(6)) ~ 1e175, past any plausible ceiling
-            return math.inf
-        return math.exp(math.exp(inner))
-
-    x = invert(0.5, MERTENS)
-    if x <= cap:
-        # a zero budget means "any limit works"; hand back a small default
-        return 1000 if target_log_sum == 0 else max(16, math.ceil(x))
-    x = invert(0.1, EULER_GAMMA)
-    if x <= cap:
-        return max(16, math.ceil(x))
-    raise SieveCapacityError(
-        f"insufficient sieve capacity: log-sum target {target_log_sum:.6g} "
-        f"needs a sieve past the ceiling {cap}"
-    )

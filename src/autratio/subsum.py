@@ -15,21 +15,20 @@ Two kinds of term source are supported:
 * ``PrimeRatioSource`` with terms x_i = ln(p_i/(p_i - 1)).  The terms are
   irrational but each is the log of a rational, so against a ``LogTarget``
   (a target of the form ln(Q), Q rational) every greedy decision reduces
-  to an exact comparison on the running product  U = prod p/(p-1).  Both
-  phases read one table of floor terms at scale 2**-60
+  to an exact comparison on the running product  U = prod p/(p-1).  The
+  greedy is one scan over a table of floor terms at scale 2**-60
   (``fixedlog.term_block_fp60``, each under its true value by less than
-  ``fixedlog.TERM_ERR60`` units), so there is one error model.  The exact
-  phase keeps an integer enclosure of ln U built from those terms, which
-  settles most comparisons without touching U; the ambiguous rest is
-  decided on U exactly.  Once the greedy has included a streak of
-  consecutive terms, it proves a whole run of further inclusions at once
-  with one prefix sum over the table and multiplies the run into U with
-  one product tree per side; the selection is the one the term-by-term
-  scan makes.  Runs that outgrow ``exact_cap`` included terms continue in
-  certified 60-bit fixed point, where whole include/skip runs are located
-  by binary search on error-adjusted prefix sums; convergence is declared
-  only when the certified deficit (arithmetic error included) is below
-  the tolerance.
+  ``fixedlog.TERM_ERR60`` units).  It keeps the included runs and an
+  integer enclosure of ln U built from their terms, and nothing else.  One
+  prefix sum over a window of the table proves a whole run of inclusions,
+  and a bisection over the table skips to the next included term.  U is
+  built, one product tree per side, only for a comparison the enclosures
+  cannot settle, which is then decided exactly while fewer than
+  ``exact_cap`` terms are included and conservatively after; and for the
+  exact product of a run of at most ``exact_cap`` terms.  Convergence is
+  declared only when the certified deficit is below the tolerance, and
+  is tested after every inclusion, so the selection does not depend on
+  how far the sieve has been extended.
 
 A log-ratio run returns its enclosure of the selected sum as one integer
 pair (lo, hi) at scale 2**-``fixedlog.PREC``, the form ``fixedlog``
@@ -145,38 +144,14 @@ class PrimeRatioSource:
         self.description = "ln(p/(p-1)) over " + (
             "odd primes" if odd_only else "all primes"
         )
-        # (prime, floor term) of source indices _block_start, _block_start + 1, ...
-        self._block_start = 0
-        self._block: list[tuple[int, int]] = []
 
     def prime_index(self, i: int) -> int:
         if i < 1:
             raise ValueError("term index must be >= 1")
         return i + 1 if self.odd_only else i
 
-    def read(self, i: int) -> tuple[int, int]:
-        """The prime of source index i and its floor term at scale 2**-60,
-        from one block sliced from the stream and from its term table:
-        consecutive reads, as the greedy's scan makes, cost a list index.
-        Far probes (``far_prime``) leave the block alone."""
-        k = i - self._block_start
-        if 0 <= k < len(self._block):
-            return self._block[k]
-        j = self.prime_index(i)
-        hi = max(j, min(j + _READ_BLOCK - 1, self.stream.count))
-        primes = self.stream.primes_slice(j, hi).tolist()
-        terms = _stream_term60_cache(self.stream, hi)[j - 1 : hi].tolist()
-        self._block = list(zip(primes, terms))
-        self._block_start = i
-        return self._block[0]
-
     def prime(self, i: int) -> int:
-        """The prime of source index i (see ``read``)."""
-        return self.read(i)[0]
-
-    def far_prime(self, i: int) -> int:
-        """The prime of source index i, read alone, for probes far ahead
-        of the scan."""
+        """The prime of source index i."""
         return self.stream.nth_prime(self.prime_index(i))
 
     def available_count(self) -> int:
@@ -193,9 +168,6 @@ class PrimeRatioSource:
         cache = _stream_term60_cache(self.stream, first + count - 1)
         return cache[first - 1 : first - 1 + count]
 
-
-# (prime, term) pairs per block that PrimeRatioSource.read reads at once
-_READ_BLOCK = 256
 
 _LN2_FLOOR60 = np.int64(
     fixedlog.ln_fraction_bounds(Fraction(2), _PREC)[0] >> (_PREC - _SB)
@@ -235,8 +207,10 @@ class Selection:
 
     ``ranges`` run-length encodes the chosen source indices.  For a
     prime-ratio source ``achieved`` is the integer pair (lo, hi) with the
-    true selected sum in [lo, hi] * 2**-``fixedlog.PREC``, and a fully
-    exact run also sets ``exact_product`` = prod p/(p-1) = exp(sum).  For
+    true selected sum in [lo, hi] * 2**-``fixedlog.PREC``.  A run of at
+    most ``exact_cap`` included terms also sets ``exact_product`` =
+    prod p/(p-1) = exp(sum) and encloses its log at that precision; a
+    longer run's pair is the scan's 60-bit enclosure, shifted.  For
     an additive source ``achieved`` is None: ``exact_sum`` is the sum
     itself.  On ``converged`` the contract is  target - eps < sum <= target.
     """
@@ -283,7 +257,9 @@ def greedy_select(
                 "prime ratio sources need a LogTarget (the terms are logs "
                 "of rationals, so the target must be one as well)"
             )
-        return _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap)
+        return _continue_fixed_point(
+            source, target, eps, budget, record_trail, exact_cap
+        )
     if isinstance(target, LogTarget):
         raise TypeError("LogTarget requires a log-ratio source")
     target = Fraction(target)
@@ -385,43 +361,7 @@ def _greedy_additive(source, target, eps, budget, record_trail):
 
 
 # ---------------------------------------------------------------------------
-# log-ratio sources: exact rational phase, then certified fixed point
-
-
-class _ProductState:
-    """Running product U = prod p/(p-1) as raw integers (gcd-free), with an
-    integer enclosure [lo, hi] * 2**-60 of ln U that screens the exact
-    comparisons.
-
-    The pair is never reduced while the greedy runs: a gcd of two products
-    of thousands of primes costs more than the rest of the greedy, and the
-    enclosure of ln U is as rigorous without it.  Only a fully exact run's
-    returned product is reduced.
-
-    The enclosure is the table's model: a term's true value lies in
-    [t, t + TERM_ERR60) units for its floor term t, so an inclusion adds t
-    to ``lo`` and t + TERM_ERR60 to ``hi``.
-    """
-
-    __slots__ = ("un", "ud", "lo", "hi")
-
-    def __init__(self):
-        self.un = self.ud = 1
-        self.lo = self.hi = 0
-
-    def include(self, p: int, t: int):
-        self.un *= p
-        self.ud *= p - 1
-        self.lo += t
-        self.hi += t + _C
-
-    def include_run(self, primes: np.ndarray, terms: np.ndarray):
-        """Multiply a run of primes in by one product tree each side."""
-        self.un *= product_tree(primes.tolist())
-        self.ud *= product_tree((primes - 1).tolist())
-        total = int(terms.sum())
-        self.lo += total
-        self.hi += total + len(terms) * _C
+# log-ratio sources: one scan over the 60-bit term table
 
 
 def _certified_deficit_below(qn, qd, un, ud, bound: Fraction) -> bool:
@@ -446,124 +386,183 @@ def _budget_upper_bound(source) -> Fraction | None:
     return Fraction(total)
 
 
-# After _STREAK consecutive inclusions the exact phase looks for a whole run
-# of certain inclusions at once; the run it tries doubles while whole runs
-# succeed, up to _RUN_MAX terms.
-_STREAK = 256
-_RUN_MAX = 1 << 16
+def _product(source, runs) -> tuple[int, int]:
+    """U = prod p/(p-1) over the included runs, as a gcd-free pair, with
+    one product tree per side."""
+    stream, k = source.stream, source.prime_index(1) - 1
+    parts = [stream.primes_slice(lo + k, hi + k) for lo, hi in runs]
+    primes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return product_tree(primes.tolist()), product_tree((primes - 1).tolist())
 
 
-def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
+# The include run's window starts at _RUN0 terms and doubles while whole
+# windows fit, up to _WINDOW, so its temporaries stay at a window's size.
+_RUN0 = 64
+_WINDOW = 1 << 16
+
+
+def _certain_prefix(terms: np.ndarray, room: int, eps60: int) -> tuple[int, int]:
+    """Length n of the run of ``terms`` the greedy includes one after
+    another as far as the enclosures prove it, and their sum plus n * _C.
+
+    With T_k the sum of the first k terms plus k * _C, the true sum of ln U
+    and those terms is below hi + T_k, so T_k <= room = q_lo - hi proves
+    that the k-th term fits, and T_k <= room - eps60 that the deficit after
+    it is still at least eps.  The run takes k = 1, 2, ... while the k-th
+    term fits and every earlier one left the deficit at eps or more.
+    """
+    adj = np.cumsum(terms) + _C * np.arange(1, len(terms) + 1, dtype=np.int64)
+    top = int(adj[-1])  # clamp: keep searchsorted in int64
+    fit = int(np.searchsorted(adj, min(room, top), side="right"))
+    open_ = int(np.searchsorted(adj, min(room - eps60, top), side="right"))
+    n = min(fit, open_ + 1)
+    return n, int(adj[n - 1]) if n else 0
+
+
+def _first_included(source, i, limit, runs, lo, hi, q, exact):
+    """Smallest j in [i, limit] whose term the greedy includes, with ln U
+    in [lo, hi] * 2**-60 and q = (qn, qd, q_lo, q_hi); None when none is.
+
+    A term t fits certainly when hi + t + C <= q_lo and certainly not when
+    lo + t > q_hi.  In between, ``exact`` decides on U, built once for the
+    whole search; otherwise the term counts as not fitting.  Both rules are
+    monotone in j, since the floor terms are nonincreasing.
+    """
+    qn, qd, q_lo, q_hi = q
+    table = source.term60_array(i)
+    u = None
+
+    def fits(j: int) -> bool:
+        nonlocal table, u
+        if j > len(table):
+            table = source.term60_array(j)
+        t = int(table[j - 1])
+        if hi + t + _C <= q_lo:
+            return True
+        if lo + t > q_hi or not exact:
+            return False
+        if u is None:
+            u = _product(source, runs)
+        p = source.prime(j)
+        return u[0] * p * qd <= u[1] * (p - 1) * qn
+
+    return _bisect_first_fitting(fits, i, limit)
+
+
+def _scan_limit(source, budget) -> int:
+    """Highest index the scan may read without extending the sieve."""
+    avail = source.available_count()
+    return avail if budget is None else min(avail, budget)
+
+
+def _extend(stream: PrimeStream) -> bool:
+    """Extend the sieve by the stream's own doubling; False at the ceiling."""
+    try:
+        stream._ensure_count(stream.count + 1)
+    except SieveCapacityError:
+        return False
+    return True
+
+
+def _continue_fixed_point(source, target, eps, budget, record_trail, exact_cap):
+    """The log-ratio greedy: one scan over the stream's floor-term table.
+
+    (The name is the former fixed-point continuation's, which the
+    benchmark's tracer wraps by name.)
+
+    The scan keeps the included runs and the integer enclosure [lo, hi] *
+    2**-60 of ln U, U = prod p/(p-1) over them: each inclusion adds its
+    floor term t to ``lo`` and t + C to ``hi``.  A decision the enclosures
+    and ln Q in [q_lo, q_hi] * 2**-60 settle is taken on them.  An
+    ambiguous one is decided on U, rebuilt for it, while fewer than
+    ``exact_cap`` terms are included; past that, an ambiguous term is
+    skipped and an ambiguous convergence test fails, so the selected sum
+    never exceeds the target and a declared convergence is certified.
+    Convergence is tested after every inclusion, so the selection stops at
+    the first converged prefix whatever the sieve's extent.
+    """
+    stream = source.stream
     qn, qd = target.ratio.numerator, target.ratio.denominator
-    # ln Q enclosed in [q_lo, q_hi] * 2**-60, the scale of the term table
     q_lo, q_hi = fixedlog.ln_quotient_bounds(qn, qd, _SB)
+    q = (qn, qd, q_lo, q_hi)
+    eps60 = -((-eps.numerator << _SB) // eps.denominator)  # ceil(eps * 2**60)
+    # q_hi - lo at most this proves ln(Q/U) <= eps - 2**-60
+    done60 = ((eps.numerator << _SB) // eps.denominator) - 1
+    runs: list[tuple[int, int]] = []  # the included indices
+    count = lo = hi = 0
+    trail: list[tuple] = []
+    i, scanned, window = 1, 0, _RUN0
+    status = None
     avail = _budget_upper_bound(source)
     if avail is not None and Fraction(q_lo, 1 << _SB) - avail >= eps:
         # even selecting every prime under the ceiling leaves a deficit of
         # at least eps: fail fast instead of crawling the sieve
-        return Selection(
-            ranges=(),
-            count=0,
-            status=CAPACITY_EXHAUSTED,
-            scanned=0,
-            target=target,
-            eps=eps,
-            achieved=(0, 0),
-            exact_product=Fraction(1),
-            trail=() if record_trail else None,
-        )
-    st = _ProductState()
-    eps60 = -((-eps.numerator << _SB) // eps.denominator)  # ceil(eps * 2**60)
-    runs: list[tuple[int, int]] = []  # the included indices
-    count = 0
-    trail: list[tuple] = []
-    i = 1
-    scanned = 0
-    status = None
-    deficit_dirty = True  # the deficit changes only on inclusion
-    streak, block = 0, _STREAK
+        status = CAPACITY_EXHAUSTED
 
-    while True:
-        if deficit_dirty:
-            # ln(Q/U) >= (q_lo - hi) * 2**-60, so the certified test can
-            # only succeed below eps60
-            if q_lo - st.hi < eps60 and _certified_deficit_below(
-                qn, qd, st.un, st.ud, eps
-            ):
-                status = CONVERGED
-                break
-            deficit_dirty = False
+    while status is None:
+        if q_hi - lo <= done60 or (
+            q_lo - hi < eps60
+            and count <= exact_cap
+            and _certified_deficit_below(qn, qd, *_product(source, runs), eps)
+        ):
+            status = CONVERGED
+            break
         if budget is not None and i > budget:
             status = BUDGET_EXHAUSTED
             break
-        if count >= exact_cap:
-            return _continue_fixed_point(
-                source, target, eps, budget, record_trail,
-                st, runs, trail, i, scanned,
+        exact = count < exact_cap
+        if not exact and q_lo - hi <= _C:
+            raise PrecisionRefusal(
+                "tolerance sits below the accumulated fixed-point error "
+                f"bound (certified remaining deficit <= "
+                f"{float(Fraction(q_hi - lo, 1 << _SB)):.3e})"
             )
-        if streak >= _STREAK:
-            room = min(block, exact_cap - count, source.available_count() - i + 1)
-            if budget is not None:
-                room = min(room, budget - i + 1)
-            if room > 0:
-                primes, terms = _certain_run(source, st, i, room, q_lo, eps60)
-                if len(primes) < room:
-                    streak, block = 0, _STREAK
-                else:
-                    block = min(2 * block, _RUN_MAX)
-                if len(primes):
-                    st.include_run(primes, terms)
-                    j = i + len(primes)
-                    _add_run(runs, i, j - 1)
-                    count += len(primes)
-                    if record_trail:
-                        trail.extend(
-                            ("include", k, p) for k, p in zip(range(i, j), primes.tolist())
-                        )
-                    i = j
-                    scanned = i - 1
-                    deficit_dirty = True
-                    continue
-        try:
-            p, t = source.read(i)
-        except SieveCapacityError:
-            status = CAPACITY_EXHAUSTED
-            break
-        scanned = i
-        # include iff U * p/(p-1) <= Q, screened by the enclosures of ln U,
-        # of the term (in [t, t + C)) and of ln Q
-        if st.hi + t + _C <= q_lo:
-            fits = True
-        elif st.lo + t > q_hi:
-            fits = False
-        else:
-            fits = st.un * p * qd <= st.ud * (p - 1) * qn
-        if fits:
-            st.include(p, t)
-            _add_run(runs, i, i)
-            count += 1
-            deficit_dirty = True
-            streak += 1
-            if record_trail:
-                trail.append(("include", i, p))
-            i += 1
+        limit = _scan_limit(source, budget)
+        if i > limit:  # past the sieved primes
+            if not _extend(stream):
+                status = CAPACITY_EXHAUSTED
             continue
-        streak = 0
-        j, limit_seen = _first_fitting_ratio(source, i, st, qn, qd, budget)
-        run_end = (j - 1) if j is not None else limit_seen
-        scanned = max(scanned, run_end)
+        w = min(window, limit - i + 1)
+        terms = source.term60_array(i + w - 1)[i - 1 :]
+        n, used = _certain_prefix(terms, q_lo - hi, eps60)
+        window = min(2 * window, _WINDOW) if n == w else _RUN0
+        if n:
+            first = i
+            lo += used - n * _C
+            hi += used
+        else:
+            # the front term is not a certain fit: skip to the first index
+            # the greedy includes, extending the sieve as the skip needs
+            first = _first_included(source, i, limit, runs, lo, hi, q, exact)
+            while first is None and limit != budget and _extend(stream):
+                start, limit = limit + 1, _scan_limit(source, budget)
+                first = _first_included(source, start, limit, runs, lo, hi, q, exact)
+            end = limit if first is None else first - 1
+            if end >= i and record_trail:
+                trail.append(("skip_run", i, end))
+            if first is None:
+                scanned = limit
+                status = BUDGET_EXHAUSTED if limit == budget else CAPACITY_EXHAUSTED
+                break
+            n = 1
+            t = int(source.term60_array(first)[first - 1])
+            lo += t
+            hi += t + _C
+        scanned = first + n - 1
+        _add_run(runs, first, scanned)
+        count += n
         if record_trail:
-            trail.append(("skip_run", i, run_end))
-        if j is None:
-            status = (
-                BUDGET_EXHAUSTED
-                if budget is not None and run_end >= budget
-                else CAPACITY_EXHAUSTED
-            )
-            break
-        i = j
+            k = source.prime_index(1) - 1
+            primes = stream.primes_slice(first + k, scanned + k).tolist()
+            trail.extend(("include", j, p) for j, p in zip(range(first, scanned + 1), primes))
+        i = scanned + 1
 
-    product = Fraction(st.un, st.ud)
+    if count <= exact_cap:
+        product = Fraction(*_product(source, runs))
+        achieved = fixedlog.ln_fraction_bounds(product, _PREC)
+    else:
+        product = None
+        achieved = (lo << (_PREC - _SB), hi << (_PREC - _SB))
     return Selection(
         ranges=tuple(runs),
         count=count,
@@ -571,7 +570,7 @@ def _greedy_log_ratio(source, target, eps, budget, record_trail, exact_cap):
         scanned=scanned,
         target=target,
         eps=eps,
-        achieved=fixedlog.ln_fraction_bounds(product, _PREC),
+        achieved=achieved,
         exact_product=product,
         trail=tuple(trail) if record_trail else None,
     )
@@ -583,185 +582,6 @@ def _add_run(runs: list[tuple[int, int]], lo: int, hi: int) -> None:
         runs[-1] = (runs[-1][0], hi)
     else:
         runs.append((lo, hi))
-
-
-def _certain_run(
-    source, st: _ProductState, i: int, room: int, q_lo: int, eps60: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Primes and floor terms of the longest run of terms i, i+1, ...,
-    i+room-1 (already sieved) that the scalar path would include one after
-    another, as far as the integer enclosures prove it.
-
-    With T_k the sum of the first k table terms plus k * C, the true sum of
-    ln U and those terms is below hi + T_k, so hi + T_k <= q_lo proves that
-    the k-th term fits, and hi + T_k <= q_lo - eps60 proves that the
-    deficit after it is still at least eps, so the scalar path does not
-    stop there.  The run takes k = 1, 2, ... while the k-th term fits and
-    every earlier one left the deficit at eps or more; both prefixes come
-    from ``_fitting_prefix``.
-    """
-    j = source.prime_index(i)
-    primes = source.stream.primes_slice(j, j + room - 1)
-    terms = source.term60_array(i + room - 1)[i - 1 :]
-    gap = q_lo - st.hi
-    fit, _ = _fitting_prefix(terms, gap)
-    open_, _ = _fitting_prefix(terms, gap - eps60)
-    n = min(fit, open_ + 1)
-    return primes[:n], terms[:n]
-
-
-def _first_fitting_ratio(source, i, st, qn, qd, budget):
-    """Smallest j >= i with U * ratio_j <= Q under the budget and sieve
-    ceiling, extending the sieve geometrically as needed.
-
-    Returns (j, limit_seen); j is None when no index fits, in which case
-    limit_seen is the highest index examined.
-    """
-
-    def fits(j: int) -> bool:
-        p = source.far_prime(j)
-        return st.un * p * qd <= st.ud * (p - 1) * qn
-
-    while True:
-        limit = source.available_count()
-        if budget is not None:
-            limit = min(limit, budget)
-        if limit >= i:
-            j = _bisect_first_fitting(fits, i, limit)
-            if j is not None:
-                return j, limit
-        at_budget = budget is not None and limit >= budget
-        at_ceiling = source.stream.limit >= source.stream.ceiling
-        if at_budget or at_ceiling:
-            return None, limit
-        source.stream.extend_to(
-            min(source.stream.ceiling, source.stream.limit * 4)
-        )
-
-
-# The fixed-point scan works through the terms in windows, so its
-# temporaries stay at a window's size however far the sieve reaches.
-_WINDOW = 1 << 16
-
-
-def _fitting_prefix(terms: np.ndarray, room: int) -> tuple[int, int]:
-    """Length n of the longest prefix of ``terms`` whose sum plus _C per
-    term is at most ``room``, and that sum plus n * _C."""
-    take = used = 0
-    for start in range(0, len(terms), _WINDOW):
-        w = terms[start : start + _WINDOW]
-        adj = np.cumsum(w) + _C * np.arange(1, len(w) + 1, dtype=np.int64)
-        bound = min(room - used, int(adj[-1]))  # clamp: keep searchsorted in int64
-        n = int(np.searchsorted(adj, bound, side="right"))
-        if n:
-            take += n
-            used += int(adj[n - 1])
-        if n < len(w):
-            break
-    return take, used
-
-
-def _first_at_most(terms: np.ndarray, bound: int) -> int:
-    """Index of the first term <= bound in a nonincreasing array, or its
-    length when there is none."""
-    for start in range(0, len(terms), _WINDOW):
-        w = terms[start : start + _WINDOW]
-        if w[-1] <= bound:
-            return start + int(np.searchsorted(-w, -bound, side="left"))
-    return len(terms)
-
-
-def _continue_fixed_point(
-    source, target, eps, budget, record_trail, st, runs, trail, start_i, scanned
-):
-    """Certified 60-bit continuation once the exact phase hits its cap.
-
-    With the switch-point deficit d = ln(Q/U) enclosed in [d_lo, d_hi] and
-    V the sum of floor terms included in this phase (n of them, each under
-    its true value by < C units), the true remaining deficit lies in
-    [d_lo - V - n*C, d_hi - V].  Inclusions are decided against the lower
-    end, so the selected sum can never exceed the target; convergence is
-    declared against the upper end, so the certificate is sound.
-    """
-    d_lo192, d_hi192 = fixedlog.ln_quotient_bounds(
-        target.ratio.numerator * st.ud, target.ratio.denominator * st.un, _PREC
-    )
-    shift = _PREC - _SB
-    d_lo = d_lo192 >> shift
-    d_hi = -((-d_hi192) >> shift)
-
-    V = 0
-    n_fp = 0
-    i = start_i
-    status = None
-
-    while True:
-        if (d_hi - V) * eps.denominator < eps.numerator << _SB:
-            status = CONVERGED
-            break
-        if budget is not None and i > budget:
-            status = BUDGET_EXHAUSTED
-            break
-        rem_lo = d_lo - V - n_fp * _C
-        if rem_lo <= _C:
-            raise PrecisionRefusal(
-                "tolerance sits below the accumulated fixed-point error "
-                f"bound (certified remaining deficit <= "
-                f"{float(Fraction(d_hi - V, 1 << _SB)):.3e})"
-            )
-        avail = source.available_count()
-        if i > avail:
-            if source.stream.limit >= source.stream.ceiling:
-                status = CAPACITY_EXHAUSTED
-                break
-            source.stream.extend_to(
-                min(source.stream.ceiling, source.stream.limit * 4)
-            )
-            continue
-        hi_idx = min(avail, budget) if budget is not None else avail
-        terms = source.term60_array(hi_idx)[i - 1 :]
-        if len(terms) == 0:
-            status = BUDGET_EXHAUSTED
-            break
-        take, used = _fitting_prefix(terms, rem_lo)
-        if take > 0:
-            V += used - take * _C
-            n_fp += take
-            _add_run(runs, i, i + take - 1)
-            if record_trail:
-                trail.append(("fp_include_run", i, i + take - 1))
-            scanned = i + take - 1
-            i += take
-            continue
-        # front term does not fit: skip to the first fitting index
-        fit_at = _first_at_most(terms, rem_lo - _C)
-        if fit_at >= len(terms):
-            scanned = i + len(terms) - 1
-            if record_trail:
-                trail.append(("fp_skip_run", i, scanned))
-            i += len(terms)
-            continue
-        fit_at = max(fit_at, 1)
-        run_end = i + fit_at - 1
-        scanned = max(scanned, run_end)
-        if record_trail:
-            trail.append(("fp_skip_run", i, run_end))
-        i = run_end + 1
-
-    ranges = tuple(runs)
-    count = sum(hi_r - lo_r + 1 for lo_r, hi_r in ranges)
-    lo_u, hi_u = fixedlog.ln_quotient_bounds(st.un, st.ud, _PREC)
-    return Selection(
-        ranges=ranges,
-        count=count,
-        status=status,
-        scanned=scanned,
-        target=target,
-        eps=eps,
-        achieved=(lo_u + (V << shift), hi_u + ((V + n_fp * _C) << shift)),
-        exact_product=None,
-        trail=tuple(trail) if record_trail else None,
-    )
 
 
 def prime_ratio_terms(

@@ -279,27 +279,41 @@ def test_verifier_recomputes_exact_ratio_from_the_group(stream):
 
 
 @pytest.mark.parametrize("a, cap", [("0.047", None), ("2.0", None), ("0", 1)])
-def test_continuation_encloses_the_unreduced_product(stream, monkeypatch, a, cap):
-    # the continuation encloses ln U from the unreduced pair; that enclosure
-    # must contain ln of the reduced product, and the result must pass both
-    # second passes
-    from autratio import subsum
-
-    states = []
-    continue_fp = subsum._continue_fixed_point
-
-    def recorded(source, target, eps, budget, record_trail, st, *rest):
-        states.append((st.un, st.ud))
-        return continue_fp(source, target, eps, budget, record_trail, st, *rest)
-
-    monkeypatch.setattr(subsum, "_continue_fixed_point", recorded)
+def test_continuation_encloses_the_unreduced_product(stream, a, cap):
+    # runs past the exact cap return the scan's own 60-bit enclosure of the
+    # selected sum instead of a product; the result must pass both second
+    # passes
     config = ApproxConfig() if cap is None else ApproxConfig(exact_cap=cap)
     eps = Fraction(1, 5) if a == "0" else EPS
     r = approx_ray(Fraction(a), eps, stream=stream, config=config)
-    assert r.exact_ratio is None and len(states) == 1
-    (un, ud), prec = states[0], fixedlog.PREC
-    lo, hi = fixedlog.ln_quotient_bounds(un, ud, prec)
-    t_lo, t_hi = fixedlog.ln_fraction_bounds(Fraction(un, ud), 2 * prec)
-    assert lo << prec <= t_lo and t_hi <= hi << prec
+    assert r.exact_ratio is None
     assert verify_certificate(r, stream=stream)
     assert verify_certificate(r, stream=stream, prec=384)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: approx_in_unit(0, Fraction(1, 10), stream=s, config=ApproxConfig(exact_cap=1)),
+        lambda s: approx_ray(Fraction(38, 25), Fraction(1, 1000), stream=s),
+        lambda s: approx_in_unit(Fraction(1, 25), Fraction(1, 1000), stream=s),
+    ],
+    ids=["below-eps-past-cap", "ray-38/25", "unit-1/25"],
+)
+def test_selection_does_not_depend_on_sieve_history(call):
+    # the greedy stops at the first converged prefix, so how far the
+    # stream was sieved before the call cannot move its selection
+    groups = []
+    for extent in (None, 10**6, 10**7):
+        s = PrimeStream()
+        if extent:
+            s.extend_to(extent)
+        r = call(s)
+        groups.append((r.group, r.achieved, r.exact_ratio))
+    assert groups[0] == groups[1] == groups[2]
+
+
+def test_sieve_ceiling_below_the_first_segment_is_honoured():
+    # 9277 is past the ceiling, so no group may contain it
+    with pytest.raises(SieveCapacityError):
+        approx_in_unit(Fraction(1, 10), Fraction(1, 10**6), stream=PrimeStream(ceiling=1000))

@@ -1,13 +1,10 @@
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import autratio.primes
 from autratio.errors import SieveCapacityError
-from autratio.primes import PrimeStream, estimate_sieve_limit
+from autratio.primes import PrimeStream
 
 
 def trial_division_primes(limit):
@@ -54,44 +51,25 @@ def test_capacity_error():
         s.nth_prime(10**6)
 
 
+def test_ceiling_below_the_first_segment(monkeypatch):
+    # the first segment is cut at a ceiling below it, so nothing past the
+    # ceiling is ever returned (the 1000th prime is 7919)
+    s = PrimeStream(ceiling=1000)
+    assert s.count == 168 and s.limit == 1000
+    with pytest.raises(SieveCapacityError):
+        s.nth_prime(1000)
+    monkeypatch.setenv("AUTRATIO_SIEVE_CEILING", "1000")
+    assert PrimeStream().primes_slice(168, 168).tolist() == [997]
+    with pytest.raises(SieveCapacityError):
+        PrimeStream().nth_prime(169)
+
+
 def test_ceiling_env_override(monkeypatch):
     monkeypatch.setenv("AUTRATIO_SIEVE_CEILING", "70000")
     s = PrimeStream()
     assert s.ceiling == 70000
     with pytest.raises(SieveCapacityError):
         s.nth_prime(10**5)
-
-
-def test_estimate_examples():
-    assert estimate_sieve_limit(0) == 1000
-    x = estimate_sieve_limit(0.75)
-    assert math.log(math.log(x)) >= 1.68
-    assert 200 <= x <= 300
-    x = estimate_sieve_limit(2.5)
-    assert 10**6 <= x <= 10**8
-
-
-def test_estimate_unreachable():
-    with pytest.raises(SieveCapacityError):
-        estimate_sieve_limit(2.5, ceiling=10_000)
-    with pytest.raises(ValueError):
-        estimate_sieve_limit(-0.1)
-
-
-def odd_log_sum_upto(stream, x: float) -> float:
-    stream.extend_to(int(x))
-    ps = stream.primes_slice(2, stream.count).astype(float)
-    ps = ps[ps <= x]
-    return float(np.sum(np.log(ps) - np.log(ps - 1.0)))
-
-
-@settings(max_examples=25)
-@given(target=st.floats(min_value=0.0, max_value=2.5, allow_nan=False))
-def test_estimate_is_conservative(stream, target):
-    # whenever no capacity error is raised, the odd primes below the
-    # returned limit must actually carry the requested log-sum budget
-    x = estimate_sieve_limit(target)
-    assert odd_log_sum_upto(stream, x) >= target
 
 
 def test_primes_upto_matches_trial_division(stream):

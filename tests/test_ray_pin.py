@@ -4,9 +4,10 @@
 [0.1, 5], is hashed line by line: the two-rank, the odd-prime index ranges
 and either the exact ratio (in hex) or the certificate's repr.  A change
 to the greedy, to the certified logarithms or to the prime reads that
-moves any selection or certificate changes the digest.  Targets run in a
-fixed order on their own stream, because the fixed-point continuation
-(1.52, 1.8 and 2 here) reads whatever the sieve already covers.
+moves any selection or certificate changes the digest.  The greedy stops
+at the first converged prefix, so a selection does not depend on how far
+the stream was sieved before it; 38/25, 9/5 and 2 pass the exact cap and
+pin the 60-bit enclosure of their selected sums.
 """
 
 import hashlib
@@ -29,7 +30,7 @@ TARGETS = [
     )
 ]
 
-DIGEST = "29e74aa142cc93aa9089cc646c9977845bf5f31b40eb86a078b900c1cc6c0eb3"
+DIGEST = "35301391b5caf112665be3ff5a6e0d6650a5be36ad8637a6c87598421104f26e"
 
 
 def _line(a, res):
@@ -51,7 +52,7 @@ def results():
 def test_ray_outputs_match_pinned_digest(results):
     _, res = results
     assert len(TARGETS) == 30 and min(TARGETS) == Fraction(1, 10) and max(TARGETS) == 5
-    # the set reaches the 60-bit continuation and an exact unit target below 1
+    # the set passes the exact cap and has an exact unit target below 1
     by_target = dict(zip(TARGETS, res))
     assert by_target[Fraction(38, 25)].exact_ratio is None
     assert by_target[Fraction(38, 25)].group.index_count > 10_000

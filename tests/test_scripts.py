@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("sieve_budget.py", ["--max-target", "1", "--steps", "3"]),
         ("witness_census.py", ["--max-num", "3", "--max-den", "3", "--max-order", "50"]),
         ("density_sweep.py", ["--lo", "0", "--hi", "2", "--steps", "3", "--eps", "1e-2"]),
     ],

@@ -229,6 +229,17 @@ def test_log_ratio_achieved_is_an_integer_enclosure(stream, q, exact_cap, status
     assert lo << PREC <= t_hi and t_lo <= hi << PREC
 
 
+def test_exact_hit_at_the_cap_converges_on_the_product():
+    # Q is the product over the first ten primes and eps one unit of the
+    # term table, so only U itself proves convergence after the tenth
+    # inclusion: the cap-th inclusion's convergence test is still exact
+    q = math.prod(Fraction(p, p - 1) for p in _primes_upto(29))
+    src = prime_ratio_terms(False, PrimeStream(ceiling=10**5))
+    sel = greedy_select(src, LogTarget(q), Fraction(1, 2**60), exact_cap=10)
+    assert sel.status == CONVERGED and sel.ranges == ((1, 10),)
+    assert sel.exact_product == q
+
+
 def test_certified_deficit_below_decides_at_the_bound():
     # the float screen reaches this check only when the deficit is within
     # a few ulps of eps, so the greedy's own tests barely exercise it:
@@ -278,25 +289,51 @@ def test_mixed_phase_random_differential(stream):
     assert n_mixed >= 25  # the cap choices really exercised the switch
 
 
-def test_windowed_fixed_point_scan_matches_one_pass():
-    # the windowed scan must pick the same prefix and first fitting index as
-    # one cumulative sum over the whole array
+def test_windowed_fixed_point_scan_matches_one_pass(monkeypatch):
+    # one include run's prefix must be the one a term-by-term pass takes,
+    # up to rooms past the int64 range, and the window sizes must not move
+    # any selection
     import numpy as np
 
-    from autratio.subsum import _C, _WINDOW, _first_at_most, _fitting_prefix
+    from autratio import subsum
+    from autratio.subsum import _C, _certain_prefix
 
     rng = np.random.default_rng(5)
-    terms = np.sort(rng.integers(0, 2**40, 3 * _WINDOW + 123))[::-1].copy()
+    terms = np.sort(rng.integers(0, 2**40, 300))[::-1].copy()
     adj = np.cumsum(terms) + _C * np.arange(1, len(terms) + 1)
-    for k in [0, 1, _WINDOW - 1, _WINDOW, 2 * _WINDOW + 7, len(terms) - 1]:
-        for room in [int(adj[k]) - 1, int(adj[k]), int(adj[-1]) + 2**62]:
-            take = int(np.searchsorted(adj, min(room, int(adj[-1])), side="right"))
-            used = int(adj[take - 1]) if take else 0
-            assert _fitting_prefix(terms, room) == (take, used)
-        for bound in [int(terms[k]), int(terms[k]) - 1]:
-            want = int(np.searchsorted(-terms, -bound, side="left"))
-            assert _first_at_most(terms, bound) == want
-    assert _first_at_most(terms, -1) == len(terms)
+
+    def one_pass(room, eps60):
+        n = used = 0
+        for t in terms.tolist():
+            if used + t + _C > room:
+                break
+            n, used = n + 1, used + t + _C
+            if used > room - eps60:
+                break  # the deficit may be below eps after this term
+        return n, used
+
+    for k in [0, 1, 150, len(terms) - 1]:
+        for room in [int(adj[k]) - 1, int(adj[k]), int(adj[-1]) + 2**66]:
+            for eps60 in [0, 1, int(terms[k]), int(adj[-1]) + 2**65]:
+                assert _certain_prefix(terms, room, eps60) == one_pass(room, eps60)
+    assert _certain_prefix(terms, -(2**70), 0) == (0, 0)
+
+    cases = [
+        (Fraction(27, 10), Fraction(1, 10**5), False, 5),
+        (Fraction(20, 7), Fraction(1, 10**6), True, DEFAULT_EXACT_CAP),
+        (1 / Fraction("0.0401"), Fraction(1, 10**6), False, DEFAULT_EXACT_CAP),
+    ]
+    want = [
+        greedy_select(prime_ratio_terms(odd, PrimeStream()), LogTarget(q), eps, exact_cap=cap)
+        for q, eps, odd, cap in cases
+    ]
+    monkeypatch.setattr(subsum, "_RUN0", 1)
+    monkeypatch.setattr(subsum, "_WINDOW", 4)
+    for (q, eps, odd, cap), w in zip(cases, want):
+        got = greedy_select(
+            prime_ratio_terms(odd, PrimeStream()), LogTarget(q), eps, exact_cap=cap
+        )
+        assert got == w
 
 
 def test_hopeless_targets_fail_fast(stream):
@@ -466,43 +503,46 @@ _DIFF_CASES = [
 ]
 
 
+@functools.cache
+def _exact_ratio(odd_only, ranges):
+    """prod p/(p-1) over the selected source indices as a gcd-free pair;
+    cached, since the runs past the cap of one case select alike."""
+    from autratio.autorder import product_tree
+
+    shift = 1 if odd_only else 0
+    s = PrimeStream()
+    ps = [p for lo, hi in ranges for p in s.primes_slice(lo + shift, hi + shift).tolist()]
+    return product_tree(ps), product_tree([p - 1 for p in ps])
+
+
 @pytest.mark.parametrize("q, eps, odd_only", _DIFF_CASES)
 @pytest.mark.parametrize("exact_cap", [1, 50, 300, None])
-def test_exact_phase_matches_plain_exact_greedy(q, eps, odd_only, exact_cap, monkeypatch):
-    import types
-
+def test_exact_phase_matches_plain_exact_greedy(q, eps, odd_only, exact_cap):
     from autratio import subsum
+    from autratio.fixedlog import PREC, ln_quotient_bounds
 
     cap = DEFAULT_EXACT_CAP if exact_cap is None else exact_cap
-    switches = []
-    continue_fp = subsum._continue_fixed_point
-
-    def recorded(source, target, eps, budget, record_trail, st, runs, trail, i, scanned):
-        switches.append(
-            (st.un, st.ud, list(runs), list(trail), i, scanned, source.stream.limit)
-        )
-        return continue_fp(source, target, eps, budget, record_trail, st, runs, trail, i, scanned)
-
-    monkeypatch.setattr(subsum, "_continue_fixed_point", recorded)
     # a fresh stream, so that inclusion runs meet the sieve's extent
     src = prime_ratio_terms(odd_only, PrimeStream())
     got = greedy_select(src, LogTarget(q), eps, exact_cap=cap, record_trail=True)
     want = exact_greedy(q, eps, odd_only, subsum.DEFAULT_BUDGET, cap)
     if "switch" in want:
-        assert [s[:6] for s in switches] == [want["switch"]]
-        # the continuation reads the sieve as far as it reaches, so replay
-        # it on a stream of the same extent
-        un, ud, runs, trail, i, scanned = want["switch"]
-        ref_stream = PrimeStream()
-        ref_stream.extend_to(switches[0][6])
-        want = continue_fp(
-            prime_ratio_terms(odd_only, ref_stream), LogTarget(q), eps,
-            subsum.DEFAULT_BUDGET, True,
-            types.SimpleNamespace(un=un, ud=ud), runs, trail, i, scanned,
-        )
-        assert got == want
+        # up to the cap the run is the plain exact greedy's
+        _, _, runs, trail, i, _ = want["switch"]
+        assert [(lo, min(hi, i - 1)) for lo, hi in got.ranges if lo < i] == runs
+        assert got.trail[: len(trail)] == tuple(trail)
+        # past it, the contract holds by exact re-multiplication
+        assert got.status == CONVERGED and got.count > cap
+        assert got.exact_product is None
+        un, ud = _exact_ratio(odd_only, got.ranges)
+        assert un * q.denominator <= ud * q.numerator
+        if un * q.denominator != ud * q.numerator:
+            _, hi = ln_quotient_bounds(q.numerator * ud, q.denominator * un, PREC)
+            assert Fraction(hi, 1 << PREC) < eps
+        t_lo, t_hi = ln_quotient_bounds(un, ud, 2 * PREC)
+        lo, hi = got.achieved
+        assert lo << PREC <= t_lo and t_hi <= hi << PREC
     else:
-        assert switches == []
         assert {k: getattr(got, k) for k in want} == want
     untraced = greedy_select(
         prime_ratio_terms(odd_only, PrimeStream()), LogTarget(q), eps, exact_cap=cap
@@ -543,37 +583,31 @@ def test_stream_term_table_layout():
         assert (view == s._term60_cache[first - 1 : first + 2999]).all()
     for src in (odd, every):
         for i in [1, 2, 255, 256, 257, 2999, 3000]:
-            assert src.read(i) == (src.prime(i), int(src.term60_array(i)[i - 1]))
             assert src.prime(i) == s.nth_prime(src.prime_index(i))
 
 
 def test_product_state_encloses_ln_u(stream):
-    # random include and run sequences keep lo * 2**-60 <= ln U <= hi * 2**-60
-    from autratio.fixedlog import ln_quotient_bounds
-    from autratio.subsum import _ProductState
+    # the scan keeps only the included runs and [lo, hi]; past the cap it
+    # returns that pair, which must enclose ln U of U rebuilt from the runs
+    from autratio.fixedlog import PREC, ln_quotient_bounds
 
     rng = random.Random(77)
+    n_past = 0
     for odd_only in (False, True):
         src = prime_ratio_terms(odd_only, stream)
         for _ in range(20):
-            st = _ProductState()
-            i = 1
-            for _ in range(rng.randint(1, 12)):
-                i += rng.randint(0, 50)  # skipped indices
-                n = rng.randint(1, 300)
-                if rng.random() < 0.5:
-                    for k in range(i, i + n):
-                        st.include(*src.read(k))
-                else:
-                    j = src.prime_index(i)
-                    st.include_run(
-                        stream.primes_slice(j, j + n - 1),
-                        src.term60_array(i + n - 1)[i - 1 :],
-                    )
-                i += n
-            assert type(st.lo) is int and type(st.hi) is int
-            lo120, hi120 = ln_quotient_bounds(st.un, st.ud, 120)
-            assert st.lo << 60 <= lo120 and hi120 <= st.hi << 60
+            q = Fraction(rng.randint(101, 600), 100)
+            eps = Fraction(1, 10 ** rng.randint(2, 4))
+            sel = greedy_select(src, LogTarget(q), eps, exact_cap=rng.choice([0, 3, 40]))
+            if sel.exact_product is not None:
+                continue
+            lo, hi = sel.achieved
+            assert type(lo) is int and type(hi) is int
+            ps = [src.prime(k) for k in sel.indices()]
+            t_lo, t_hi = ln_quotient_bounds(math.prod(ps), math.prod(p - 1 for p in ps), PREC)
+            assert lo <= t_lo and t_hi <= hi
+            n_past += 1
+    assert n_past >= 20
 
 
 def test_term60_cache_grows_in_place():
