@@ -49,14 +49,12 @@ from .subsum import (
     Selection,
     TermSource,
     greedy_select,
-    prime_ratio_terms,
 )
 from .approximate import (
     ApproxConfig,
     ApproxResult,
     approx_in_unit,
     approx_ray,
-    choose_two_rank,
     verify_certificate,
 )
 from .search import (
@@ -95,7 +93,6 @@ __all__ = [
     "aut_order_bruteforce_naive",
     "TermSource",
     "PrimeRatioSource",
-    "prime_ratio_terms",
     "LogTarget",
     "Selection",
     "greedy_select",
@@ -106,7 +103,6 @@ __all__ = [
     "ApproxResult",
     "approx_in_unit",
     "approx_ray",
-    "choose_two_rank",
     "verify_certificate",
     "SearchBounds",
     "Witness",

@@ -1,24 +1,25 @@
 """Constructive approximation: build a group whose ratio lands within eps.
 
-For a target in (0, 1] the recipe works entirely below 1: pick distinct
-primes greedily so that the product P = prod (p-1)/p decreases onto the
-target from above.  The greedy runs in log space with target t = ln(1/a)
-and log tolerance ln(1 + eps/a), which converts the absolute product
-tolerance exactly (no first-order approximation), giving P in [a, a + eps).
+f is multiplicative over coprime orders and f(C_p) = (p-1)/p, so every
+result is a 2-part C2^n times a product of distinct odd primes.  The
+2-part is chosen first: b = f(C2^n) is the smallest of
+1/2 < 1 < 3/2 < 21 < 1260 < ... that is at least the target a (C1, b = 1,
+under ``odd_only``).  Then one greedy over the odd primes steers the
+product U = prod p/(p-1) onto b/a from below, in log space with log
+tolerance ln(1 + eps/a), which converts the absolute tolerance exactly (no
+first-order approximation): f = b/U lands in [a, a + eps).  When a = b
+the greedy selects nothing and the hit is exact.
 
-For a > 1, first take an elementary abelian 2-group C2^n whose ratio b
-exceeds a (minimal such n), then steer the remainder a/b < 1 with odd
-primes only, at inner tolerance eps/b; multiplicativity over coprime
-orders makes the errors compose as b * (eps/b) = eps.
-
-Target 0 is in the closure but not the image, so a <= eps returns a
-below-eps witness: a certified f(G) < eps, never a pretended exact hit.
+Target 0 is in the closure but not the image, so a <= eps (unless a is
+itself some b) returns a below-eps witness: a certified f(G) < eps, never
+a pretended exact hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, count
 
 from . import fixedlog
 from .autorder import LogValue, _f_log_bounds, product_tree, two_rank_ratio
@@ -30,16 +31,15 @@ from .subsum import (
     DEFAULT_BUDGET,
     DEFAULT_EXACT_CAP,
     LogTarget,
+    PrimeRatioSource,
     Selection,
     greedy_select,
-    prime_ratio_terms,
 )
 
 __all__ = [
     "ApproxConfig",
     "ApproxTrace",
     "ApproxResult",
-    "choose_two_rank",
     "approx_in_unit",
     "approx_ray",
     "verify_certificate",
@@ -53,7 +53,7 @@ class ApproxConfig:
     """Resource knobs; correctness never depends on them.
 
     ``budget`` caps the greedy's highest term index.  ``exact_cap`` is the
-    number of included primes up to which a decision that the greedy's
+    number of included odd primes up to which a decision that the greedy's
     60-bit enclosures cannot settle is taken exactly on the product, and
     an exact ratio is returned; past it such a decision is conservative
     and the result is certified by its enclosure.
@@ -67,17 +67,18 @@ class ApproxConfig:
 class ApproxTrace:
     """Everything needed to replay and audit one approximation run.
 
-    A returned result's ``selection`` has ``exact_product`` None: the
-    result's ``exact_ratio`` (1/exact_product, times b for a ray result)
-    already carries that number, which for a run of thousands of primes is
-    worth keeping only once.
+    The group is C2^two_rank times the odd primes of ``selection``, whose
+    source index j is the odd prime p_(j+1).  ``b`` is f(C2^two_rank) and
+    ``eps_inner`` = eps/b the tolerance left to the odd part.  A returned
+    result's ``selection`` has ``exact_product`` None: the result's
+    ``exact_ratio`` (b/exact_product) already carries that number, which
+    for a run of thousands of primes is worth keeping only once.
     """
 
     two_rank: int
-    b: Fraction | None  # f(C2^two_rank) when the ray split was used
-    eps_inner: Fraction | None  # eps/b passed to the odd-prime stage
-    odd_only: bool
-    selection: Selection | None
+    b: Fraction
+    eps_inner: Fraction
+    selection: Selection
     max_prime_scanned: int
     below_eps_witness: bool = False
 
@@ -101,90 +102,16 @@ class ApproxResult:
         return self.group.materialize(stream or shared_stream(), cap)
 
 
-def choose_two_rank(a) -> tuple[int, Fraction]:
-    """Minimal n with f(C2^n) > a (strictly), with the exact value b.
-
-    f(C2^n) grows without bound, so this terminates; minimality keeps b/a
-    small, which shrinks the odd-prime workload downstream.
-    """
-    a = Fraction(a)
-    if a <= 1:
-        raise ValueError("choose_two_rank needs a > 1")
-    n = 1
-    while two_rank_ratio(n) <= a:
-        n += 1
-    return n, two_rank_ratio(n)
-
-
-def _greedy_unit(
-    a: Fraction,
-    eps: Fraction,
-    q: Fraction,
-    eps_log: Fraction,
-    odd_only: bool,
-    stream: PrimeStream,
-    config: ApproxConfig,
-    record_trail: bool,
-    below_eps: bool,
-) -> ApproxResult:
-    """Greedy onto t = ln q with log tolerance ``eps_log``; the result
-    encloses ln P = -(selected sum) and is flagged as a below-eps witness
-    when ``below_eps``."""
-    source = prime_ratio_terms(odd_only, stream)
-    sel = greedy_select(
-        source,
-        LogTarget(q),
-        eps_log,
-        budget=config.budget,
-        record_trail=record_trail,
-        exact_cap=config.exact_cap,
-    )
-    max_p = source.prime(sel.scanned) if sel.scanned else 0
-    if sel.status != CONVERGED:
-        if below_eps:
-            msg = (
-                f"cannot certify a ratio below {_short(eps)} under the sieve "
-                f"ceiling ({sel.status} after {sel.scanned} terms)"
-            )
-        else:
-            msg = (
-                f"could not approach {_short(a)} within {_short(eps)}: "
-                f"{sel.status} after scanning {sel.scanned} terms"
-            )
-        partial = ApproxTrace(0, None, None, odd_only, sel, max_p)
-        raise SieveCapacityError(msg, partial=partial)
-    group = _group_from_selection(sel, odd_only)
-    exact = (1 / sel.exact_product) if sel.exact_product is not None else None
-    lo, hi = sel.achieved
-    return ApproxResult(
-        group=group,
-        achieved=LogValue.from_bounds(-hi, -lo, _PREC),
-        exact_ratio=exact,
-        target=a,
-        eps=eps,
-        trace=ApproxTrace(
-            group.two_rank, None, None, odd_only,
-            replace(sel, exact_product=None), max_p, below_eps,
-        ),
-    )
-
-
-def _group_from_selection(sel: Selection, odd_only: bool) -> SymbolicGroup:
-    """Map source-index runs to prime-index runs; a selected p = 2 becomes
-    the C2 factor (two_rank 1)."""
+def _two_part(a: Fraction, odd_only: bool) -> tuple[int, Fraction]:
+    """(n, b) for the C2^n with b = f(C2^n) the smallest of
+    1/2 < 1 < 3/2 < 21 < 1260 < ... (n = 1, 0, 2, 3, 4, ...) that is >= a;
+    (0, 1) under ``odd_only``.  f(C2^n) grows without bound, so this
+    terminates."""
     if odd_only:
-        ranges = tuple((lo + 1, hi + 1) for lo, hi in sel.ranges)
-        return SymbolicGroup(0, ranges)
-    two_rank = 0
-    ranges = list(sel.ranges)
-    if ranges and ranges[0][0] == 1:
-        two_rank = 1
-        lo, hi = ranges[0]
-        if hi == 1:
-            ranges.pop(0)
-        else:
-            ranges[0] = (2, hi)
-    return SymbolicGroup(two_rank, tuple(ranges))
+        return 0, Fraction(1)
+    for n in chain((1, 0), count(2)):
+        if two_rank_ratio(n) >= a:
+            return n, two_rank_ratio(n)
 
 
 def approx_in_unit(
@@ -196,50 +123,12 @@ def approx_in_unit(
     config: ApproxConfig = ApproxConfig(),
     record_trail: bool = False,
 ) -> ApproxResult:
-    """Group with ratio in [a, a + eps) for a in [0, 1] (certified).
-
-    a = 1 returns the trivial group exactly.  a <= eps cannot be hit from
-    within the image, so the result is a below-eps witness: certified
-    f(G) < eps, flagged in the trace.  Raises SieveCapacityError (with the
-    partial trace attached) when the sieve ceiling stops convergence.
-    """
-    a = Fraction(a)
-    eps = Fraction(eps)
-    if not 0 <= a <= 1:
+    """``approx_ray`` for a target a in [0, 1]: f(G) in [a, a + eps)."""
+    if not 0 <= Fraction(a) <= 1:
         raise ValueError("approx_in_unit needs 0 <= a <= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    stream = stream or shared_stream()
-    if a == 1:
-        group = SymbolicGroup(0, ())
-        return ApproxResult(
-            group=group,
-            achieved=LogValue(0.0, 0.0),
-            exact_ratio=Fraction(1),
-            target=a,
-            eps=eps,
-            trace=ApproxTrace(0, None, None, odd_only, None, 0),
-        )
-    if a <= eps:
-        # target ln(3/eps) = ln(1/eps) + ln 3 with log tolerance 1:
-        # convergence leaves U = prod p/(p-1) > 3/(e*eps) > 1/eps, so
-        # f = 1/U < eps
-        return _greedy_unit(
-            a, eps, 3 / eps, Fraction(1), odd_only, stream, config,
-            record_trail, below_eps=True,
-        )
-    # rational lower bound of ln(1 + eps/a): stopping strictly earlier than
-    # the true log tolerance keeps P < a + eps certified
-    lo_eps = fixedlog.ln_fraction_bounds((a + eps) / a, _PREC)[0]
-    eps_log = Fraction(lo_eps, 1 << _PREC)
-    if eps_log <= 0:
-        raise PrecisionRefusal(
-            f"eps ({_short(eps)}) is below the arithmetic resolution 2^-{_PREC} "
-            f"of the log tolerance ln(1 + eps/a)"
-        )
-    return _greedy_unit(
-        a, eps, 1 / a, eps_log, odd_only, stream, config, record_trail,
-        below_eps=False,
+    return approx_ray(
+        a, eps, odd_only=odd_only, stream=stream, config=config,
+        record_trail=record_trail,
     )
 
 
@@ -247,15 +136,19 @@ def approx_ray(
     a,
     eps,
     *,
+    odd_only: bool = False,
     stream: PrimeStream | None = None,
     config: ApproxConfig = ApproxConfig(),
     record_trail: bool = False,
 ) -> ApproxResult:
-    """Group with certified |f(G) - a| <= eps for any a >= 0.
+    """Group with certified |f(G) - a| <= eps for any a >= 0; see the
+    module docstring.
 
-    a <= 1 delegates to approx_in_unit over all primes.  For a > 1 the
-    2-part is chosen first; when a equals some f(C2^n) exactly the odd
-    stage is skipped entirely (the inner target would be 1).
+    With ``odd_only`` the group has odd order and a must lie in [0, 1].  A
+    target a <= eps that is not itself some b = f(C2^n) cannot be hit from
+    within the image, so the result is a below-eps witness: certified
+    f(G) < eps, flagged in the trace.  Raises SieveCapacityError (with the
+    partial trace attached) when the sieve ceiling stops convergence.
     """
     a = Fraction(a)
     eps = Fraction(eps)
@@ -263,45 +156,69 @@ def approx_ray(
         raise ValueError("target must be >= 0")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if odd_only and a > 1:
+        raise ValueError("an odd-order construction needs a target in [0, 1]")
     stream = stream or shared_stream()
-    if a <= 1:
-        return approx_in_unit(
-            a, eps, odd_only=False, stream=stream, config=config,
-            record_trail=record_trail,
-        )
-    n, b = choose_two_rank(a)
-    # exact representability by an elementary 2-group alone
-    if two_rank_ratio(n - 1) == a:
-        return ApproxResult(
-            group=SymbolicGroup(n - 1, ()),
-            achieved=LogValue.from_bounds(
-                *fixedlog.ln_fraction_bounds(a, _PREC), _PREC
-            ),
-            exact_ratio=a,
-            target=a,
-            eps=eps,
-            trace=ApproxTrace(n - 1, a, None, True, None, 0),
-        )
-    eps1 = eps / b
-    inner = approx_in_unit(
-        a / b, eps1, odd_only=True, stream=stream, config=config,
+    n, b = _two_part(a, odd_only)
+    below_eps = a <= eps and a != b
+    if below_eps:
+        # target ln Q with Q >= 3b/eps and log tolerance 1: convergence
+        # leaves U > Q/e > b/eps (or U = 1 and b < eps/3), so f = b/U < eps
+        n, b = _two_part(Fraction(0), odd_only)
+        q, eps_log = max(Fraction(1), 3 * b / eps), Fraction(1)
+    else:
+        # rational lower bound of ln(1 + eps/a): stopping strictly earlier
+        # than the true log tolerance keeps f < a + eps certified
+        lo_eps = fixedlog.ln_fraction_bounds((a + eps) / a, _PREC)[0]
+        if lo_eps <= 0 and a != b:
+            raise PrecisionRefusal(
+                f"eps ({_short(eps)}) is below the arithmetic resolution "
+                f"2^-{_PREC} of the log tolerance ln(1 + eps/a)"
+            )
+        # an exact hit (Q = 1) converges on the empty selection at any
+        # positive tolerance
+        q, eps_log = b / a, Fraction(max(lo_eps, 1), 1 << _PREC)
+    source = PrimeRatioSource(stream)
+    sel = greedy_select(
+        source,
+        LogTarget(q),
+        eps_log,
+        budget=config.budget,
         record_trail=record_trail,
+        exact_cap=config.exact_cap,
     )
-    group = SymbolicGroup(n, inner.group.odd_prime_ranges)
-    b_lo, b_hi = fixedlog.ln_fraction_bounds(b, _PREC)
-    # composing inner's integer pair instead would narrow the enclosure,
-    # a deliberate change of every certified ray result's abs_error
-    lo_in, hi_in = inner.achieved.interval()
-    lo = Fraction(b_lo, 1 << _PREC) + lo_in
-    hi = Fraction(b_hi, 1 << _PREC) + hi_in
-    exact = b * inner.exact_ratio if inner.exact_ratio is not None else None
+    max_p = source.prime(sel.scanned) if sel.scanned else 0
+    trace = ApproxTrace(
+        n, b, eps / b, replace(sel, exact_product=None), max_p, below_eps
+    )
+    if sel.status != CONVERGED:
+        if below_eps:
+            msg = (
+                f"cannot certify a ratio below {_short(eps)} under the sieve "
+                f"ceiling ({sel.status} after {sel.scanned} terms)"
+            )
+        else:
+            msg = (
+                f"could not approach {_short(a)} within {_short(eps)}: "
+                f"{sel.status} after scanning {sel.scanned} terms"
+            )
+        raise SieveCapacityError(msg, partial=trace)
+    if sel.exact_product is not None:
+        exact = b / sel.exact_product
+        lo, hi = fixedlog.ln_fraction_bounds(exact, _PREC)
+    else:
+        # ln f = ln b - (selected sum), both integer pairs at 2**-PREC
+        exact = None
+        b_lo, b_hi = fixedlog.ln_fraction_bounds(b, _PREC)
+        s_lo, s_hi = sel.achieved
+        lo, hi = b_lo - s_hi, b_hi - s_lo
     return ApproxResult(
-        group=group,
-        achieved=LogValue.from_interval(lo, hi),
+        group=SymbolicGroup(n, tuple((i + 1, j + 1) for i, j in sel.ranges)),
+        achieved=LogValue.from_bounds(lo, hi, _PREC),
         exact_ratio=exact,
         target=a,
         eps=eps,
-        trace=replace(inner.trace, two_rank=n, b=b, eps_inner=eps1),
+        trace=trace,
     )
 
 

@@ -63,20 +63,17 @@ class LogValue:
             raise ValueError("abs_error must be >= 0")
 
     @classmethod
-    def from_interval(cls, lo: Fraction, hi: Fraction) -> "LogValue":
-        """Float midpoint and radius, the radius rounded up until the
-        float interval contains the exact [lo, hi]."""
+    def from_bounds(cls, lo: int, hi: int, prec: int) -> "LogValue":
+        """From an integer enclosure [lo, hi] * 2**-prec: float midpoint and
+        radius, the radius rounded up until the float interval contains the
+        exact one."""
+        lo, hi = Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
         mid = float((lo + hi) / 2)
         rad = max(hi - Fraction(mid), Fraction(mid) - lo, Fraction(0))
         out = float(rad)
         while Fraction(out) < rad:
             out = nextafter(out, inf)
         return cls(mid, out)
-
-    @classmethod
-    def from_bounds(cls, lo: int, hi: int, prec: int) -> "LogValue":
-        """From an integer enclosure [lo, hi] * 2**-prec."""
-        return cls.from_interval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec))
 
     def interval(self) -> tuple[Fraction, Fraction]:
         """The certified log-space interval as exact rationals."""

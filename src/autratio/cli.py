@@ -150,14 +150,11 @@ def _approx_json(res: ApproxResult) -> dict:
         "eps": _ratio_str(res.eps),
         "trace": {
             "two_rank": res.trace.two_rank,
-            "b": None if res.trace.b is None else _ratio_str(res.trace.b),
-            "eps_inner": (
-                None if res.trace.eps_inner is None else _ratio_str(res.trace.eps_inner)
-            ),
-            "odd_only": res.trace.odd_only,
+            "b": _ratio_str(res.trace.b),
+            "eps_inner": _ratio_str(res.trace.eps_inner),
             "below_eps_witness": res.trace.below_eps_witness,
-            "scanned": 0 if sel is None else sel.scanned,
-            "status": "converged" if sel is None else sel.status,
+            "scanned": sel.scanned,
+            "status": sel.status,
             "max_prime_scanned": res.trace.max_prime_scanned,
         },
     }
@@ -229,12 +226,7 @@ def _cmd_approx(args) -> int:
     a = _parse_rational(args.target, "target", allow_decimal=True)
     eps = _parse_rational(args.eps, "eps", allow_decimal=True)
     stream = shared_stream()
-    if args.odd_only:
-        from .approximate import approx_in_unit
-
-        res = approx_in_unit(a, eps, odd_only=True, stream=stream)
-    else:
-        res = approx_ray(a, eps, stream=stream)
+    res = approx_ray(a, eps, odd_only=args.odd_only, stream=stream)
     verified = verify_certificate(res, stream=stream)
     lines = [
         f"group: {res.group.describe()}",
@@ -248,11 +240,11 @@ def _cmd_approx(args) -> int:
     lines.append(
         "trace: two_rank={} b={} eps_inner={} scanned={} max_prime={} status={}".format(
             res.trace.two_rank,
-            "-" if res.trace.b is None else _ratio_str(res.trace.b),
-            "-" if res.trace.eps_inner is None else _ratio_str(res.trace.eps_inner),
-            0 if sel is None else sel.scanned,
+            _ratio_str(res.trace.b),
+            _ratio_str(res.trace.eps_inner),
+            sel.scanned,
             res.trace.max_prime_scanned,
-            "converged" if sel is None else sel.status,
+            sel.status,
         )
     )
     lines.append(f"second-pass check: {'ok' if verified else 'FAILED'}")

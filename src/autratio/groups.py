@@ -162,8 +162,10 @@ def factorize(n: int) -> dict[int, int]:
     Trial division removes the factors below _TRIAL_LIMIT and stops as
     soon as the cofactor is proven prime.  A cofactor that Miller-Rabin
     finds composite (a proof at any size) is split by Pollard-Brent and
-    both parts are factored in turn, so a product of two large primes
-    costs about the fourth root of n steps.  A cofactor that passes
+    both parts are factored in turn, the smaller first, so a product of
+    two large primes costs about the fourth root of n steps.  Each prime
+    found is divided out of every pending part, so a repeated prime costs
+    one split and one test, not one per power.  A cofactor that passes
     Miller-Rabin at or above _MR_PROVEN_BELOW is only probably prime, and
     proving it prime or composite is out of reach here (trial division
     would cost sqrt(n) steps), so factorize raises InputLimitExceeded; so
@@ -181,6 +183,8 @@ def factorize(n: int) -> dict[int, int]:
     todo = [m]
     while todo:
         m = todo.pop()
+        if m == 1:
+            continue
         if not _is_prime(m):
             d = _pollard_brent(m)
             if d is None:
@@ -190,7 +194,7 @@ def factorize(n: int) -> dict[int, int]:
                     f"within RHO_STEP_BUDGET = {RHO_STEP_BUDGET} steps, "
                     f"scaled by (1128 / bits)^2 above 1128 bits"
                 )
-            todo += [d, m // d]
+            todo += sorted((d, m // d), reverse=True)  # the smaller is popped first
             continue
         if m >= _MR_PROVEN_BELOW:
             raise InputLimitExceeded(
@@ -199,7 +203,13 @@ def factorize(n: int) -> dict[int, int]:
                 f"or above psi_12 = {_MR_PROVEN_BELOW}, the limit below which "
                 f"that test proves primality"
             )
-        out[m] = out.get(m, 0) + 1
+        e = 1
+        for k, c in enumerate(todo):
+            while c % m == 0:
+                c //= m
+                e += 1
+            todo[k] = c
+        out[m] = out.get(m, 0) + e
     return dict(sorted(out.items()))
 
 

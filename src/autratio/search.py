@@ -1,9 +1,16 @@
 """Bounded exhaustive search for exact rational hits f(G) = a.
 
-Whether every nonnegative rational is attained by some abelian group is
-open; this module only ever reports *bound-relative* evidence.  Finding no
-witness under given bounds says nothing beyond those bounds, and the empty
-result is a first-class outcome.
+Not every nonnegative rational is attained: f(G) always has a squarefree
+denominator.  By the |Aut| formula in ``autorder`` (Hillar & Rhea, Amer.
+Math. Monthly 114, 2007), a p-group G_p of rank r has
+nu_p(|Aut(G_p)|) >= nu_p(|G_p|) - r + r(r - 1)/2, since the k-th factor
+p^d_k - p^(k-1) carries p^(k-1) exactly and the third product carries at
+least p^(e_i - 1) per part.  So nu_p(f(G_p)) >= r(r - 3)/2 >= -1, and
+the other primary parts only multiply in integers |Aut(G_q)|: 1/4 is
+never attained.  Beyond that, this module only ever reports
+*bound-relative* evidence.  Finding no witness under given bounds says
+nothing beyond those bounds, and the empty result is a first-class
+outcome.
 
 Enumeration and the f-table go order by order.  Order n = m * p^w, p its
 largest prime, joins each group of order m, whose primes lie below p,

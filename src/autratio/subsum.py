@@ -12,7 +12,8 @@ Two kinds of term source are supported:
 
 * ``TermSource`` with exact rational terms (e.g. the harmonic sequence);
   every decision is exact Fraction arithmetic with zero error.
-* ``PrimeRatioSource`` with terms x_i = ln(p_i/(p_i - 1)).  The terms are
+* ``PrimeRatioSource`` with terms x_j = ln(p/(p - 1)) over the odd primes
+  p = p_(j+1) (the 2-part of a group is chosen apart).  The terms are
   irrational but each is the log of a rational, so against a ``LogTarget``
   (a target of the form ln(Q), Q rational) every greedy decision reduces
   to an exact comparison on the running product  U = prod p/(p-1).  The
@@ -33,7 +34,8 @@ Two kinds of term source are supported:
 A log-ratio run returns its enclosure of the selected sum as one integer
 pair (lo, hi) at scale 2**-``fixedlog.PREC``, the form ``fixedlog``
 returns, and its certified convergence tests compare integers by
-cross-multiplication.
+cross-multiplication.  A caller that wants a tighter enclosure of an
+exact run logs its ``exact_product`` itself.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "LogTarget",
     "TermSource",
     "PrimeRatioSource",
-    "prime_ratio_terms",
     "Selection",
     "greedy_select",
     "DEFAULT_BUDGET",
@@ -126,76 +127,56 @@ class TermSource:
 
 
 class PrimeRatioSource:
-    """Terms x_i = ln(p/(p-1)) over all primes, or odd primes only.
+    """Terms x_j = ln(p/(p-1)) over the odd primes: source index j is the
+    prime p_(j+1), so the first term is ln(3/2).
 
-    With ``odd_only`` the indices shift: source term j corresponds to the
-    prime p_{j+1}, so the first term is ln(3/2).  Both metadata claims
-    hold: terms vanish since p -> oo, and the series diverges because the
-    terms are asymptotically 1/p and sum 1/p diverges.
+    Both metadata claims hold: terms vanish since p -> oo, and the series
+    diverges because the terms are asymptotically 1/p and sum 1/p diverges.
     """
 
     terms_tend_to_zero = True
     series_diverges = True
     nonincreasing = True
+    description = "ln(p/(p-1)) over odd primes"
 
-    def __init__(self, odd_only: bool, stream: PrimeStream | None = None):
-        self.odd_only = odd_only
+    def __init__(self, stream: PrimeStream | None = None):
         self.stream = stream or shared_stream()
-        self.description = "ln(p/(p-1)) over " + (
-            "odd primes" if odd_only else "all primes"
-        )
 
-    def prime_index(self, i: int) -> int:
-        if i < 1:
+    def prime(self, j: int) -> int:
+        """The prime of source index j >= 1."""
+        if j < 1:
             raise ValueError("term index must be >= 1")
-        return i + 1 if self.odd_only else i
-
-    def prime(self, i: int) -> int:
-        """The prime of source index i."""
-        return self.stream.nth_prime(self.prime_index(i))
+        return self.stream.nth_prime(j + 1)
 
     def available_count(self) -> int:
         """Highest source index under the current sieve (no extension)."""
-        return self.stream.count - (1 if self.odd_only else 0)
+        return self.stream.count - 1
 
     def term60_array(self, count: int) -> np.ndarray:
         """Floor terms at scale 2**-60 for source indices 1..count, a view
-        of the stream's table.
-
-        Requires the stream to already cover the needed primes.
-        """
-        first = self.prime_index(1)
-        cache = _stream_term60_cache(self.stream, first + count - 1)
-        return cache[first - 1 : first - 1 + count]
+        of the stream's table (entry j - 1 is index j's term)."""
+        return _stream_term60_cache(self.stream, count)[:count]
 
 
-_LN2_FLOOR60 = np.int64(
-    fixedlog.ln_fraction_bounds(Fraction(2), _PREC)[0] >> (_PREC - _SB)
-)
-
-
-def _stream_term60_cache(stream: PrimeStream, upto_prime_index: int) -> np.ndarray:
-    """Growing per-stream table of floor terms: entry k - 1 is that of the
-    k-th prime, ln 2's at entry 0.
+def _stream_term60_cache(stream: PrimeStream, count: int) -> np.ndarray:
+    """Growing per-stream table of floor terms: entry j - 1 is that of the
+    j-th odd prime p_(j+1).
 
     The table at least doubles when it grows, up to the sieve's extent, and
     new terms are computed a window at a time straight into the grown
     array, so the kernel's temporaries stay at a window's size."""
     cache = getattr(stream, "_term60_cache", None)
     have = 0 if cache is None else len(cache)
-    if upto_prime_index > have:
-        stream._ensure_count(upto_prime_index)
-        size = max(upto_prime_index, min(2 * have, stream.count))
+    if count > have:
+        stream._ensure_count(count + 1)
+        size = max(count, min(2 * have, stream.count - 1))
         grown = np.empty(size, dtype=np.int64)
         if have:
             grown[:have] = cache
-        else:
-            grown[0] = _LN2_FLOOR60
-            have = 1
         lo = have + 1
         while lo <= size:
             hi = min(lo + _WINDOW - 1, size)
-            grown[lo - 1 : hi] = fixedlog.term_block_fp60(stream.primes_slice(lo, hi))
+            grown[lo - 1 : hi] = fixedlog.term_block_fp60(stream.primes_slice(lo + 1, hi + 1))
             lo = hi + 1
         cache = stream._term60_cache = grown
     return cache
@@ -207,11 +188,10 @@ class Selection:
 
     ``ranges`` run-length encodes the chosen source indices.  For a
     prime-ratio source ``achieved`` is the integer pair (lo, hi) with the
-    true selected sum in [lo, hi] * 2**-``fixedlog.PREC``.  A run of at
-    most ``exact_cap`` included terms also sets ``exact_product`` =
-    prod p/(p-1) = exp(sum) and encloses its log at that precision; a
-    longer run's pair is the scan's 60-bit enclosure, shifted.  For
-    an additive source ``achieved`` is None: ``exact_sum`` is the sum
+    true selected sum in [lo, hi] * 2**-``fixedlog.PREC``: the scan's
+    60-bit enclosure, shifted.  A run of at most ``exact_cap`` included
+    terms also sets ``exact_product`` = prod p/(p-1) = exp(sum).  For an
+    additive source ``achieved`` is None: ``exact_sum`` is the sum
     itself.  On ``converged`` the contract is  target - eps < sum <= target.
     """
 
@@ -373,24 +353,23 @@ def _certified_deficit_below(qn, qd, un, ud, bound: Fraction) -> bool:
 
 
 def _budget_upper_bound(source) -> Fraction | None:
-    """Rigorous upper bound on the total ln(p/(p-1)) available below the
-    sieve ceiling: sum_{p <= x} ln(p/(p-1)) < gamma + lnln x + 1/(2 ln^2 x)
-    for x >= 285 (classical explicit Mertens-type bound), padded outward.
-    Lets hopeless targets fail fast instead of crawling the whole sieve."""
+    """Rigorous upper bound on the total ln(p/(p-1)) over the odd primes
+    below the sieve ceiling: sum_{p <= x} ln(p/(p-1)) < gamma + lnln x +
+    1/(2 ln^2 x) for x >= 285 (classical explicit Mertens-type bound),
+    padded outward, less a lower bound of ln 2 for p = 2.  Lets hopeless
+    targets fail fast instead of crawling the whole sieve."""
     x = source.stream.ceiling
     if x < 285:
         return None
     total = 0.5772156650 + math.log(math.log(x)) + 0.5 / math.log(x) ** 2 + 0.01
-    if source.odd_only:
-        total -= 0.6931471805  # drop the p = 2 term (lower bound of ln 2)
-    return Fraction(total)
+    return Fraction(total - 0.6931471805)
 
 
 def _product(source, runs) -> tuple[int, int]:
     """U = prod p/(p-1) over the included runs, as a gcd-free pair, with
     one product tree per side."""
-    stream, k = source.stream, source.prime_index(1) - 1
-    parts = [stream.primes_slice(lo + k, hi + k) for lo, hi in runs]
+    stream = source.stream
+    parts = [stream.primes_slice(lo + 1, hi + 1) for lo, hi in runs]
     primes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     return product_tree(primes.tolist()), product_tree((primes - 1).tolist())
 
@@ -552,17 +531,11 @@ def _continue_fixed_point(source, target, eps, budget, record_trail, exact_cap):
         _add_run(runs, first, scanned)
         count += n
         if record_trail:
-            k = source.prime_index(1) - 1
-            primes = stream.primes_slice(first + k, scanned + k).tolist()
+            primes = stream.primes_slice(first + 1, scanned + 1).tolist()
             trail.extend(("include", j, p) for j, p in zip(range(first, scanned + 1), primes))
         i = scanned + 1
 
-    if count <= exact_cap:
-        product = Fraction(*_product(source, runs))
-        achieved = fixedlog.ln_fraction_bounds(product, _PREC)
-    else:
-        product = None
-        achieved = (lo << (_PREC - _SB), hi << (_PREC - _SB))
+    product = Fraction(*_product(source, runs)) if count <= exact_cap else None
     return Selection(
         ranges=tuple(runs),
         count=count,
@@ -570,7 +543,7 @@ def _continue_fixed_point(source, target, eps, budget, record_trail, exact_cap):
         scanned=scanned,
         target=target,
         eps=eps,
-        achieved=achieved,
+        achieved=(lo << (_PREC - _SB), hi << (_PREC - _SB)),
         exact_product=product,
         trail=tuple(trail) if record_trail else None,
     )
@@ -583,10 +556,3 @@ def _add_run(runs: list[tuple[int, int]], lo: int, hi: int) -> None:
     else:
         runs.append((lo, hi))
 
-
-def prime_ratio_terms(
-    odd_only: bool, primes: PrimeStream | None = None
-) -> PrimeRatioSource:
-    """Source of x_i = ln(p_i/(p_i - 1)); with odd_only the indices shift so
-    term j corresponds to p_{j+1} (first term ln(3/2))."""
-    return PrimeRatioSource(odd_only, primes)

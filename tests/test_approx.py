@@ -7,9 +7,9 @@ import pytest
 from autratio import fixedlog
 from autratio.approximate import (
     ApproxConfig,
+    _two_part,
     approx_in_unit,
     approx_ray,
-    choose_two_rank,
     verify_certificate,
 )
 from autratio.autorder import LogValue, f_exact, two_rank_ratio
@@ -31,16 +31,23 @@ def independent_product(group, stream) -> Fraction:
     return prod
 
 
-@pytest.mark.parametrize("exact_cap", [10_000, 3])
+@pytest.mark.parametrize("exact_cap", [10_000, 2])
 def test_unit_result_encloses_the_selection_pair(stream, exact_cap):
-    # the result's LogValue is built from the selection's integer pair
+    # a certified result's LogValue is ln b's integer pair less the
+    # selection's; an exact one encloses ln of its exact ratio
     r = approx_in_unit(
         Fraction(3, 10), Fraction(1, 1000), stream=stream,
         config=ApproxConfig(exact_cap=exact_cap),
     )
-    assert (r.exact_ratio is None) == (exact_cap == 3)
-    lo, hi = r.trace.selection.achieved
-    assert r.achieved == LogValue.from_bounds(-hi, -lo, fixedlog.PREC)
+    assert r.trace.b == Fraction(1, 2) and r.trace.selection.count == 3
+    assert (r.exact_ratio is None) == (exact_cap == 2)
+    if r.exact_ratio is None:
+        b_lo, b_hi = fixedlog.ln_fraction_bounds(r.trace.b)
+        lo, hi = r.trace.selection.achieved
+        assert r.achieved == LogValue.from_bounds(b_lo - hi, b_hi - lo, fixedlog.PREC)
+    else:
+        pair = fixedlog.ln_fraction_bounds(r.exact_ratio)
+        assert r.achieved == LogValue.from_bounds(*pair, fixedlog.PREC)
 
 
 def test_unit_exact_one(stream):
@@ -92,12 +99,30 @@ def test_below_eps_witness(stream):
     assert r2.trace.below_eps_witness
 
 
-def test_choose_two_rank_examples():
-    assert choose_two_rank(Fraction(6, 5)) == (2, Fraction(3, 2))
-    assert choose_two_rank(2) == (3, Fraction(21))
-    assert choose_two_rank(21) == (4, Fraction(1260))
+@pytest.mark.parametrize("a, eps", [(0, 5), (Fraction(1, 2), 4), (2, 100)])
+def test_tolerances_above_the_target_answer(stream, a, eps):
+    # 3b/eps below 1 once aimed the greedy at a ratio under 1; now the
+    # below-eps witness is C2 alone, and 1/2 itself is an exact hit
+    r = approx_ray(a, eps, stream=stream)
+    assert r.exact_ratio is not None and 0 < r.exact_ratio < eps
+    assert verify_certificate(r, stream=stream)
+
+
+def test_two_part_examples():
+    # the smallest of 1/2 < 1 < 3/2 < 21 < 1260 < ... at or above a
+    half = (1, Fraction(1, 2))
+    assert _two_part(Fraction(0), False) == half
+    assert _two_part(Fraction(1, 3), False) == half
+    assert _two_part(Fraction(1, 2), False) == half
+    assert _two_part(Fraction(3, 4), False) == (0, Fraction(1))
+    assert _two_part(Fraction(1), False) == (0, Fraction(1))
+    assert _two_part(Fraction(6, 5), False) == (2, Fraction(3, 2))
+    assert _two_part(Fraction(2), False) == (3, Fraction(21))
+    assert _two_part(Fraction(21), False) == (3, Fraction(21))
+    assert _two_part(Fraction(22), False) == (4, Fraction(1260))
+    assert _two_part(Fraction(1, 3), True) == (0, Fraction(1))
     with pytest.raises(ValueError):
-        choose_two_rank(1)
+        approx_ray(Fraction(6, 5), Fraction(1, 10), odd_only=True)
 
 
 def test_ray_delegates_below_one(stream):
@@ -107,11 +132,13 @@ def test_ray_delegates_below_one(stream):
 
 
 def test_ray_exact_two_group_short_circuit(stream):
-    # a = f(C2^2) exactly: the odd stage is skipped, the hit is exact
+    # a = f(C2^2) exactly: the odd-prime greedy selects nothing, the hit
+    # is exact
     r = approx_ray(Fraction(3, 2), Fraction(1, 10**9), stream=stream)
     assert r.exact_ratio == Fraction(3, 2)
     assert r.group.two_rank == 2 and r.group.index_count == 0
-    assert r.trace.b == Fraction(3, 2) and r.trace.selection is None
+    assert r.trace.b == Fraction(3, 2)
+    assert r.trace.selection.ranges == () and r.trace.selection.scanned == 0
     r = approx_ray(21, Fraction(1, 10**9), stream=stream)
     assert r.exact_ratio == 21 and r.group.two_rank == 3
 
@@ -148,6 +175,9 @@ def test_refuses_eps_below_arithmetic_resolution(stream):
     # ln(1 + eps/a) underflows the 192-bit working precision
     with pytest.raises(PrecisionRefusal):
         approx_in_unit(Fraction(1, 3), Fraction(1, 2**200), stream=stream)
+    # an exact hit needs no tolerance: the greedy selects nothing
+    for b in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+        assert approx_ray(b, Fraction(1, 2**200), stream=stream).exact_ratio == b
 
 
 def test_ray_capacity_error_carries_partial_trace():
@@ -167,7 +197,7 @@ def test_monotone_resource_use(stream):
         prev = None
         for eps in [Fraction(1, 10**5), Fraction(1, 10**4), Fraction(1, 10**3)]:
             r = approx_ray(a, eps, stream=stream)
-            scanned = 0 if r.trace.selection is None else r.trace.selection.scanned
+            scanned = r.trace.selection.scanned
             if prev is not None:
                 assert scanned <= prev
             prev = scanned
@@ -191,9 +221,9 @@ EPS = Fraction(1, 10**3)
 
 @pytest.fixture(scope="module")
 def certified(stream):
-    """Certified (not exact) results on 378k, 41k, 12k and 12k selected
-    primes, and a below-eps witness on 607 primes, certified because its
-    greedy leaves the exact phase after one prime."""
+    """Certified (not exact) results on 375k, 40k, 12k and 11k selected
+    primes, and a below-eps witness on 6 odd primes, certified because its
+    greedy leaves the exact phase after one of them."""
     out = {}
     for a in ("1.52", "1.8", "2.0", "0.047"):
         out[a] = approx_ray(Fraction(a), EPS, stream=stream)

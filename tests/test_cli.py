@@ -74,6 +74,15 @@ def test_approx_exact(capsys):
     assert "group: C2" in out and "f = 1/2 (exact)" in out
 
 
+def test_approx_tolerance_above_the_target(capsys):
+    for target, eps in [("0", "5"), ("1/2", "4")]:
+        code, out, _ = run(capsys, "approx", target, "--eps", eps, "--json")
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert Fraction(res["exact_ratio"]) < Fraction(eps)
+        assert res["second_pass_ok"] is True
+
+
 def test_approx_certified(capsys):
     code, out, _ = run(capsys, "approx", "2", "--eps", "1e-3", "--json")
     assert code == 0

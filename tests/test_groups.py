@@ -285,3 +285,29 @@ def test_factorize_splits_composites_without_small_factors():
         for p, e in want.items():
             n *= p**e
         assert factorize(n) == want
+
+
+def test_factorize_divides_a_repeated_prime_out_at_once(monkeypatch):
+    # 1031 is the first prime past trial division: a power of it once cost
+    # one Pollard-Brent split and one large Miller-Rabin test per power
+    from autratio import groups
+
+    rho, big_tests = [], []
+    real_rho, real_is_prime = groups._pollard_brent, groups._is_prime
+
+    def counted_rho(n):
+        rho.append(n)
+        return real_rho(n)
+
+    def counted_is_prime(n):
+        if n.bit_length() > 1000:
+            big_tests.append(n)
+        return real_is_prime(n)
+
+    monkeypatch.setattr(groups, "_pollard_brent", counted_rho)
+    monkeypatch.setattr(groups, "_is_prime", counted_is_prime)
+    assert factorize(1031**300) == {1031: 300}
+    assert len(rho) <= 2 and len(big_tests) <= 1
+    rho.clear()
+    assert factorize(12 * 1031**7 * 1033**5) == {2: 2, 3: 1, 1031: 7, 1033: 5}
+    assert len(rho) <= 3

@@ -7,7 +7,8 @@ to the greedy, to the certified logarithms or to the prime reads that
 moves any selection or certificate changes the digest.  The greedy stops
 at the first converged prefix, so a selection does not depend on how far
 the stream was sieved before it; 38/25, 9/5 and 2 pass the exact cap and
-pin the 60-bit enclosure of their selected sums.
+pin ln b's 192-bit enclosure less the 60-bit enclosure of their selected
+sums.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ TARGETS = [
     )
 ]
 
-DIGEST = "35301391b5caf112665be3ff5a6e0d6650a5be36ad8637a6c87598421104f26e"
+DIGEST = "95763e963eb16e88c9cc45a7d472cf4aef2fbed17c0e229744d0e3a37571a52f"
 
 
 def _line(a, res):

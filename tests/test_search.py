@@ -145,6 +145,19 @@ def test_prune_differential_at_scale(a):
     assert pruned == [w.group for w in find_exact(a, bounds, prune=False)]
 
 
+def test_f_denominators_are_squarefree():
+    # nu_p(f(G_p)) >= r(r - 3)/2 >= -1 for a p-group of rank r, and the
+    # other primary parts contribute integers |Aut(G_q)|, so p^2 never
+    # divides the denominator of f(G): 1/4, for one, is never attained
+    bounds = SearchBounds(max_order=20_000, max_rank_per_prime=15)
+    n = 0
+    for g in enumerate_groups(bounds):
+        den = f_exact(g).denominator
+        assert all(den % (p * p) for p, _ in g.factors), format_group(g)
+        n += 1
+    assert n == 44_766  # every group: no rank bound binds below order 2^15
+
+
 def test_find_exact_rejects_negative():
     with pytest.raises(ValueError):
         find_exact(Fraction(-1, 2), SearchBounds(10))

@@ -17,9 +17,9 @@ from autratio.subsum import (
     CONVERGED,
     DEFAULT_EXACT_CAP,
     LogTarget,
+    PrimeRatioSource,
     TermSource,
     greedy_select,
-    prime_ratio_terms,
 )
 
 
@@ -60,18 +60,23 @@ def test_harmonic_exact_hit():
 
 
 def test_prime_log_target_ln2(stream):
-    src = prime_ratio_terms(False, stream)
-    sel = greedy_select(src, LogTarget(Fraction(2)), Fraction(1, 10**9))
+    # ln 2 is the C2 factor's, so over the odd primes it leaves ln 1: the
+    # empty selection, exactly
+    src = PrimeRatioSource(stream)
+    sel = greedy_select(src, LogTarget(Fraction(1)), Fraction(1, 10**9))
+    assert sel.status == CONVERGED
+    assert sel.ranges == () and sel.exact_product == 1
+    sel = greedy_select(src, LogTarget(Fraction(3, 2)), Fraction(1, 10**9))
     assert sel.status == CONVERGED
     assert list(sel.indices()) == [1]
-    assert sel.exact_product == 2  # selected sum is exactly ln 2
+    assert sel.exact_product == Fraction(3, 2)  # selected sum is exactly ln(3/2)
 
 
 def test_odd_only_index_shift(stream):
-    src = prime_ratio_terms(True, stream)
-    assert src.prime(1) == 3 and src.prime(2) == 5
-    all_src = prime_ratio_terms(False, stream)
-    assert all_src.prime(1) == 2 and all_src.prime(3) == 5
+    src = PrimeRatioSource(stream)
+    assert src.prime(1) == 3 and src.prime(2) == 5 and src.prime(3) == 7
+    with pytest.raises(ValueError):
+        src.prime(0)
     assert src.terms_tend_to_zero and src.series_diverges
 
 
@@ -86,7 +91,7 @@ def test_eps_validation():
 
 def test_target_type_dispatch(stream):
     with pytest.raises(TypeError):
-        greedy_select(prime_ratio_terms(False, stream), Fraction(1), Fraction(1, 10))
+        greedy_select(PrimeRatioSource(stream), Fraction(1), Fraction(1, 10))
     with pytest.raises(TypeError):
         greedy_select(harmonic(), LogTarget(Fraction(2)), Fraction(1, 10))
 
@@ -125,10 +130,10 @@ def test_determinism(stream):
     b = greedy_select(harmonic(), Fraction(9, 4), Fraction(1, 10**6))
     assert a == b
     s1 = greedy_select(
-        prime_ratio_terms(False, stream), LogTarget(Fraction(7, 2)), Fraction(1, 10**4)
+        PrimeRatioSource(stream), LogTarget(Fraction(7, 4)), Fraction(1, 10**4)
     )
     s2 = greedy_select(
-        prime_ratio_terms(False, stream), LogTarget(Fraction(7, 2)), Fraction(1, 10**4)
+        PrimeRatioSource(stream), LogTarget(Fraction(7, 4)), Fraction(1, 10**4)
     )
     assert s1.ranges == s2.ranges and s1.status == s2.status == CONVERGED
 
@@ -161,11 +166,11 @@ def test_capacity_exhaustion_declared_capacity():
 
 def test_capacity_exhaustion_prime_ceiling():
     tiny = PrimeStream(ceiling=1000)
-    src = prime_ratio_terms(False, tiny)
-    # needs U > 20, i.e. log-sum ln 20, far beyond primes <= 1000
-    sel = greedy_select(src, LogTarget(Fraction(20)), Fraction(1, 100))
+    src = PrimeRatioSource(tiny)
+    # needs U > 10, i.e. log-sum ln 10, far beyond odd primes <= 1000
+    sel = greedy_select(src, LogTarget(Fraction(10)), Fraction(1, 100))
     assert sel.status == CAPACITY_EXHAUSTED
-    assert sel.exact_product < 20
+    assert sel.exact_product < 10
 
 
 def test_exact_cap_switches_to_fixed_point(stream):
@@ -174,8 +179,8 @@ def test_exact_cap_switches_to_fixed_point(stream):
     # contract against it
     from autratio.fixedlog import PREC, ln_fraction_bounds
 
-    src = prime_ratio_terms(False, stream)
-    q = Fraction(27, 10)
+    src = PrimeRatioSource(stream)
+    q = Fraction(27, 20)
     eps = Fraction(1, 10**5)
     mixed = greedy_select(src, LogTarget(q), eps, exact_cap=3)
     assert mixed.status == CONVERGED
@@ -205,9 +210,9 @@ def test_exact_cap_switches_to_fixed_point(stream):
 @pytest.mark.parametrize(
     "q, exact_cap, status",
     [
-        (Fraction(27, 10), DEFAULT_EXACT_CAP, "exact"),
-        (Fraction(27, 10), 3, "continuation"),
-        (Fraction(40), DEFAULT_EXACT_CAP, CAPACITY_EXHAUSTED),  # fail-fast
+        (Fraction(27, 20), DEFAULT_EXACT_CAP, "exact"),
+        (Fraction(27, 20), 3, "continuation"),
+        (Fraction(20), DEFAULT_EXACT_CAP, CAPACITY_EXHAUSTED),  # fail-fast
     ],
 )
 def test_log_ratio_achieved_is_an_integer_enclosure(stream, q, exact_cap, status):
@@ -215,7 +220,7 @@ def test_log_ratio_achieved_is_an_integer_enclosure(stream, q, exact_cap, status
     # checked against an enclosure of the re-multiplied product at 2 * PREC
     from autratio.fixedlog import PREC, ln_fraction_bounds
 
-    src = prime_ratio_terms(False, stream)
+    src = PrimeRatioSource(stream)
     sel = greedy_select(src, LogTarget(q), Fraction(1, 10**5), exact_cap=exact_cap)
     if status == CAPACITY_EXHAUSTED:
         assert sel.status == status and sel.scanned == 0
@@ -230,11 +235,11 @@ def test_log_ratio_achieved_is_an_integer_enclosure(stream, q, exact_cap, status
 
 
 def test_exact_hit_at_the_cap_converges_on_the_product():
-    # Q is the product over the first ten primes and eps one unit of the
-    # term table, so only U itself proves convergence after the tenth
+    # Q is the product over the first ten odd primes and eps one unit of
+    # the term table, so only U itself proves convergence after the tenth
     # inclusion: the cap-th inclusion's convergence test is still exact
-    q = math.prod(Fraction(p, p - 1) for p in _primes_upto(29))
-    src = prime_ratio_terms(False, PrimeStream(ceiling=10**5))
+    q = math.prod(Fraction(p, p - 1) for p in _primes_upto(31)[1:])
+    src = PrimeRatioSource(PrimeStream(ceiling=10**5))
     sel = greedy_select(src, LogTarget(q), Fraction(1, 2**60), exact_cap=10)
     assert sel.status == CONVERGED and sel.ranges == ((1, 10),)
     assert sel.exact_product == q
@@ -271,7 +276,9 @@ def test_mixed_phase_random_differential(stream):
         q = Fraction(rng.randint(101, 1500), 100)
         eps = Fraction(1, 10 ** rng.randint(3, 5))
         cap = rng.choice([0, 1, 2, 5, 13])
-        src = prime_ratio_terms(rng.random() < 0.5, stream)
+        if rng.random() >= 0.5 and q >= 2:
+            q /= 2  # a former all-primes case: the C2 factor takes ln 2
+        src = PrimeRatioSource(stream)
         sel = greedy_select(src, LogTarget(q), eps, exact_cap=cap)
         assert sel.status == CONVERGED, (q, eps, cap)
         if sel.exact_product is None:
@@ -319,19 +326,19 @@ def test_windowed_fixed_point_scan_matches_one_pass(monkeypatch):
     assert _certain_prefix(terms, -(2**70), 0) == (0, 0)
 
     cases = [
-        (Fraction(27, 10), Fraction(1, 10**5), False, 5),
-        (Fraction(20, 7), Fraction(1, 10**6), True, DEFAULT_EXACT_CAP),
-        (1 / Fraction("0.0401"), Fraction(1, 10**6), False, DEFAULT_EXACT_CAP),
+        (Fraction(27, 20), Fraction(1, 10**5), 5),
+        (Fraction(20, 7), Fraction(1, 10**6), DEFAULT_EXACT_CAP),
+        (1 / Fraction("0.0802"), Fraction(1, 10**6), DEFAULT_EXACT_CAP),
     ]
     want = [
-        greedy_select(prime_ratio_terms(odd, PrimeStream()), LogTarget(q), eps, exact_cap=cap)
-        for q, eps, odd, cap in cases
+        greedy_select(PrimeRatioSource(PrimeStream()), LogTarget(q), eps, exact_cap=cap)
+        for q, eps, cap in cases
     ]
     monkeypatch.setattr(subsum, "_RUN0", 1)
     monkeypatch.setattr(subsum, "_WINDOW", 4)
-    for (q, eps, odd, cap), w in zip(cases, want):
+    for (q, eps, cap), w in zip(cases, want):
         got = greedy_select(
-            prime_ratio_terms(odd, PrimeStream()), LogTarget(q), eps, exact_cap=cap
+            PrimeRatioSource(PrimeStream()), LogTarget(q), eps, exact_cap=cap
         )
         assert got == w
 
@@ -341,11 +348,9 @@ def test_hopeless_targets_fail_fast(stream):
     # capacity_exhausted immediately, without crawling the sieve
     import time
 
-    for q, odd in [(Fraction(40), False), (Fraction(17), True)]:
+    for q in [Fraction(20), Fraction(17)]:
         t0 = time.time()
-        sel = greedy_select(
-            prime_ratio_terms(odd, stream), LogTarget(q), Fraction(1, 1000)
-        )
+        sel = greedy_select(PrimeRatioSource(stream), LogTarget(q), Fraction(1, 1000))
         assert sel.status == CAPACITY_EXHAUSTED
         assert sel.scanned == 0 and sel.count == 0
         assert time.time() - t0 < 1.0
@@ -413,8 +418,8 @@ def _ref_primes():
     return _primes_upto(1 << 22)
 
 
-def exact_greedy(q, eps, odd_only, budget, exact_cap):
-    """The greedy's exact phase one prime at a time, in integers only.
+def exact_greedy(q, eps, budget, exact_cap):
+    """The greedy's exact phase one odd prime at a time, in integers only.
 
     Every inclusion is decided by cross-multiplication; a skipped run ends
     at the smallest prime p with p/(p-1) <= Q/U, i.e. p >= r/(r - 1) for
@@ -425,7 +430,7 @@ def exact_greedy(q, eps, odd_only, budget, exact_cap):
     """
     from autratio.fixedlog import PREC, ln_quotient_bounds
 
-    primes = _ref_primes()[1:] if odd_only else _ref_primes()
+    primes = _ref_primes()[1:]
     qn, qd = q.numerator, q.denominator
     un = ud = 1
     included, trail = [], []
@@ -476,27 +481,30 @@ def exact_greedy(q, eps, odd_only, budget, exact_cap):
     }
 
 
+# (Q, eps, ray): ``ray`` marks the odd part of a ray target a > 1, Q = b/a
+# with b = 21; the other cases are targets at most 1/2, whose C2 factor
+# takes ln 2, so Q is half the former all-primes target
 _DIFF_CASES = [
-    # unit targets near 0.04: Q = 1/a over all primes
-    *[(1 / Fraction(a), Fraction(1, 10**6), False) for a in ("0.0401", "0.043")],
-    # below-eps witnesses: Q = 3/e with log tolerance 1; at 1/15 the
-    # deficit falls below it in the middle of an inclusion run
-    *[(3 / Fraction(e), Fraction(1), False) for e in ("1/10", "1/15", "1/20")],
-    # Q is the product over the first 1000 primes (7919 is the 1000th),
-    # less a relative 1e-12: the 1000th prime misses by less than a float's
+    # unit targets near 0.04: Q = 1/(2a)
+    *[(1 / (2 * Fraction(a)), Fraction(1, 10**6), False) for a in ("0.0401", "0.043")],
+    # below-eps witnesses: Q = 3b/e = 3/(2e) with log tolerance 1; at 1/15
+    # the deficit falls below it in the middle of an inclusion run
+    *[(3 / (2 * Fraction(e)), Fraction(1), False) for e in ("1/10", "1/15", "1/20")],
+    # Q is the product over the first 999 odd primes (7919 is the 999th),
+    # less a relative 1e-12: the 999th misses by less than a float's
     # rounding, so only a sound margin stops the run before it
     (
-        math.prod(Fraction(p, p - 1) for p in _primes_upto(7919)) * (1 - Fraction(1, 10**12)),
+        math.prod(Fraction(p, p - 1) for p in _primes_upto(7919)[1:]) * (1 - Fraction(1, 10**12)),
         Fraction(1, 10**6),
         False,
     ),
-    # odd-only unit targets a/21 just above 1.5
+    # ray targets a just above 1.5: Q = 21/a
     *[(21 / Fraction(a), Fraction(1, 10**5), True) for a in ("1.5001", "1.52")],
     # the same product less a relative 1e-16: the miss is below the table
-    # model's accumulated width (1000 * 64 * 2**-60 = 5.6e-14), so only the
+    # model's accumulated width (999 * 64 * 2**-60 = 5.5e-14), so only the
     # exact comparison stops the run
     (
-        math.prod(Fraction(p, p - 1) for p in _primes_upto(7919)) * (1 - Fraction(1, 10**16)),
+        math.prod(Fraction(p, p - 1) for p in _primes_upto(7919)[1:]) * (1 - Fraction(1, 10**16)),
         Fraction(1, 10**6),
         False,
     ),
@@ -504,28 +512,27 @@ _DIFF_CASES = [
 
 
 @functools.cache
-def _exact_ratio(odd_only, ranges):
+def _exact_ratio(ranges):
     """prod p/(p-1) over the selected source indices as a gcd-free pair;
     cached, since the runs past the cap of one case select alike."""
     from autratio.autorder import product_tree
 
-    shift = 1 if odd_only else 0
     s = PrimeStream()
-    ps = [p for lo, hi in ranges for p in s.primes_slice(lo + shift, hi + shift).tolist()]
+    ps = [p for lo, hi in ranges for p in s.primes_slice(lo + 1, hi + 1).tolist()]
     return product_tree(ps), product_tree([p - 1 for p in ps])
 
 
-@pytest.mark.parametrize("q, eps, odd_only", _DIFF_CASES)
+@pytest.mark.parametrize("q, eps, ray", _DIFF_CASES)
 @pytest.mark.parametrize("exact_cap", [1, 50, 300, None])
-def test_exact_phase_matches_plain_exact_greedy(q, eps, odd_only, exact_cap):
+def test_exact_phase_matches_plain_exact_greedy(q, eps, ray, exact_cap):
     from autratio import subsum
     from autratio.fixedlog import PREC, ln_quotient_bounds
 
     cap = DEFAULT_EXACT_CAP if exact_cap is None else exact_cap
     # a fresh stream, so that inclusion runs meet the sieve's extent
-    src = prime_ratio_terms(odd_only, PrimeStream())
+    src = PrimeRatioSource(PrimeStream())
     got = greedy_select(src, LogTarget(q), eps, exact_cap=cap, record_trail=True)
-    want = exact_greedy(q, eps, odd_only, subsum.DEFAULT_BUDGET, cap)
+    want = exact_greedy(q, eps, subsum.DEFAULT_BUDGET, cap)
     if "switch" in want:
         # up to the cap the run is the plain exact greedy's
         _, _, runs, trail, i, _ = want["switch"]
@@ -534,7 +541,7 @@ def test_exact_phase_matches_plain_exact_greedy(q, eps, odd_only, exact_cap):
         # past it, the contract holds by exact re-multiplication
         assert got.status == CONVERGED and got.count > cap
         assert got.exact_product is None
-        un, ud = _exact_ratio(odd_only, got.ranges)
+        un, ud = _exact_ratio(got.ranges)
         assert un * q.denominator <= ud * q.numerator
         if un * q.denominator != ud * q.numerator:
             _, hi = ln_quotient_bounds(q.numerator * ud, q.denominator * un, PREC)
@@ -545,20 +552,20 @@ def test_exact_phase_matches_plain_exact_greedy(q, eps, odd_only, exact_cap):
     else:
         assert {k: getattr(got, k) for k in want} == want
     untraced = greedy_select(
-        prime_ratio_terms(odd_only, PrimeStream()), LogTarget(q), eps, exact_cap=cap
+        PrimeRatioSource(PrimeStream()), LogTarget(q), eps, exact_cap=cap
     )
     assert untraced.trail is None
     assert dataclasses.replace(untraced, trail=got.trail) == got
 
 
 def test_exact_phase_budget_cut_matches_plain_exact_greedy():
-    q, eps = 1 / Fraction("0.0401"), Fraction(1, 10**6)
+    q, eps = 1 / Fraction("0.0802"), Fraction(1, 10**6)
     for budget in (700, 5000):
         got = greedy_select(
-            prime_ratio_terms(False, PrimeStream()), LogTarget(q), eps,
+            PrimeRatioSource(PrimeStream()), LogTarget(q), eps,
             budget=budget, record_trail=True,
         )
-        want = exact_greedy(q, eps, False, budget, DEFAULT_EXACT_CAP)
+        want = exact_greedy(q, eps, budget, DEFAULT_EXACT_CAP)
         assert got.status == BUDGET_EXHAUSTED
         assert {k: getattr(got, k) for k in want} == want
 
@@ -567,23 +574,19 @@ def test_stream_term_table_layout():
     import numpy as np
 
     from autratio.fixedlog import term_block_fp60
-    from autratio.subsum import _LN2_FLOOR60
 
     s = PrimeStream()
-    odd, every = prime_ratio_terms(True, s), prime_ratio_terms(False, s)
+    src = PrimeRatioSource(s)
     assert not hasattr(s, "_term60_cache")  # made on first read
-    odd.term60_array(5000)
+    src.term60_array(5000)
     table = s._term60_cache
-    # entry 0 is ln 2's floor, entry k - 1 the k-th prime's term for k >= 2
-    assert table[0] == _LN2_FLOOR60
-    assert (table[1:5001] == term_block_fp60(s.primes_slice(2, 5001))).all()
-    for src, first in [(odd, 2), (every, 1)]:
-        view = src.term60_array(3000)
-        assert len(view) == 3000 and np.shares_memory(view, s._term60_cache)
-        assert (view == s._term60_cache[first - 1 : first + 2999]).all()
-    for src in (odd, every):
-        for i in [1, 2, 255, 256, 257, 2999, 3000]:
-            assert src.prime(i) == s.nth_prime(src.prime_index(i))
+    # entry j - 1 is the j-th odd prime's term, the prime p_(j+1)
+    assert (table[:5000] == term_block_fp60(s.primes_slice(2, 5001))).all()
+    view = src.term60_array(3000)
+    assert len(view) == 3000 and np.shares_memory(view, s._term60_cache)
+    assert (view == s._term60_cache[:3000]).all()
+    for i in [1, 2, 255, 256, 257, 2999, 3000]:
+        assert src.prime(i) == s.nth_prime(i + 1)
 
 
 def test_product_state_encloses_ln_u(stream):
@@ -593,10 +596,12 @@ def test_product_state_encloses_ln_u(stream):
 
     rng = random.Random(77)
     n_past = 0
-    for odd_only in (False, True):
-        src = prime_ratio_terms(odd_only, stream)
+    src = PrimeRatioSource(stream)
+    for halve in (True, False):
         for _ in range(20):
             q = Fraction(rng.randint(101, 600), 100)
+            if halve and q >= 2:
+                q /= 2  # a former all-primes case: the C2 factor takes ln 2
             eps = Fraction(1, 10 ** rng.randint(2, 4))
             sel = greedy_select(src, LogTarget(q), eps, exact_cap=rng.choice([0, 3, 40]))
             if sel.exact_product is not None:
@@ -614,7 +619,7 @@ def test_term60_cache_grows_in_place():
     from autratio.fixedlog import term_block_fp60
 
     s = PrimeStream()
-    src = prime_ratio_terms(True, s)
+    src = PrimeRatioSource(s)
     head = src.term60_array(1000).copy()
     s.extend_to(10**6)
     grown = src.term60_array(70_000)
