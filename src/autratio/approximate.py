@@ -121,15 +121,11 @@ def approx_in_unit(
     *,
     stream: PrimeStream | None = None,
     config: ApproxConfig = ApproxConfig(),
-    record_trail: bool = False,
 ) -> ApproxResult:
     """``approx_ray`` for a target a in [0, 1]: f(G) in [a, a + eps)."""
     if not 0 <= Fraction(a) <= 1:
         raise ValueError("approx_in_unit needs 0 <= a <= 1")
-    return approx_ray(
-        a, eps, odd_only=odd_only, stream=stream, config=config,
-        record_trail=record_trail,
-    )
+    return approx_ray(a, eps, odd_only=odd_only, stream=stream, config=config)
 
 
 def approx_ray(
@@ -139,7 +135,6 @@ def approx_ray(
     odd_only: bool = False,
     stream: PrimeStream | None = None,
     config: ApproxConfig = ApproxConfig(),
-    record_trail: bool = False,
 ) -> ApproxResult:
     """Group with certified |f(G) - a| <= eps for any a >= 0; see the
     module docstring.
@@ -184,7 +179,6 @@ def approx_ray(
         LogTarget(q),
         eps_log,
         budget=config.budget,
-        record_trail=record_trail,
         exact_cap=config.exact_cap,
     )
     max_p = source.prime(sel.scanned) if sel.scanned else 0

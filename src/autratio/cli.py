@@ -6,6 +6,15 @@ Exit codes: 0 ok, 1 usage or parse error, 2 capacity or cap refusal,
 strings, never as floats; log-space values always come with their error
 bound.  Env overrides: AUTRATIO_SIEVE_CEILING, AUTRATIO_ORACLE_ORDER_CAP,
 AUTRATIO_ORACLE_WORK_CAP.
+
+Each command function returns (inputs, result, lines, error) and prints
+nothing; ``main`` renders it.  Under --json every command prints one
+envelope with five fields: command, inputs, result, status, error.
+``status`` is "ok" exactly when ``error`` is null and the exit code is 0.
+A refusal or failure has null inputs and result; a completed run that
+fails its own check (oracle mismatch, rejected certificate) keeps both
+and exits 3.  The oracle alias reports "command": "aut".  Without --json
+the lines go to stdout, or "error: <message>" to stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .approximate import ApproxResult, approx_ray, verify_certificate
+from .approximate import approx_ray, verify_certificate
 from .autorder import aut_order, f_exact, f_prime_exact
 from .errors import (
     GroupParseError,
@@ -129,187 +138,113 @@ def _oracle_caps() -> OracleCaps:
     )
 
 
-def _symbolic_json(group) -> dict:
-    return {
-        "two_rank": group.two_rank,
-        "odd_prime_index_ranges": [list(r) for r in group.odd_prime_ranges],
-        "index_count": group.index_count,
-    }
-
-
-def _approx_json(res: ApproxResult) -> dict:
-    sel = res.trace.selection
-    return {
-        "group": _symbolic_json(res.group),
-        "achieved": {
-            "log_value": res.achieved.log_value,
-            "abs_error": res.achieved.abs_error,
-        },
-        "exact_ratio": None if res.exact_ratio is None else _ratio_str(res.exact_ratio),
-        "target": _ratio_str(res.target),
-        "eps": _ratio_str(res.eps),
-        "trace": {
-            "two_rank": res.trace.two_rank,
-            "b": _ratio_str(res.trace.b),
-            "eps_inner": _ratio_str(res.trace.eps_inner),
-            "below_eps_witness": res.trace.below_eps_witness,
-            "scanned": sel.scanned,
-            "status": sel.status,
-            "max_prime_scanned": res.trace.max_prime_scanned,
-        },
-    }
-
-
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _cmd_f(args) -> int:
+def _cmd_f(args):
     g = parse_group(args.group)
-    value = f_prime_exact(g) if args.phi else f_exact(g)
-    payload = {
-        "command": "f",
-        "inputs": {"group": args.group, "phi": bool(args.phi)},
-        "result": {"value": _ratio_str(value)},
-        "status": "ok",
-        "error": None,
-    }
-    _emit(args, payload, [_ratio_str(value)])
-    return EXIT_OK
+    value = _ratio_str(f_prime_exact(g) if args.phi else f_exact(g))
+    return {"group": args.group, "phi": bool(args.phi)}, {"value": value}, [value], None
 
 
-def _cmd_aut(args) -> int:
+def _cmd_aut(args):
     g = parse_group(args.group)
     formula = aut_order(g)
+    inputs = {"group": args.group, "oracle": bool(args.oracle)}
     if not args.oracle:
-        payload = {
-            "command": "aut",
-            "inputs": {"group": args.group, "oracle": False},
-            "result": {"aut_order": _int_str(formula)},
-            "status": "ok",
-            "error": None,
-        }
-        _emit(args, payload, [_int_str(formula)])
-        return EXIT_OK
+        text = _int_str(formula)
+        return inputs, {"aut_order": text}, [text], None
     brute = aut_order_bruteforce(g, _oracle_caps())
     match = formula == brute
-    payload = {
-        "command": "aut",
-        "inputs": {"group": args.group, "oracle": True},
-        "result": {
-            "aut_order": _int_str(formula),
-            "oracle": _int_str(brute),
-            "match": match,
-        },
-        "status": "ok" if match else "error",
-        "error": None if match else "formula/oracle mismatch",
-    }
-    verdict = "match" if match else "MISMATCH"
-    _emit(args, payload, [f"{_int_str(formula)} {_int_str(brute)} {verdict}"])
-    return EXIT_OK if match else EXIT_INTERNAL
+    result = {"aut_order": _int_str(formula), "oracle": _int_str(brute), "match": match}
+    line = f"{result['aut_order']} {result['oracle']} {'match' if match else 'MISMATCH'}"
+    return inputs, result, [line], None if match else "formula/oracle mismatch"
 
 
-def _describe_achieved(res: ApproxResult) -> str:
-    if res.exact_ratio is not None:
-        return f"f = {_ratio_str(res.exact_ratio)} (exact)"
-    return (
-        f"ln f = {res.achieved.log_value!r} +- {res.achieved.abs_error:.3e} "
-        "(certified)"
-    )
-
-
-def _cmd_approx(args) -> int:
+def _cmd_approx(args):
     a = _parse_rational(args.target, "target", allow_decimal=True)
     eps = _parse_rational(args.eps, "eps", allow_decimal=True)
     stream = shared_stream()
     res = approx_ray(a, eps, odd_only=args.odd_only, stream=stream)
     verified = verify_certificate(res, stream=stream)
+    trace = {
+        "two_rank": res.trace.two_rank,
+        "b": _ratio_str(res.trace.b),
+        "eps_inner": _ratio_str(res.trace.eps_inner),
+        "below_eps_witness": res.trace.below_eps_witness,
+        "scanned": res.trace.selection.scanned,
+        "status": res.trace.selection.status,
+        "max_prime_scanned": res.trace.max_prime_scanned,
+    }
+    result = {
+        "group": {
+            "two_rank": res.group.two_rank,
+            "odd_prime_index_ranges": [list(r) for r in res.group.odd_prime_ranges],
+            "index_count": res.group.index_count,
+        },
+        "achieved": {
+            "log_value": res.achieved.log_value,
+            "abs_error": res.achieved.abs_error,
+        },
+        "exact_ratio": None if res.exact_ratio is None else _ratio_str(res.exact_ratio),
+        "target": _ratio_str(a),
+        "eps": _ratio_str(eps),
+        "trace": trace,
+        "second_pass_ok": verified,
+    }
+    if res.exact_ratio is not None:
+        achieved = f"f = {result['exact_ratio']} (exact)"
+    else:
+        achieved = (
+            f"ln f = {res.achieved.log_value!r} +- {res.achieved.abs_error:.3e} "
+            "(certified)"
+        )
+    if res.trace.below_eps_witness:
+        certified = f"f < {result['eps']} (target in [0, eps])"
+    else:
+        certified = f"|f - {result['target']}| <= {result['eps']}"
     lines = [
         f"group: {res.group.describe()}",
-        _describe_achieved(res),
+        achieved,
+        f"certified: {certified}",
+        "trace: two_rank={two_rank} b={b} eps_inner={eps_inner} scanned={scanned} "
+        "max_prime={max_prime_scanned} status={status}".format(**trace),
+        f"second-pass check: {'ok' if verified else 'FAILED'}",
     ]
-    if res.trace.below_eps_witness:
-        lines.append(f"certified: f < {_ratio_str(eps)} (target in [0, eps])")
-    else:
-        lines.append(f"certified: |f - {_ratio_str(a)}| <= {_ratio_str(eps)}")
-    sel = res.trace.selection
-    lines.append(
-        "trace: two_rank={} b={} eps_inner={} scanned={} max_prime={} status={}".format(
-            res.trace.two_rank,
-            _ratio_str(res.trace.b),
-            _ratio_str(res.trace.eps_inner),
-            sel.scanned,
-            res.trace.max_prime_scanned,
-            sel.status,
-        )
-    )
-    lines.append(f"second-pass check: {'ok' if verified else 'FAILED'}")
     if args.materialize:
         try:
             lines.append("literal: " + format_group(res.materialize(stream)))
         except ValueError as exc:
             lines.append(f"literal: not materialized ({exc})")
-    payload = {
-        "command": "approx",
-        "inputs": {
-            "target": args.target,
-            "eps": args.eps,
-            "odd_only": bool(args.odd_only),
-            "materialize": bool(args.materialize),
-        },
-        "result": {**_approx_json(res), "second_pass_ok": verified},
-        "status": "ok",
-        "error": None,
+    inputs = {
+        "target": args.target,
+        "eps": args.eps,
+        "odd_only": bool(args.odd_only),
+        "materialize": bool(args.materialize),
     }
-    _emit(args, payload, lines)
-    return EXIT_OK if verified else EXIT_INTERNAL
+    return inputs, result, lines, None if verified else "second pass rejected the certificate"
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     a = _parse_rational(args.target, "target", allow_decimal=False)
     bounds = SearchBounds(
         max_order=args.max_order,
         max_prime=args.max_prime,
         max_rank_per_prime=args.max_rank,
     )
-    witnesses = find_exact(a, bounds)
-    lines = (
-        [format_group(w.group) for w in witnesses]
-        if witnesses
-        else [f"no witness within bounds (max_order={bounds.max_order})"]
-    )
-    payload = {
-        "command": "search",
-        "inputs": {
-            "target": args.target,
-            "max_order": bounds.max_order,
-            "max_prime": bounds.max_prime,
-            "max_rank": bounds.max_rank_per_prime,
-        },
-        "result": {"witnesses": [format_group(w.group) for w in witnesses]},
-        "status": "ok",
-        "error": None,
+    witnesses = [format_group(w.group) for w in find_exact(a, bounds)]
+    inputs = {
+        "target": args.target,
+        "max_order": bounds.max_order,
+        "max_prime": bounds.max_prime,
+        "max_rank": bounds.max_rank_per_prime,
     }
-    _emit(args, payload, lines)
-    return EXIT_OK
+    lines = witnesses or [f"no witness within bounds (max_order={bounds.max_order})"]
+    return inputs, {"witnesses": witnesses}, lines, None
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args):
     bounds = SearchBounds(max_order=args.max_order, max_rank_per_prime=args.max_rank)
     rows = build_f_table(bounds, args.out)
-    payload = {
-        "command": "table",
-        "inputs": {"max_order": args.max_order, "out": args.out},
-        "result": {"rows": rows, "path": args.out},
-        "status": "ok",
-        "error": None,
-    }
-    _emit(args, payload, [f"{rows} rows"])
-    return EXIT_OK
+    inputs = {"max_order": args.max_order, "out": args.out}
+    return inputs, {"rows": rows, "path": args.out}, [f"{rows} rows"], None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,19 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("f", help="evaluate f(G) (or f'(G) with --phi) exactly")
     p.add_argument("group", help='group literal, e.g. "C2 x C4 x C9"')
     p.add_argument("--phi", action="store_true", help="normalize by phi(|G|)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_f)
 
     p = sub.add_parser("aut", help="|Aut(G)| (with --oracle: brute-force check)")
     p.add_argument("group")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_aut)
 
     p = sub.add_parser("oracle", help="alias of: aut --oracle")
     p.add_argument("group")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_aut, oracle=True)
+    p.set_defaults(fn=_cmd_aut, oracle=True, command="aut")
 
     p = sub.add_parser(
         "approx", help="construct a group with |f(G) - a| <= eps, certified"
@@ -345,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to odd group order (target must be <= 1)")
     p.add_argument("--materialize", action="store_true",
                    help="also print the expanded group literal when small enough")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_approx)
 
     p = sub.add_parser("search", help="exact witnesses f(G) = a within bounds")
@@ -353,17 +284,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", dest="max_order", type=int, default=100)
     p.add_argument("--max-prime", dest="max_prime", type=int, default=None)
     p.add_argument("--max-rank", dest="max_rank", type=int, default=8)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("table", help="write the exact f-table for all groups")
     p.add_argument("--max-order", dest="max_order", type=int, default=100)
     p.add_argument("--max-rank", dest="max_rank", type=int, default=8)
     p.add_argument("--out", default="f-table.tsv")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_table)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return ap
+
+
+def _render(args, inputs, result, lines, error) -> None:
+    """Print the envelope under --json; else the text lines, or with none
+    the error on stderr."""
+    if args.json:
+        envelope = {
+            "command": args.command,
+            "inputs": inputs,
+            "result": result,
+            "status": "ok" if error is None else "error",
+            "error": error,
+        }
+        print(json.dumps(envelope, sort_keys=True))
+    elif lines is not None:
+        print(*lines, sep="\n")
+    else:
+        print(f"error: {error}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -373,39 +322,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        inputs, result, lines, error = args.fn(args)
+        _render(args, inputs, result, lines, error)
+        return EXIT_OK if error is None else EXIT_INTERNAL
     except (GroupParseError, ValueError) as exc:
-        _fail(args, str(exc))
-        return EXIT_USAGE
+        message, code = str(exc), EXIT_USAGE
     except (
         SieveCapacityError, OracleCapExceeded, PrecisionRefusal, InputLimitExceeded
     ) as exc:
-        _fail(args, str(exc))
-        return EXIT_CAPACITY
+        message, code = str(exc), EXIT_CAPACITY
     except OSError as exc:
-        _fail(args, str(exc))
-        return EXIT_INTERNAL
+        message, code = str(exc), EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - surface everything as exit 3
-        _fail(args, f"internal error: {exc}")
-        return EXIT_INTERNAL
-
-
-def _fail(args, message: str) -> None:
-    if getattr(args, "json", False):
-        print(
-            json.dumps(
-                {
-                    "command": getattr(args, "command", None),
-                    "inputs": None,
-                    "result": None,
-                    "status": "error",
-                    "error": message,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"error: {message}", file=sys.stderr)
+        message, code = f"internal error: {exc}", EXIT_INTERNAL
+    _render(args, None, None, None, message)
+    return code
 
 
 if __name__ == "__main__":

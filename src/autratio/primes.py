@@ -82,16 +82,12 @@ class PrimeStream:
             while lo <= limit:
                 hi = min(lo + _SEGMENT - 1, limit)
                 flags = np.ones(hi - lo + 1, dtype=bool)
-                for p in base[1:]:  # skip 2; evens handled by stride start
+                for p in base:
                     p = int(p)
                     start = max(p * p, ((lo + p - 1) // p) * p)
                     if start > hi:
                         continue
                     flags[start - lo :: p] = False
-                p = 2
-                start = max(4, ((lo + 1) // 2) * 2)
-                if start <= hi:
-                    flags[start - lo :: 2] = False
                 chunk = np.flatnonzero(flags).astype(np.int64, copy=False)
                 chunk += lo
                 chunks.append(chunk)

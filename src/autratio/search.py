@@ -272,6 +272,11 @@ def build_f_table(bounds: SearchBounds, path) -> int:
                 fh.write(chunk)
                 rows += chunk.count("\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        # name the file the caller asked for, not the temporary beside it
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -128,6 +128,28 @@ def test_table(capsys, tmp_path):
     assert out_path.read_bytes().startswith(b"# autratio f-table v1 max_order=8\n")
 
 
+def test_table_error_names_the_out_path(capsys, tmp_path):
+    out_path = str(tmp_path / "missing" / "t.tsv")
+    code, _, err = run(capsys, "table", "--max-order", "8", "--out", out_path)
+    assert code == 3
+    assert err == f"error: [Errno 2] No such file or directory: {out_path!r}\n"
+    code, out, _ = run(capsys, "table", "--out", out_path, "--json")
+    assert code == 3 and json.loads(out)["error"] == err.removeprefix("error: ").strip()
+
+
+def test_rejected_certificate_is_an_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_certificate", lambda res, stream=None: False)
+    code, out, _ = run(capsys, "approx", "2/3", "--eps", "1e-3", "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert doc["error"] == "second pass rejected the certificate"
+    assert doc["result"]["second_pass_ok"] is False
+    code, out, err = run(capsys, "approx", "2/3", "--eps", "1e-3")
+    assert code == 3 and err == ""
+    assert out.splitlines()[-1] == "second-pass check: FAILED"
+
+
 def run_cold(argv, timeout):
     """One `python -m autratio.cli` process on this checkout's source: its
     exit code and error message (stderr, or the JSON envelope's error)."""
@@ -252,6 +274,12 @@ def test_json_error_envelope(capsys):
     doc = json.loads(out)
     assert doc["status"] == "error" and doc["result"] is None
     assert "Cnope" in doc["error"]
+    # the alias names itself as the command it stands for, refused or not
+    code, out, _ = run(capsys, "oracle", "C211", "--json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["command"] == "aut" and doc["status"] == "error"
+    assert "oracle order cap" in doc["error"]
 
 
 def test_usage_error_exit_code(capsys):
