@@ -41,7 +41,6 @@ from .autorder import (
 )
 from .oracle import OracleCaps, aut_order_bruteforce, aut_order_bruteforce_naive
 from .subsum import (
-    BUDGET_EXHAUSTED,
     CAPACITY_EXHAUSTED,
     CONVERGED,
     LogTarget,
@@ -51,7 +50,6 @@ from .subsum import (
     greedy_select,
 )
 from .approximate import (
-    ApproxConfig,
     ApproxResult,
     approx_in_unit,
     approx_ray,
@@ -97,9 +95,7 @@ __all__ = [
     "Selection",
     "greedy_select",
     "CONVERGED",
-    "BUDGET_EXHAUSTED",
     "CAPACITY_EXHAUSTED",
-    "ApproxConfig",
     "ApproxResult",
     "approx_in_unit",
     "approx_ray",

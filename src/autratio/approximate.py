@@ -28,7 +28,6 @@ from .groups import SymbolicGroup, _short
 from .primes import PrimeStream, shared_stream
 from .subsum import (
     CONVERGED,
-    DEFAULT_BUDGET,
     DEFAULT_EXACT_CAP,
     LogTarget,
     PrimeRatioSource,
@@ -37,7 +36,6 @@ from .subsum import (
 )
 
 __all__ = [
-    "ApproxConfig",
     "ApproxTrace",
     "ApproxResult",
     "approx_in_unit",
@@ -46,21 +44,6 @@ __all__ = [
 ]
 
 _PREC = fixedlog.PREC
-
-
-@dataclass(frozen=True)
-class ApproxConfig:
-    """Resource knobs; correctness never depends on them.
-
-    ``budget`` caps the greedy's highest term index.  ``exact_cap`` is the
-    number of included odd primes up to which a decision that the greedy's
-    60-bit enclosures cannot settle is taken exactly on the product, and
-    an exact ratio is returned; past it such a decision is conservative
-    and the result is certified by its enclosure.
-    """
-
-    budget: int | None = DEFAULT_BUDGET
-    exact_cap: int = DEFAULT_EXACT_CAP
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,12 +103,12 @@ def approx_in_unit(
     odd_only: bool = False,
     *,
     stream: PrimeStream | None = None,
-    config: ApproxConfig = ApproxConfig(),
+    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> ApproxResult:
     """``approx_ray`` for a target a in [0, 1]: f(G) in [a, a + eps)."""
     if not 0 <= Fraction(a) <= 1:
         raise ValueError("approx_in_unit needs 0 <= a <= 1")
-    return approx_ray(a, eps, odd_only=odd_only, stream=stream, config=config)
+    return approx_ray(a, eps, odd_only=odd_only, stream=stream, exact_cap=exact_cap)
 
 
 def approx_ray(
@@ -134,7 +117,7 @@ def approx_ray(
     *,
     odd_only: bool = False,
     stream: PrimeStream | None = None,
-    config: ApproxConfig = ApproxConfig(),
+    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> ApproxResult:
     """Group with certified |f(G) - a| <= eps for any a >= 0; see the
     module docstring.
@@ -143,7 +126,14 @@ def approx_ray(
     target a <= eps that is not itself some b = f(C2^n) cannot be hit from
     within the image, so the result is a below-eps witness: certified
     f(G) < eps, flagged in the trace.  Raises SieveCapacityError (with the
-    partial trace attached) when the sieve ceiling stops convergence.
+    partial trace attached) when the sieve ceiling, the greedy's one
+    limit, stops convergence.
+
+    ``exact_cap`` is the number of included odd primes up to which a
+    decision that the greedy's 60-bit enclosures cannot settle is taken
+    exactly on the product, and an exact ratio is returned; past it such a
+    decision is conservative and the result is certified by its
+    enclosure.  Correctness never depends on it.
     """
     a = Fraction(a)
     eps = Fraction(eps)
@@ -174,13 +164,7 @@ def approx_ray(
         # positive tolerance
         q, eps_log = b / a, Fraction(max(lo_eps, 1), 1 << _PREC)
     source = PrimeRatioSource(stream)
-    sel = greedy_select(
-        source,
-        LogTarget(q),
-        eps_log,
-        budget=config.budget,
-        exact_cap=config.exact_cap,
-    )
+    sel = greedy_select(source, LogTarget(q), eps_log, exact_cap=exact_cap)
     max_p = source.prime(sel.scanned) if sel.scanned else 0
     trace = ApproxTrace(
         n, b, eps / b, replace(sel, exact_product=None), max_p, below_eps

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .groups import MAX_LITERAL_DIGITS, format_group, parse_group
 from .oracle import OracleCaps, aut_order_bruteforce
-from .primes import shared_stream
+from .primes import env_int, shared_stream
 from .search import SearchBounds, build_f_table, find_exact
 
 EXIT_OK = 0
@@ -133,8 +132,8 @@ def _check_digits(what: str, **counts: int) -> None:
 
 def _oracle_caps() -> OracleCaps:
     return OracleCaps(
-        order_cap=int(os.environ.get("AUTRATIO_ORACLE_ORDER_CAP", 200)),
-        work_cap=int(os.environ.get("AUTRATIO_ORACLE_WORK_CAP", 10**8)),
+        order_cap=env_int("AUTRATIO_ORACLE_ORDER_CAP", 200, 1),
+        work_cap=env_int("AUTRATIO_ORACLE_WORK_CAP", 10**8, 1),
     )
 
 

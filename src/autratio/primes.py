@@ -1,4 +1,4 @@
-"""Prime generation for greedy log-sum budgets and bounded search.
+"""Prime generation for the approximation greedy and bounded search.
 
 A shared, extendable segmented sieve is the package's one prime source: it
 supplies the indexed prime sequence p1 < p2 < ... (1-based, p1 = 2) and the
@@ -27,10 +27,29 @@ DEFAULT_CEILING = 10**8
 _SEGMENT = 1 << 22
 
 
+def env_int(name: str, default: int, minimum: int) -> int:
+    """The environment override ``name`` as an integer, ``default`` when it
+    is unset.  A value that is not a decimal integer >= ``minimum`` raises
+    ValueError naming the variable, its value and the accepted form."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < minimum:
+        raise ValueError(f"{name}={text!r}: expected a decimal integer >= {minimum}")
+    return value
+
+
 def _hard_ceiling(ceiling: int | None) -> int:
-    if ceiling is not None:
-        return int(ceiling)
-    return int(os.environ.get("AUTRATIO_SIEVE_CEILING", DEFAULT_CEILING))
+    if ceiling is None:
+        return env_int("AUTRATIO_SIEVE_CEILING", DEFAULT_CEILING, 2)
+    ceiling = int(ceiling)
+    if ceiling < 2:
+        raise ValueError(f"sieve ceiling must be >= 2, got {ceiling}")
+    return ceiling
 
 
 def _simple_sieve(limit: int) -> np.ndarray:

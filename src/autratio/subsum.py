@@ -31,6 +31,10 @@ Two kinds of term source are supported:
   is tested after every inclusion, so the selection does not depend on
   how far the sieve has been extended.
 
+Each source has one limit on the scan: a ``TermSource``'s ``capacity``
+and a ``PrimeRatioSource``'s sieve ceiling.  A run that reaches it before
+converging ends with status ``capacity_exhausted``.
+
 A log-ratio run returns its enclosure of the selected sum as one integer
 pair (lo, hi) at scale 2**-``fixedlog.PREC``, the form ``fixedlog``
 returns, and its certified convergence tests compare integers by
@@ -55,22 +59,20 @@ from .primes import PrimeStream, shared_stream
 
 __all__ = [
     "CONVERGED",
-    "BUDGET_EXHAUSTED",
     "CAPACITY_EXHAUSTED",
     "LogTarget",
     "TermSource",
     "PrimeRatioSource",
     "Selection",
     "greedy_select",
-    "DEFAULT_BUDGET",
+    "DEFAULT_CAPACITY",
     "DEFAULT_EXACT_CAP",
 ]
 
 CONVERGED = "converged"
-BUDGET_EXHAUSTED = "budget_exhausted"
 CAPACITY_EXHAUSTED = "capacity_exhausted"
 
-DEFAULT_BUDGET = 10_000_000
+DEFAULT_CAPACITY = 10_000_000
 DEFAULT_EXACT_CAP = 10_000
 
 _PREC = fixedlog.PREC
@@ -95,9 +97,11 @@ class TermSource:
 
     ``term(i)`` must be deterministic and return an exact Fraction.  The
     vanishing/divergence claims are caller-supplied and unverifiable here,
-    which is exactly why greedy runs carry an index budget.  Setting
-    ``nonincreasing`` lets the selector jump over non-fitting runs by
-    bisection instead of index-by-index scanning.
+    which is exactly why the source carries a ``capacity``: the highest
+    index a greedy run may read (``DEFAULT_CAPACITY`` unless given; None
+    for no limit), so a series that does not in fact diverge still stops.
+    Setting ``nonincreasing`` lets the selector jump over non-fitting runs
+    by bisection instead of index-by-index scanning.
     """
 
     def __init__(
@@ -107,7 +111,7 @@ class TermSource:
         terms_tend_to_zero: bool,
         series_diverges: bool,
         nonincreasing: bool = False,
-        capacity: int | None = None,
+        capacity: int | None = DEFAULT_CAPACITY,
         description: str = "",
     ):
         self._term = term
@@ -132,6 +136,7 @@ class PrimeRatioSource:
 
     Both metadata claims hold: terms vanish since p -> oo, and the series
     diverges because the terms are asymptotically 1/p and sum 1/p diverges.
+    The stream's sieve ceiling is the source's one limit.
     """
 
     terms_tend_to_zero = True
@@ -147,10 +152,6 @@ class PrimeRatioSource:
         if j < 1:
             raise ValueError("term index must be >= 1")
         return self.stream.nth_prime(j + 1)
-
-    def available_count(self) -> int:
-        """Highest source index under the current sieve (no extension)."""
-        return self.stream.count - 1
 
     def term60_array(self, count: int) -> np.ndarray:
         """Floor terms at scale 2**-60 for source indices 1..count, a view
@@ -168,7 +169,7 @@ def _stream_term60_cache(stream: PrimeStream, count: int) -> np.ndarray:
     cache = getattr(stream, "_term60_cache", None)
     have = 0 if cache is None else len(cache)
     if count > have:
-        stream._ensure_count(count + 1)
+        stream.nth_prime(count + 1)
         size = max(count, min(2 * have, stream.count - 1))
         grown = np.empty(size, dtype=np.int64)
         if have:
@@ -216,36 +217,32 @@ def greedy_select(
     target,
     eps,
     *,
-    budget: int | None = DEFAULT_BUDGET,
     record_trail: bool = False,
     exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> Selection:
     """One-sided greedy subsequence-sum selection; see the module docstring.
 
-    ``eps`` must be positive.  ``budget`` caps the highest index examined
-    (pass None for no cap); exhausting it, or the source's own capacity, is
-    a first-class outcome reported in ``status``, not an error.
+    ``eps`` must be positive.  The scan's one limit is the source's: the
+    ``capacity`` of a ``TermSource``, the sieve ceiling of a
+    ``PrimeRatioSource``.  Reaching it before convergence is a first-class
+    outcome, ``capacity_exhausted`` in ``status``, not an error.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if budget is not None and budget < 0:
-        raise ValueError("budget must be >= 0")
     if isinstance(source, PrimeRatioSource):
         if not isinstance(target, LogTarget):
             raise TypeError(
                 "prime ratio sources need a LogTarget (the terms are logs "
                 "of rationals, so the target must be one as well)"
             )
-        return _continue_fixed_point(
-            source, target, eps, budget, record_trail, exact_cap
-        )
+        return _continue_fixed_point(source, target, eps, record_trail, exact_cap)
     if isinstance(target, LogTarget):
         raise TypeError("LogTarget requires a log-ratio source")
     target = Fraction(target)
     if target < 0:
         raise ValueError("target must be >= 0")
-    return _greedy_additive(source, target, eps, budget, record_trail)
+    return _greedy_additive(source, target, eps, record_trail)
 
 
 # ---------------------------------------------------------------------------
@@ -280,22 +277,17 @@ def _bisect_first_fitting(fits, lo: int, hi: int | None) -> int | None:
     return hi
 
 
-def _greedy_additive(source, target, eps, budget, record_trail):
+def _greedy_additive(source, target, eps, record_trail):
     total = Fraction(0)
     included: list[int] = []
     trail: list[tuple] = []
     i = 1
     scanned = 0
     cap = source.capacity
-    limits = [x for x in (budget, cap) if x is not None]
-    hard_limit = min(limits) if limits else None
     status = None
     while True:
         if target - total < eps:
             status = CONVERGED
-            break
-        if budget is not None and i > budget:
-            status = BUDGET_EXHAUSTED
             break
         if cap is not None and i > cap:
             status = CAPACITY_EXHAUSTED
@@ -317,9 +309,9 @@ def _greedy_additive(source, target, eps, budget, record_trail):
         if source.nonincreasing:
             # jump the whole run of too-large terms
             j = _bisect_first_fitting(
-                lambda m: source.term(m) <= deficit, i, hard_limit
+                lambda m: source.term(m) <= deficit, i, cap
             )
-            run_end = (j - 1) if j is not None else hard_limit
+            run_end = (j - 1) if j is not None else cap
         else:
             run_end = i
         scanned = run_end
@@ -352,7 +344,7 @@ def _certified_deficit_below(qn, qd, un, ud, bound: Fraction) -> bool:
     return hi * bound.denominator < bound.numerator << _PREC
 
 
-def _budget_upper_bound(source) -> Fraction | None:
+def _ceiling_upper_bound(source) -> Fraction | None:
     """Rigorous upper bound on the total ln(p/(p-1)) over the odd primes
     below the sieve ceiling: sum_{p <= x} ln(p/(p-1)) < gamma + lnln x +
     1/(2 ln^2 x) for x >= 285 (classical explicit Mertens-type bound),
@@ -428,22 +420,16 @@ def _first_included(source, i, limit, runs, lo, hi, q, exact):
     return _bisect_first_fitting(fits, i, limit)
 
 
-def _scan_limit(source, budget) -> int:
-    """Highest index the scan may read without extending the sieve."""
-    avail = source.available_count()
-    return avail if budget is None else min(avail, budget)
-
-
 def _extend(stream: PrimeStream) -> bool:
     """Extend the sieve by the stream's own doubling; False at the ceiling."""
     try:
-        stream._ensure_count(stream.count + 1)
+        stream.nth_prime(stream.count + 1)
     except SieveCapacityError:
         return False
     return True
 
 
-def _continue_fixed_point(source, target, eps, budget, record_trail, exact_cap):
+def _continue_fixed_point(source, target, eps, record_trail, exact_cap):
     """The log-ratio greedy: one scan over the stream's floor-term table.
 
     (The name is the former fixed-point continuation's, which the
@@ -458,7 +444,8 @@ def _continue_fixed_point(source, target, eps, budget, record_trail, exact_cap):
     skipped and an ambiguous convergence test fails, so the selected sum
     never exceeds the target and a declared convergence is certified.
     Convergence is tested after every inclusion, so the selection stops at
-    the first converged prefix whatever the sieve's extent.
+    the first converged prefix whatever the sieve's extent.  The scan
+    extends the sieve as it needs and ends at its ceiling.
     """
     stream = source.stream
     qn, qd = target.ratio.numerator, target.ratio.denominator
@@ -472,7 +459,7 @@ def _continue_fixed_point(source, target, eps, budget, record_trail, exact_cap):
     trail: list[tuple] = []
     i, scanned, window = 1, 0, _RUN0
     status = None
-    avail = _budget_upper_bound(source)
+    avail = _ceiling_upper_bound(source)
     if avail is not None and Fraction(q_lo, 1 << _SB) - avail >= eps:
         # even selecting every prime under the ceiling leaves a deficit of
         # at least eps: fail fast instead of crawling the sieve
@@ -486,9 +473,6 @@ def _continue_fixed_point(source, target, eps, budget, record_trail, exact_cap):
         ):
             status = CONVERGED
             break
-        if budget is not None and i > budget:
-            status = BUDGET_EXHAUSTED
-            break
         exact = count < exact_cap
         if not exact and q_lo - hi <= _C:
             raise PrecisionRefusal(
@@ -496,7 +480,7 @@ def _continue_fixed_point(source, target, eps, budget, record_trail, exact_cap):
                 f"bound (certified remaining deficit <= "
                 f"{float(Fraction(q_hi - lo, 1 << _SB)):.3e})"
             )
-        limit = _scan_limit(source, budget)
+        limit = stream.count - 1  # the last source index under the sieve
         if i > limit:  # past the sieved primes
             if not _extend(stream):
                 status = CAPACITY_EXHAUSTED
@@ -513,15 +497,15 @@ def _continue_fixed_point(source, target, eps, budget, record_trail, exact_cap):
             # the front term is not a certain fit: skip to the first index
             # the greedy includes, extending the sieve as the skip needs
             first = _first_included(source, i, limit, runs, lo, hi, q, exact)
-            while first is None and limit != budget and _extend(stream):
-                start, limit = limit + 1, _scan_limit(source, budget)
+            while first is None and _extend(stream):
+                start, limit = limit + 1, stream.count - 1
                 first = _first_included(source, start, limit, runs, lo, hi, q, exact)
             end = limit if first is None else first - 1
             if end >= i and record_trail:
                 trail.append(("skip_run", i, end))
             if first is None:
                 scanned = limit
-                status = BUDGET_EXHAUSTED if limit == budget else CAPACITY_EXHAUSTED
+                status = CAPACITY_EXHAUSTED
                 break
             n = 1
             t = int(source.term60_array(first)[first - 1])

@@ -6,7 +6,6 @@ import pytest
 
 from autratio import fixedlog
 from autratio.approximate import (
-    ApproxConfig,
     _two_part,
     approx_in_unit,
     approx_ray,
@@ -16,6 +15,7 @@ from autratio.autorder import LogValue, f_exact, two_rank_ratio
 from autratio.errors import PrecisionRefusal, SieveCapacityError
 from autratio.groups import SymbolicGroup
 from autratio.primes import PrimeStream
+from autratio.subsum import DEFAULT_EXACT_CAP
 
 
 def independent_product(group, stream) -> Fraction:
@@ -36,8 +36,7 @@ def test_unit_result_encloses_the_selection_pair(stream, exact_cap):
     # a certified result's LogValue is ln b's integer pair less the
     # selection's; an exact one encloses ln of its exact ratio
     r = approx_in_unit(
-        Fraction(3, 10), Fraction(1, 1000), stream=stream,
-        config=ApproxConfig(exact_cap=exact_cap),
+        Fraction(3, 10), Fraction(1, 1000), stream=stream, exact_cap=exact_cap
     )
     assert r.trace.b == Fraction(1, 2) and r.trace.selection.count == 3
     assert (r.exact_ratio is None) == (exact_cap == 2)
@@ -185,10 +184,7 @@ def test_ray_capacity_error_carries_partial_trace():
     with pytest.raises(SieveCapacityError) as exc:
         approx_ray(Fraction(1, 50), Fraction(1, 10**6), stream=tiny)
     assert exc.value.partial is not None
-    assert exc.value.partial.selection.status in (
-        "capacity_exhausted",
-        "budget_exhausted",
-    )
+    assert exc.value.partial.selection.status == "capacity_exhausted"
 
 
 def test_monotone_resource_use(stream):
@@ -227,9 +223,7 @@ def certified(stream):
     out = {}
     for a in ("1.52", "1.8", "2.0", "0.047"):
         out[a] = approx_ray(Fraction(a), EPS, stream=stream)
-    out["0"] = approx_in_unit(
-        0, Fraction(1, 5), stream=stream, config=ApproxConfig(exact_cap=1)
-    )
+    out["0"] = approx_in_unit(0, Fraction(1, 5), stream=stream, exact_cap=1)
     assert out["0"].trace.below_eps_witness
     assert all(r.exact_ratio is None for r in out.values())
     return out
@@ -313,9 +307,9 @@ def test_continuation_encloses_the_unreduced_product(stream, a, cap):
     # runs past the exact cap return the scan's own 60-bit enclosure of the
     # selected sum instead of a product; the result must pass both second
     # passes
-    config = ApproxConfig() if cap is None else ApproxConfig(exact_cap=cap)
     eps = Fraction(1, 5) if a == "0" else EPS
-    r = approx_ray(Fraction(a), eps, stream=stream, config=config)
+    cap = DEFAULT_EXACT_CAP if cap is None else cap
+    r = approx_ray(Fraction(a), eps, stream=stream, exact_cap=cap)
     assert r.exact_ratio is None
     assert verify_certificate(r, stream=stream)
     assert verify_certificate(r, stream=stream, prec=384)
@@ -324,7 +318,7 @@ def test_continuation_encloses_the_unreduced_product(stream, a, cap):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda s: approx_in_unit(0, Fraction(1, 10), stream=s, config=ApproxConfig(exact_cap=1)),
+        lambda s: approx_in_unit(0, Fraction(1, 10), stream=s, exact_cap=1),
         lambda s: approx_ray(Fraction(38, 25), Fraction(1, 1000), stream=s),
         lambda s: approx_in_unit(Fraction(1, 25), Fraction(1, 1000), stream=s),
     ],

@@ -268,6 +268,22 @@ def test_env_overrides_oracle_caps(capsys, monkeypatch):
     assert code == 0 and out == "210 210 match\n"
 
 
+def test_malformed_env_overrides_name_the_setting(capsys, monkeypatch):
+    # the shared stream is built afresh, so it reads the ceiling override
+    monkeypatch.setattr(autratio.primes, "_shared", None)
+    for value in ["-5", "1e8", "1", "x"]:
+        monkeypatch.setenv("AUTRATIO_SIEVE_CEILING", value)
+        code, out, err = run(capsys, "approx", "0.3", "--eps", "1e-3")
+        assert code == 1 and out == ""
+        assert err == f"error: AUTRATIO_SIEVE_CEILING={value!r}: expected a decimal integer >= 2\n"
+    for name, value in [("AUTRATIO_ORACLE_ORDER_CAP", "x"), ("AUTRATIO_ORACLE_WORK_CAP", "0")]:
+        monkeypatch.setenv(name, value)
+        code, out, _ = run(capsys, "oracle", "C6", "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == f"{name}={value!r}: expected a decimal integer >= 1"
+        monkeypatch.delenv(name)
+
+
 def test_json_error_envelope(capsys):
     code, out, _ = run(capsys, "f", "--json", "Cnope")
     assert code == 1

@@ -72,6 +72,13 @@ def test_ceiling_env_override(monkeypatch):
         s.nth_prime(10**5)
 
 
+def test_ceiling_below_two_is_refused():
+    for ceiling in (-5, 0, 1):
+        with pytest.raises(ValueError, match=f"sieve ceiling must be >= 2, got {ceiling}"):
+            PrimeStream(ceiling=ceiling)
+    assert PrimeStream(ceiling=2).primes_upto(2) == [2]
+
+
 def test_primes_upto_matches_trial_division(stream):
     ref = trial_division_primes(5000)
     got = stream.primes_upto(5000)

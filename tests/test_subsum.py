@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from autratio.groups import _ranges_from_indices
 from autratio.primes import PrimeStream
 from autratio.subsum import (
-    BUDGET_EXHAUSTED,
     CAPACITY_EXHAUSTED,
     CONVERGED,
+    DEFAULT_CAPACITY,
     DEFAULT_EXACT_CAP,
     LogTarget,
     PrimeRatioSource,
@@ -23,13 +23,14 @@ from autratio.subsum import (
 )
 
 
-def harmonic():
+def harmonic(capacity=DEFAULT_CAPACITY):
     return TermSource(
         lambda i: Fraction(1, i),
         terms_tend_to_zero=True,
         series_diverges=True,
         nonincreasing=True,
         description="1/i",
+        capacity=capacity,
     )
 
 
@@ -138,30 +139,20 @@ def test_determinism(stream):
     assert s1.ranges == s2.ranges and s1.status == s2.status == CONVERGED
 
 
-def test_budget_exhaustion():
-    # terms 1/(i+10) with budget 3: cannot get deficit below eps in 3 terms
-    src = TermSource(
-        lambda i: Fraction(1, i + 10),
-        terms_tend_to_zero=True,
-        series_diverges=True,
-        nonincreasing=True,
-    )
-    sel = greedy_select(src, 2, Fraction(1, 10**9), budget=3)
-    assert sel.status == BUDGET_EXHAUSTED
-    assert sel.scanned <= 3
-
-
 def test_capacity_exhaustion_declared_capacity():
-    src = TermSource(
-        lambda i: Fraction(1, i),
-        terms_tend_to_zero=True,
-        series_diverges=True,
-        nonincreasing=True,
-        capacity=5,
-    )
-    sel = greedy_select(src, 10, Fraction(1, 10**6))
-    assert sel.status == CAPACITY_EXHAUSTED
-    assert sel.exact_sum == sum(Fraction(1, i) for i in range(1, 6))
+    # terms 1/(i + shift) under capacity k: no k terms reach the target
+    for shift, k, target, eps in [(0, 5, 10, Fraction(1, 10**6)), (10, 3, 2, Fraction(1, 10**9))]:
+        src = TermSource(
+            lambda i: Fraction(1, i + shift),
+            terms_tend_to_zero=True,
+            series_diverges=True,
+            nonincreasing=True,
+            capacity=k,
+        )
+        sel = greedy_select(src, target, eps)
+        assert sel.status == CAPACITY_EXHAUSTED
+        assert sel.scanned <= k
+        assert sel.exact_sum == sum(Fraction(1, i + shift) for i in range(1, k + 1))
 
 
 def test_capacity_exhaustion_prime_ceiling():
@@ -389,10 +380,10 @@ def test_progress_guarantee(named, target):
     "target", [Fraction(9, 4), Fraction(7, 3), Fraction(31, 10), Fraction(2, 7)]
 )
 def test_unbounded_budget_matches_bounded(target):
-    # budget=None sends the skip-run bisection down its unbounded probe
+    # capacity=None sends the skip-run bisection down its unbounded probe
     eps = Fraction(1, 10**6)
-    free = greedy_select(harmonic(), target, eps, budget=None, record_trail=True)
-    capped = greedy_select(harmonic(), target, eps, budget=10**7, record_trail=True)
+    free = greedy_select(harmonic(capacity=None), target, eps, record_trail=True)
+    capped = greedy_select(harmonic(capacity=10**7), target, eps, record_trail=True)
     assert free.status == capped.status == CONVERGED
     assert any(step[0] == "skip_run" for step in free.trail)
     assert free.ranges == capped.ranges
@@ -418,15 +409,17 @@ def _ref_primes():
     return _primes_upto(1 << 22)
 
 
-def exact_greedy(q, eps, budget, exact_cap):
+def exact_greedy(q, eps, limit, exact_cap):
     """The greedy's exact phase one odd prime at a time, in integers only.
 
     Every inclusion is decided by cross-multiplication; a skipped run ends
     at the smallest prime p with p/(p-1) <= Q/U, i.e. p >= r/(r - 1) for
     r = Q/U.  Convergence is the greedy's certified test: the 192-bit upper
     bound of ln(Q/U) below eps, skipped when ln r >= 2(r - 1)/(r + 1) >= eps
-    already proves the deficit is at least eps.  Returns the Selection's
-    fields, or the switch state when ``exact_cap`` inclusions are reached.
+    already proves the deficit is at least eps.  The scan reads no source
+    index past ``limit`` (None for none), as a sieve ceiling cuts it.
+    Returns the Selection's fields, or the switch state when ``exact_cap``
+    inclusions are reached.
     """
     from autratio.fixedlog import PREC, ln_quotient_bounds
 
@@ -447,8 +440,8 @@ def exact_greedy(q, eps, budget, exact_cap):
                     status = CONVERGED
                     break
             check = False
-        if budget is not None and i > budget:
-            status = BUDGET_EXHAUSTED
+        if limit is not None and i > limit:
+            status = CAPACITY_EXHAUSTED
             break
         if len(included) >= exact_cap:
             return {"switch": (un, ud, list(_ranges_from_indices(included)), trail, i, scanned)}
@@ -464,11 +457,11 @@ def exact_greedy(q, eps, budget, exact_cap):
         first = -(-(qn * ud) // gap)  # ceil(r / (r - 1))
         j = bisect.bisect_left(primes, first) + 1
         assert j <= len(primes), "reference prime list too short"
-        end = j - 1 if budget is None or j <= budget else budget
+        end = j - 1 if limit is None or j <= limit else limit
         scanned = max(scanned, end)
         trail.append(("skip_run", i, end))
         if end != j - 1:
-            status = BUDGET_EXHAUSTED
+            status = CAPACITY_EXHAUSTED
             break
         i = j
     return {
@@ -525,14 +518,13 @@ def _exact_ratio(ranges):
 @pytest.mark.parametrize("q, eps, ray", _DIFF_CASES)
 @pytest.mark.parametrize("exact_cap", [1, 50, 300, None])
 def test_exact_phase_matches_plain_exact_greedy(q, eps, ray, exact_cap):
-    from autratio import subsum
     from autratio.fixedlog import PREC, ln_quotient_bounds
 
     cap = DEFAULT_EXACT_CAP if exact_cap is None else exact_cap
     # a fresh stream, so that inclusion runs meet the sieve's extent
     src = PrimeRatioSource(PrimeStream())
     got = greedy_select(src, LogTarget(q), eps, exact_cap=cap, record_trail=True)
-    want = exact_greedy(q, eps, subsum.DEFAULT_BUDGET, cap)
+    want = exact_greedy(q, eps, None, cap)
     if "switch" in want:
         # up to the cap the run is the plain exact greedy's
         _, _, runs, trail, i, _ = want["switch"]
@@ -558,15 +550,18 @@ def test_exact_phase_matches_plain_exact_greedy(q, eps, ray, exact_cap):
     assert dataclasses.replace(untraced, trail=got.trail) == got
 
 
-def test_exact_phase_budget_cut_matches_plain_exact_greedy():
-    q, eps = 1 / Fraction("0.0802"), Fraction(1, 10**6)
-    for budget in (700, 5000):
+def test_exact_phase_ceiling_cut_matches_plain_exact_greedy():
+    # a ceiling at p_701 = 5281 (p_5001 = 48619) leaves source indices up to
+    # 700 (5000); ln 6 is under the fail-fast bound there, so the scan runs
+    # to the ceiling and stops as the plain greedy cut at that index does
+    q, eps = Fraction(6), Fraction(1, 10**7)
+    for ceiling, limit in ((5281, 700), (48619, 5000)):
         got = greedy_select(
-            PrimeRatioSource(PrimeStream()), LogTarget(q), eps,
-            budget=budget, record_trail=True,
+            PrimeRatioSource(PrimeStream(ceiling=ceiling)), LogTarget(q), eps,
+            record_trail=True,
         )
-        want = exact_greedy(q, eps, budget, DEFAULT_EXACT_CAP)
-        assert got.status == BUDGET_EXHAUSTED
+        want = exact_greedy(q, eps, limit, DEFAULT_EXACT_CAP)
+        assert got.status == CAPACITY_EXHAUSTED and got.scanned == limit
         assert {k: getattr(got, k) for k in want} == want
 
 
