@@ -139,20 +139,34 @@ def test_determinism(stream):
     assert s1.ranges == s2.ranges and s1.status == s2.status == CONVERGED
 
 
+def test_budget_exhaustion():
+    # terms 1/(i+10) limited to 3 scanned terms: the deficit cannot fall
+    # below eps, and the scan stops at the declared capacity
+    src = TermSource(
+        lambda i: Fraction(1, i + 10),
+        terms_tend_to_zero=True,
+        series_diverges=True,
+        nonincreasing=True,
+        capacity=3,
+    )
+    sel = greedy_select(src, 2, Fraction(1, 10**9))
+    assert sel.status == CAPACITY_EXHAUSTED
+    assert sel.scanned <= 3
+    assert sel.exact_sum == sum(Fraction(1, i + 10) for i in range(1, 4))
+
+
 def test_capacity_exhaustion_declared_capacity():
-    # terms 1/(i + shift) under capacity k: no k terms reach the target
-    for shift, k, target, eps in [(0, 5, 10, Fraction(1, 10**6)), (10, 3, 2, Fraction(1, 10**9))]:
-        src = TermSource(
-            lambda i: Fraction(1, i + shift),
-            terms_tend_to_zero=True,
-            series_diverges=True,
-            nonincreasing=True,
-            capacity=k,
-        )
-        sel = greedy_select(src, target, eps)
-        assert sel.status == CAPACITY_EXHAUSTED
-        assert sel.scanned <= k
-        assert sel.exact_sum == sum(Fraction(1, i + shift) for i in range(1, k + 1))
+    src = TermSource(
+        lambda i: Fraction(1, i),
+        terms_tend_to_zero=True,
+        series_diverges=True,
+        nonincreasing=True,
+        capacity=5,
+    )
+    sel = greedy_select(src, 10, Fraction(1, 10**6))
+    assert sel.status == CAPACITY_EXHAUSTED
+    assert sel.scanned <= 5
+    assert sel.exact_sum == sum(Fraction(1, i) for i in range(1, 6))
 
 
 def test_capacity_exhaustion_prime_ceiling():
