@@ -18,36 +18,58 @@ with each p-part of weight w, so taking both in order gives (order,
 factors) order without a sort.  A heap yields the orders ascending, each
 once, and each block of p-parts is made once per call.
 
-The pruned search walks only the primes a group includes, keeping pending
-nodes on a stack and threading r = a / (product of chosen local ratios)
-through them.  It cuts what provably cannot be met, once per node:
+The pruned search walks only the primes a group includes, keeping live
+nodes on a stack and threading r = rn/rd = a / (product of chosen local
+ratios), in lowest terms, through them.  A node is dead when (``reach``):
 
-* every prime factor of a future local numerator is either some remaining
-  prime q or divides q^j - 1 < remaining budget, so a numerator prime of r
-  at or above the budget is unreachable and the node is dead;
-* a prime q dividing the reduced denominator of r can only be cancelled by
-  the q-part itself (local denominators are prime powers), so q must be a
-  later prime and q^v must fit the remaining budget.  The node is dead
-  otherwise, and its prime loop ends at the smallest such q, since
+* rd is above the order budget left: the rest H has f(H) = r, whose
+  squarefree denominator is made of primes of |H|, so rd <= |H|;
+* a numerator prime of r is at or above the budget: every prime factor of
+  a future local numerator is a remaining prime q with q*q <= budget or
+  divides some q^j - 1 < budget.  Only primes up to the prime limit are
+  divided out, so below a budget past the limit what is left is cut only
+  when it is a proven prime at or above the budget;
+* a prime q of rd is not a later prime, or q^v does not fit the budget:
+  local denominators are 1 or the prime itself, so only the q-part can
+  cancel q.  The node's prime loop ends at the smallest such q, since
   including any prime past it would leave q uncancelled.
 
-Both cuts are conservative; the differential test against the unpruned
-scan is part of the contract.
+A child, one p-part of weight w, is judged before it is divided or pushed
+(``_Walk.children``), by integer tests on rn and rd against a per-prime
+table of (p^w, (p, e), an/ad, low): an/ad is |Aut(G_p)|/p^w in lowest
+terms (ad is 1 or p) and low the part of an made of primes up to p.
+
+* Denominator test: ``rn % low != 0``.  A prime up to p would stay in the
+  child's denominator, and only its own part, already passed, can cancel it.
+* Numerator test: ad = p, p does not divide rd and p >= budget // p^w.  p
+  would stay in the child's numerator, at or above its budget.  Beside it,
+  ad = 1 while p divides rd leaves p in the denominator.
+* rd, less the p that ad = p cancels, above budget // p^w: the child's
+  denominator is above its budget, at this weight and every larger one.
+* Past sqrt(budget) a prime's only child is C_p (ad = p), and no prime
+  below the smallest of rd divides rd, so only that one can pass.
+
+Each test is a consequence of the node cuts, so the witnesses do not
+change.  A child that passes is divided and pushed only when it can still
+hit or branch, with its end index.  Each table is built at its prime's
+first expansion and shared by later calls.  All cuts are conservative;
+the differential test against the unpruned scan is part of the contract.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, isqrt, prod
 from typing import Iterator
 
 from .autorder import aut_order_local, f_exact
-from .groups import AbelianGroup, order
+from .groups import _MR_PROVEN_BELOW, AbelianGroup, _is_prime
 from .primes import shared_stream
 
 __all__ = [
@@ -84,7 +106,7 @@ class SearchBounds:
         return min(p, self.max_order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     group: AbelianGroup
     f_value: Fraction
@@ -100,11 +122,6 @@ def _partitions(weight: int, max_len: int, min_part: int = 1) -> tuple:
         (first,) + rest for first in range(min_part, weight + 1) if max_len
         for rest in _partitions(weight - first, max_len - 1, first)
     )
-
-
-@lru_cache(maxsize=None)
-def _local_ratio(p: int, part: tuple[int, ...]) -> Fraction:
-    return Fraction(aut_order_local(p, part), p ** sum(part))
 
 
 def _by_order(primes: list[int], bounds: SearchBounds, unit, part_row, join):
@@ -147,53 +164,75 @@ def enumerate_groups(bounds: SearchBounds) -> Iterator[AbelianGroup]:
         yield from map(AbelianGroup._trusted, join(base, block))
 
 
-def find_exact(
-    a, bounds: SearchBounds, *, prune: bool = True
-) -> list[Witness]:
-    """All witnesses f(G) = a within bounds, by exact rational comparison.
+def _smooth_part(n: int, p: int, primes: list[int]) -> int:
+    """The part of n made of primes up to p; ``primes`` ascending from 2
+    through p.  Trial division stops at the square root of what is left,
+    which is then 1 or a prime."""
+    low = 1
+    for q in primes:
+        if q > p or q * q > n:
+            break
+        if n % q == 0:
+            qpart = gcd(n, q ** n.bit_length())  # all of it at once
+            n //= qpart
+            low *= qpart
+    return low * n if n <= p else low
 
-    An empty list means "no witness within these bounds", nothing more.
-    With ``prune=False`` the search degenerates to a plain filtered scan of
-    the full enumeration (the reference behavior for differential tests).
-    Raises SieveCapacityError when max_order is above the sieve ceiling.
-    """
-    a = Fraction(a)
-    if a < 0:
-        raise ValueError("search target must be >= 0")
-    if not prune:
-        return [
-            Witness(g, a) for g in enumerate_groups(bounds) if f_exact(g) == a
-        ]
-    if a == 0:
-        return []  # f is strictly positive on every finite group
-    stream = shared_stream()
-    primes = stream.primes_upto(bounds.prime_limit)
-    strip_primes = stream.primes_upto(bounds.max_order)
-    rank = bounds.max_rank_per_prime
-    hits: list[AbelianGroup] = []
 
-    def reach(r: Fraction, start: int, budget: int) -> int:
-        """End of the prime indices worth including at a node: start when
-        the requirement r cannot be met, else past the smallest prime of
-        its denominator (and never past the budget)."""
+_TABLE_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=1024)
+def _child_table(p: int, rank: int) -> list:
+    """The p-parts of at most ``rank`` parts, by weight: entry w - 1 is
+    ``(p**w, children)``, one ``(pair, an, ad, low)`` per partition e of w,
+    with ``pair = (p, e)`` shared by every group that includes it, an/ad =
+    |Aut(G_p)| / p**w in lowest terms and low the part of an made of
+    primes up to p.  Starts empty; ``_Walk`` appends weights as its bounds
+    reach them."""
+    return []
+
+
+@lru_cache(maxsize=1 << 14)
+def _cyclic_pair(p: int) -> tuple:
+    """The factor (p, (1,)) of C_p, one object shared by every hit."""
+    return (p, (1,))
+
+
+class _Walk:
+    """The pruned search's primes and child tables for one ``SearchBounds``.
+
+    A node is a group, the index of the next prime it may include, the
+    order budget left and r = rn/rd in lowest terms, what the rest must
+    still make of the target (see the module docstring)."""
+
+    def __init__(self, bounds: SearchBounds):
+        self.primes = shared_stream().primes_upto(bounds.prime_limit)
+        self.limit = bounds.prime_limit
+        self.rank = bounds.max_rank_per_prime
+        self.max_order = bounds.max_order
+        self.tables: dict[int, list] = {}  # prime index -> _child_table
+
+    def reach(self, num: int, den: int, start: int, budget: int) -> int:
+        """End of the prime indices worth including at node r = num/den:
+        start when r cannot be met, else past the smallest prime of its
+        denominator (and never past the budget)."""
+        if den > budget:
+            return start
+        primes = self.primes
         end = bisect_right(primes, budget, start)
-        num = r.numerator
         if num > 1:
-            # every future numerator prime is < budget: local q-powers need
-            # rank >= 2 (so q*q <= budget) and divisors of q^x - 1 are
-            # below q^x <= budget
-            for q in strip_primes:
+            for q in primes:
                 if q >= budget or q > num:
                     break
                 while num % q == 0:
                     num //= q
-            if num > 1:
+            if num > 1 and (
+                budget <= self.limit + 1  # every prime below it divided out
+                or num >= budget and _proven_prime(num, self.limit)
+            ):
                 return start
-        den = r.denominator
         if den > 1:
-            # denominator primes can only be cancelled by their own local
-            # part, so each must be at index >= start and fit the budget;
-            # past the smallest one the first of these can never hold again
             for j in range(start, end):
                 q = primes[j]
                 if q > den:
@@ -210,27 +249,103 @@ def find_exact(
                 return start
         return end
 
-    stack = [(0, bounds.max_order, (), a)]
-    while stack:
-        start, budget, factors, r = stack.pop()
-        if r == 1:
-            hits.append(AbelianGroup._trusted(factors))
-        for j in range(start, reach(r, start, budget)):
+    def children(self, rn: int, rd: int, start: int, end: int, budget: int):
+        """``(j, pair, n, d, b)`` for each child of a live node, ``end =
+        reach(rn, rd, start, budget) > start``, that the integer tests leave:
+        p = primes[j], n/d = r / (an/ad) in lowest terms, b = budget // p**w."""
+        primes, tables = self.primes, self.tables
+        mid = bisect_right(primes, isqrt(budget), start, end)
+        for j in range(start, mid):
             p = primes[j]
-            pw, w = p, 1
-            while pw <= budget:
-                for part in _partitions(w, rank):
-                    stack.append((
-                        j + 1,
-                        budget // pw,
-                        factors + ((p, part),),
-                        r / _local_ratio(p, part),
-                    ))
-                w += 1
-                pw *= p
+            pd = rd % p == 0
+            rest = rd // p if pd else rd  # divides each passing child's d
+            for pw, kids in tables.get(j) or self._table(j):
+                b = budget // pw
+                if b < rest:
+                    break
+                dead = 1 if pd else p if p >= b else 0  # the ad that keeps p
+                for pair, an, ad, low in kids:
+                    if rn % low or ad == dead:
+                        continue
+                    g, h = gcd(rn, an), gcd(rd, ad)
+                    yield j, pair, rn // g * (ad // h), rd // h * (an // g), b
+        if mid < end and rd % (p := primes[end - 1]) == 0 and rn % (p - 1) == 0:
+            yield end - 1, _cyclic_pair(p), rn // (p - 1), rd // p, budget // p
 
-    hits.sort(key=lambda g: (order(g), g.factors))
-    return [Witness(g, a) for g in hits]
+    def _table(self, j: int) -> list:
+        """Prime j's child table, extended to the weights max_order allows.
+        Other calls may read it meanwhile: they stop at weights past their
+        own max_order, so an appended weight never reaches them."""
+        p, primes = self.primes[j], self.primes
+        levels = self.tables[j] = _child_table(p, self.rank)
+        with _TABLE_LOCK:  # one extension at a time, or a weight is doubled
+            pw = p ** (len(levels) + 1)
+            while pw <= self.max_order:
+                kids = []
+                for part in _partitions(len(levels) + 1, self.rank):
+                    aut = aut_order_local(p, part)
+                    an, ad = aut // (g := gcd(aut, pw)), pw // g
+                    kids.append(((p, part), an, ad, _smooth_part(an, p, primes)))
+                levels.append((pw, tuple(kids)))
+                pw *= p
+        return levels
+
+
+def _proven_prime(n: int, limit: int) -> bool:
+    """Whether n, which has no prime factor up to ``limit``, is proven prime."""
+    return n < (limit + 1) ** 2 or n < _MR_PROVEN_BELOW and _is_prime(n)
+
+
+# Witnesses handed out, by factors.  A group has one f value, so its
+# witness is one immutable value: a later search that finds the group again
+# returns the same object, and callers that keep many results hold it once.
+_WITNESSES: dict[tuple, Witness] = {}
+_WITNESSES_MAX = 1 << 14  # cleared when full
+
+
+def _witness(factors: tuple, a: Fraction) -> Witness:
+    w = _WITNESSES.get(factors)
+    if w is None:
+        if len(_WITNESSES) >= _WITNESSES_MAX:
+            _WITNESSES.clear()
+        w = _WITNESSES[factors] = Witness(AbelianGroup._trusted(factors), a)
+    return w
+
+
+def find_exact(
+    a, bounds: SearchBounds, *, prune: bool = True
+) -> list[Witness]:
+    """All witnesses f(G) = a within bounds, by exact rational comparison.
+
+    An empty list means "no witness within these bounds", nothing more.
+    With ``prune=False`` the search degenerates to a plain filtered scan of
+    the full enumeration (the reference behavior for differential tests).
+    Raises SieveCapacityError when the prime limit is above the sieve
+    ceiling.
+    """
+    a = Fraction(a)
+    if a < 0:
+        raise ValueError("search target must be >= 0")
+    if not prune:
+        return [
+            Witness(g, a) for g in enumerate_groups(bounds) if f_exact(g) == a
+        ]
+    if a == 0:
+        return []  # f is strictly positive on every finite group
+    walk = _Walk(bounds)
+    rn, rd, budget = a.numerator, a.denominator, bounds.max_order
+    hits = [()] if a == 1 else []
+    stack = [(0, walk.reach(rn, rd, 0, budget), budget, (), rn, rd)]
+    while stack:
+        start, end, budget, factors, rn, rd = stack.pop()
+        for j, pair, n, d, b in walk.children(rn, rd, start, end, budget):
+            if n == d:  # in lowest terms: r == 1
+                hits.append(factors + (pair,))
+            if (e := walk.reach(n, d, j + 1, b)) > j + 1:
+                stack.append((j + 1, e, b, factors + (pair,), n, d))
+
+    hits.sort(key=lambda f: (prod(p ** sum(e) for p, e in f), f))
+    return [_witness(f, a) for f in hits]
 
 
 def _table_text(bounds: SearchBounds) -> Iterator[str]:

@@ -360,3 +360,14 @@ def test_int_str_matches_str():
     # str(n) takes seconds on this size; this check is exact and fast
     assert time.perf_counter() - start < 5
     assert s[0] != "0" and len(s) == 677_317 and parse_digits(s) == n
+
+
+def test_search_with_a_prime_limit_answers_past_the_sieve_ceiling(capsys):
+    # only primes up to --max-prime are needed, however large --max-order is
+    code, out, _ = run(
+        capsys, "search", "11664", "--max-prime", "3", "--max-rank", "2",
+        "--max-order", str(10**15), "--json",
+    )
+    witnesses = json.loads(out)["result"]["witnesses"]
+    assert code == 0 and len(witnesses) == 320
+    assert witnesses[0] == "C4 x C8 x C81 x C243"

@@ -4,14 +4,16 @@ import random
 from bisect import bisect_right
 import subprocess
 import sys
+import threading
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
 
 import autratio.primes
-from autratio.autorder import aut_order, f_exact
+import autratio.search as search
+from autratio.autorder import aut_order, aut_order_local, f_exact
 from autratio.errors import SieveCapacityError
 from autratio.groups import AbelianGroup, format_group, order, parse_group
 from autratio.oracle import OracleCaps, aut_order_bruteforce
@@ -410,3 +412,146 @@ def test_walk_depth_does_not_grow_with_the_prime_count():
     rows, sound = proc.stdout.split()
     assert int(rows) == sum(abelian_count(n) for n in range(1, 8001))
     assert sound == "True"
+
+
+def plain_witnesses(bounds: SearchBounds) -> dict[Fraction, list]:
+    """``find_exact(a, bounds, prune=False)`` for every a at once: each
+    group within bounds under its f, in enumeration order."""
+    by_f: dict[Fraction, list] = {}
+    for g in enumerate_groups(bounds):
+        by_f.setdefault(f_exact(g), []).append(g)
+    return by_f
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [SearchBounds(2000, max_prime=7), SearchBounds(3000, max_rank_per_prime=2)]
+    + SPARSE_BOUNDS,
+    ids=repr,
+)
+def test_prune_differential_on_limited_bounds(bounds):
+    # a prime limit or a rank bound below the defaults, and prime limits far
+    # below an order bound above the sieve ceiling; seeded targets, half
+    # f(G) within bounds and half n/d with n, d <= 60
+    plain = plain_witnesses(bounds)
+    rng = random.Random(bounds.max_order % 1000)
+    targets = rng.sample(sorted(plain), 20) + [
+        Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(20)
+    ]
+    for a in targets:
+        assert [w.group for w in find_exact(a, bounds)] == plain.get(a, []), a
+
+
+def test_search_past_the_sieve_ceiling_needs_only_the_prime_limit():
+    ws = find_exact(11664, SPARSE_BOUNDS[0])
+    assert len(ws) == 320
+    assert all(f_exact(w.group) == 11664 for w in ws)
+
+
+def test_child_tables_shared_across_calls_keep_the_witnesses():
+    # the per-prime child tables outlive a call and grow with max_order:
+    # calls in sequence, with bounds that shrink, grow and change rank and
+    # prime limit, must each give the unpruned scan's witnesses
+    search._child_table.cache_clear()
+    sequence = [
+        SearchBounds(300),
+        SearchBounds(3000, max_rank_per_prime=2),
+        SearchBounds(100, max_prime=5),
+        SearchBounds(5000),
+        SearchBounds(700, max_rank_per_prime=1),
+        SearchBounds(4000, max_prime=7, max_rank_per_prime=3),
+        SearchBounds(300),
+    ]
+    targets = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(21),
+               Fraction(5), Fraction(48, 5), Fraction(4, 7), Fraction(7, 2)]
+    for bounds in sequence:
+        plain = plain_witnesses(bounds)
+        for a in targets:
+            got = [w.group for w in find_exact(a, bounds)]
+            assert got == plain.get(a, []), (bounds, a)
+
+
+def test_child_tables_grow_safely_under_threads():
+    # threads extend the shared tables at once; a lost check-then-append
+    # would list a weight twice, and the walk would repeat witnesses
+    bounds = [SearchBounds(n) for n in (300, 1000, 3000, 6000)]
+    targets = [Fraction(1), Fraction(3, 2), Fraction(21), Fraction(7, 2)]
+    plain = {b: plain_witnesses(b) for b in bounds}
+    wrong = []
+
+    def worker(k):
+        for b in bounds[k % 4:] + bounds[: k % 4]:
+            for a in targets:
+                if [w.group for w in find_exact(a, b)] != plain[b].get(a, []):
+                    wrong.append((k, b, a))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(6):  # each round grows the tables from empty
+            search._child_table.cache_clear()
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            for p in (2, 3, 5, 7):
+                weights = [pw for pw, _ in search._child_table(p, 8)]
+                assert weights == [p**w for w in range(1, len(weights) + 1)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def local_ratio(p: int, part: tuple) -> Fraction:
+    return Fraction(aut_order_local(p, part), p ** sum(part))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [SearchBounds(3000), SearchBounds(10**6, max_prime=13, max_rank_per_prime=3)],
+    ids=repr,
+)
+def test_integer_tests_leave_out_only_dead_children(bounds):
+    # a child the walk leaves out before dividing must be one that reach
+    # cuts, reach(r / ratio, j + 1, budget // p**w) == j + 1, and that is no
+    # hit; a child it keeps carries r / ratio in lowest terms and its budget
+    walk = search._Walk(bounds)
+    primes, rank = walk.primes, bounds.max_rank_per_prime
+    rng = random.Random(15)
+    groups = list(enumerate_groups(SearchBounds(
+        min(bounds.max_order, 3000), bounds.max_prime, rank
+    )))
+    live = cut = 0
+    for _ in range(300):
+        # a node on the way to a sampled group, with that group's ratio or
+        # with a random n/d as its target
+        g = rng.choice(groups)
+        prefix = g.factors[: rng.randrange(len(g.factors) + 1)]
+        a = f_exact(g) if rng.random() < 0.7 else Fraction(
+            rng.randint(1, 500), rng.randint(1, 500)
+        )
+        r = a / prod((local_ratio(p, e) for p, e in prefix), start=Fraction(1))
+        start = primes.index(prefix[-1][0]) + 1 if prefix else 0
+        budget = bounds.max_order // order(AbelianGroup(prefix))
+        end = walk.reach(r.numerator, r.denominator, start, budget)
+        if end == start:
+            continue
+        live += 1
+        kept = {(j, pair): (n, d, b) for j, pair, n, d, b in
+                walk.children(r.numerator, r.denominator, start, end, budget)}
+        for j in range(start, end):
+            p, pw, w = primes[j], primes[j], 1
+            while pw <= budget:
+                for part in reference_partitions(w, rank):
+                    q, b = r / local_ratio(p, part), budget // pw
+                    if (j, (p, part)) in kept:
+                        assert kept.pop((j, (p, part))) == (q.numerator, q.denominator, b)
+                    else:
+                        cut += 1
+                        assert q != 1
+                        assert walk.reach(q.numerator, q.denominator, j + 1, b) == j + 1
+                w, pw = w + 1, pw * p
+        assert not kept  # nothing but children
+    assert live >= 100 and cut >= 1000
