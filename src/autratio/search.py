@@ -15,8 +15,12 @@ outcome.
 Enumeration and the f-table go order by order.  Order n = m * p^w, p its
 largest prime, joins each group of order m, whose primes lie below p,
 with each p-part of weight w, so taking both in order gives (order,
-factors) order without a sort.  A heap yields the orders ascending, each
-once, and each block of p-parts is made once per call.
+factors) order without a sort.  When every prime up to the order bound is
+usable, the orders are 2, 3, ... and a largest-prime sieve gives each one
+its p; below that a heap yields the orders ascending, each once, so a
+bound with few usable primes costs only the orders it has.  The p-part of
+weight 1 is C_p, made where its order comes; those of weight w >= 2 come
+from the per-prime child table that the pruned search shares (below).
 
 The pruned search walks only the primes a group includes, keeping live
 nodes on a stack and threading r = rn/rd = a / (product of chosen local
@@ -52,7 +56,8 @@ terms (ad is 1 or p) and low the part of an made of primes up to p.
 Each test is a consequence of the node cuts, so the witnesses do not
 change.  A child that passes is divided and pushed only when it can still
 hit or branch, with its end index.  Each table is built at its prime's
-first expansion and shared by later calls.  All cuts are conservative;
+first expansion and shared by later calls, up to a cap on the children
+cached in all.  All cuts are conservative;
 the differential test against the unpruned scan is part of the contract.
 """
 
@@ -60,11 +65,13 @@ from __future__ import annotations
 
 import os
 import threading
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import islice
 from math import gcd, isqrt, prod
 from typing import Iterator
 
@@ -124,33 +131,61 @@ def _partitions(weight: int, max_len: int, min_part: int = 1) -> tuple:
     )
 
 
-def _by_order(primes: list[int], bounds: SearchBounds, unit, part_row, join):
-    """``(n, base, block)``, n ascending, per order 2 <= n <= max_order of
-    ``primes``: with p the largest prime of n = m * p**w, base is the rows
-    of order m (``[unit]`` if m = 1) and block the ``part_row(p, partition)``
-    of weight w.  ``join(base, block)`` is kept while a larger prime can join
-    it.  Heap entry n = x * primes[j] leads to n * primes[j], x * primes[j+1]."""
-    max_order, rank = bounds.max_order, bounds.max_rank_per_prime
-    blocks = [[None] for _ in primes]  # blocks[j][w] for p = primes[j]
-    for p, block in zip(primes, blocks):
-        while p ** len(block) <= max_order:
-            block.append([part_row(p, e) for e in _partitions(len(block), rank)])
-    rows, size = {1: [unit]}, len(primes)
-    pending = [2 * size] if primes else []  # n * size + j for p = primes[j]
+def _largest_primes(primes: list[int], max_order: int) -> array:
+    """P(n), the largest prime of n, at index n for 2 <= n <= max_order;
+    ``primes`` is every prime up to max_order."""
+    top = array("I", bytes(4 * (max_order + 1)))
+    for p in primes:  # a larger prime overwrites a smaller one
+        top[p::p] = array("I", [p]) * (max_order // p)
+    return top
+
+
+def _heap_orders(primes: list[int], max_order: int) -> Iterator[tuple[int, int]]:
+    """``(n, p)``, n ascending, for each order 2 <= n <= max_order whose
+    primes all lie in ``primes``, p its largest.  Heap entry n * size + j
+    for p = primes[j] leads to n * primes[j] and n / p * primes[j + 1]."""
+    size = len(primes)
+    pending = [2 * size] if primes else []
     while pending:
         n, j = divmod(heappop(pending), size)
         p = primes[j]
-        m, w = n // p, 1
-        while m % p == 0:
-            m, w = m // p, w + 1
-        base, block = rows[m], blocks[j][w]
-        if n * (p + 1) <= max_order:
-            rows[n] = join(base, block)
-        yield n, base, block
+        yield n, p
         if n * p <= max_order:
             heappush(pending, n * p * size + j)
         if j + 1 < size and (x := n // p * primes[j + 1]) <= max_order:
             heappush(pending, x * size + j + 1)
+
+
+def _by_order(primes: list[int], bounds: SearchBounds, unit, cyclic, part, join):
+    """``(n, base, block)``, n ascending, per order 2 <= n <= max_order of
+    ``primes``: with p the largest prime of n = m * p**w, base is the rows
+    of order m (``[unit]`` if m = 1) and block the p-parts of weight w,
+    ``cyclic(p)`` for w = 1, else ``part(pair, |Aut|)`` per partition from
+    the shared child table.  ``join(base, block)`` is kept while a larger
+    prime can join it.  The orders come from a largest-prime sieve when
+    every prime up to max_order is usable, else from a heap."""
+    max_order, rank = bounds.max_order, bounds.max_rank_per_prime
+    if bounds.prime_limit == max_order:
+        orders = islice(enumerate(_largest_primes(primes, max_order)), 2, None)
+    else:
+        orders = _heap_orders(primes, max_order)
+    rows, blocks = {1: [unit]}, {}  # blocks: p**w -> block, for w >= 2
+    for n, p in orders:
+        m = n // p
+        if m % p:
+            block = cyclic(p)
+        else:
+            m, pw = m // p, p * p
+            while m % p == 0:
+                m, pw = m // p, pw * p
+            if (block := blocks.get(pw)) is None:
+                for qw, kids in _child_table(p, rank, max_order, primes)[1:]:
+                    blocks[qw] = [part(pair, an * qw // ad) for pair, an, ad, _ in kids]
+                block = blocks[pw]
+        base = rows[m]
+        if n * (p + 1) <= max_order:
+            rows[n] = join(base, block)
+        yield n, base, block
 
 
 def enumerate_groups(bounds: SearchBounds) -> Iterator[AbelianGroup]:
@@ -160,7 +195,9 @@ def enumerate_groups(bounds: SearchBounds) -> Iterator[AbelianGroup]:
     primes = shared_stream().primes_upto(bounds.prime_limit)
     join = lambda base, block: [fm + fb for fm in base for fb in block]
     yield AbelianGroup._trusted(())
-    for _, base, block in _by_order(primes, bounds, (), lambda p, e: ((p, e),), join):
+    for _, base, block in _by_order(
+        primes, bounds, (), lambda p: [(_cyclic_pair(p),)], lambda pair, aut: (pair,), join
+    ):
         yield from map(AbelianGroup._trusted, join(base, block))
 
 
@@ -179,18 +216,57 @@ def _smooth_part(n: int, p: int, primes: list[int]) -> int:
     return low * n if n <= p else low
 
 
-_TABLE_LOCK = threading.Lock()
+_TABLE_ENTRIES_MAX = 1 << 15  # children cached over every shared table
 
 
-@lru_cache(maxsize=1024)
-def _child_table(p: int, rank: int) -> list:
-    """The p-parts of at most ``rank`` parts, by weight: entry w - 1 is
+class _ChildTables:
+    """The per-prime child tables that every call shares, at most
+    ``_TABLE_ENTRIES_MAX`` children in all.
+
+    ``self(p, rank, max_order, primes)`` is the p-parts of at most ``rank``
+    parts, by weight, through the largest p**w <= max_order: entry w - 1 is
     ``(p**w, children)``, one ``(pair, an, ad, low)`` per partition e of w,
     with ``pair = (p, e)`` shared by every group that includes it, an/ad =
-    |Aut(G_p)| / p**w in lowest terms and low the part of an made of
-    primes up to p.  Starts empty; ``_Walk`` appends weights as its bounds
-    reach them."""
-    return []
+    |Aut(G_p)| / p**w in lowest terms and low the part of an made of primes
+    up to p (``primes`` ascending from 2 through p).  A table whose new
+    weights would take the cache past its cap is extended for that call only.
+    Other calls may read a table while it grows: they stop at weights past
+    their own max_order, so an appended weight never reaches them."""
+
+    def __init__(self):
+        self.tables: dict[tuple[int, int], list] = {}
+        self.entries = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, p: int, rank: int, max_order: int = 0, primes=()) -> list:
+        levels = self.tables.get((p, rank), [])
+        if (levels[-1][0] if levels else 1) * p > max_order:
+            return levels
+        with self.lock:  # one extension at a time, or a weight is doubled
+            levels = self.tables.setdefault((p, rank), [])
+            new, pw = [], p ** (len(levels) + 1)
+            while pw <= max_order:
+                kids = []
+                for part in _partitions(len(levels) + len(new) + 1, rank):
+                    aut = aut_order_local(p, part)
+                    an, ad = aut // (g := gcd(aut, pw)), pw // g
+                    kids.append(((p, part), an, ad, _smooth_part(an, p, primes)))
+                new.append((pw, tuple(kids)))
+                pw *= p
+            size = sum(len(kids) for _, kids in new)
+            if self.entries + size > _TABLE_ENTRIES_MAX:
+                return levels + new
+            self.entries += size
+            levels += new
+            return levels
+
+    def cache_clear(self) -> None:
+        with self.lock:
+            self.tables.clear()
+            self.entries = 0
+
+
+_child_table = _ChildTables()
 
 
 @lru_cache(maxsize=1 << 14)
@@ -273,22 +349,10 @@ class _Walk:
             yield end - 1, _cyclic_pair(p), rn // (p - 1), rd // p, budget // p
 
     def _table(self, j: int) -> list:
-        """Prime j's child table, extended to the weights max_order allows.
-        Other calls may read it meanwhile: they stop at weights past their
-        own max_order, so an appended weight never reaches them."""
-        p, primes = self.primes[j], self.primes
-        levels = self.tables[j] = _child_table(p, self.rank)
-        with _TABLE_LOCK:  # one extension at a time, or a weight is doubled
-            pw = p ** (len(levels) + 1)
-            while pw <= self.max_order:
-                kids = []
-                for part in _partitions(len(levels) + 1, self.rank):
-                    aut = aut_order_local(p, part)
-                    an, ad = aut // (g := gcd(aut, pw)), pw // g
-                    kids.append(((p, part), an, ad, _smooth_part(an, p, primes)))
-                levels.append((pw, tuple(kids)))
-                pw *= p
-        return levels
+        table = self.tables[j] = _child_table(
+            self.primes[j], self.rank, self.max_order, self.primes
+        )
+        return table
 
 
 def _proven_prime(n: int, limit: int) -> bool:
@@ -353,12 +417,14 @@ def _table_text(bounds: SearchBounds) -> Iterator[str]:
     primes = shared_stream().primes_upto(bounds.prime_limit)
     yield f"{TABLE_HEADER_PREFIX} max_order={bounds.max_order}\n"
     yield "C1\t1\t1\t1/1\n"
-    for n, base, block in _by_order(primes, bounds, ("", 1), lambda p, e: (
-        (f"C{p}", p - 1) if e == (1,)  # |Aut(C_p)| = p - 1
-        else (" x ".join([f"C{p**k}" for k in e]), aut_order_local(p, e))
-    ), lambda base, block: [  # kept rows: (literal + " x ", |Aut|)
-        (f"{lm}{lb} x ", am * ab) for lm, am in base for lb, ab in block
-    ]):
+    for n, base, block in _by_order(
+        primes, bounds, ("", 1),
+        lambda p: [(f"C{p}", p - 1)],  # |Aut(C_p)| = p - 1
+        lambda pair, aut: (" x ".join([f"C{pair[0]**k}" for k in pair[1]]), aut),
+        lambda base, block: [  # kept rows: (literal + " x ", |Aut|)
+            (f"{lm}{lb} x ", am * ab) for lm, am in base for lb, ab in block
+        ],
+    ):
         tail = f"\t{n}\t"
         yield "".join([
             f"{lm}{lb}{tail}{(a := am * ab)}\t{a // (g := gcd(a, n))}/{n // g}\n"

@@ -1,5 +1,7 @@
 """Each experiment script runs end to end on small arguments."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -31,3 +33,27 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_table_scale_records_each_build(tmp_path):
+    from autratio.search import SearchBounds, render_table
+
+    out = tmp_path / "BENCH_table.json"
+    out.write_text(json.dumps({"runs": {"parent": [{"max_order": 1}]}}))
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)  # --src alone names the tree
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "table_scale.py"),
+         "--max-order", "30", "500", "--out", str(out), "--src", str(ROOT / "src")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["runs"]["parent"] == [{"max_order": 1}]  # other labels are kept
+    runs = data["runs"]["change"]
+    assert [r["max_order"] for r in runs] == [30, 500]
+    for r in runs:
+        table = render_table(SearchBounds(r["max_order"]))
+        assert r["rows"] == table.count(b"\n") - 1
+        assert r["sha256"] == hashlib.sha256(table).hexdigest()
+        assert r["seconds"] > 0 and r["peak_rss_mb"] > 0

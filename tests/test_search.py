@@ -284,6 +284,9 @@ WALK_BOUNDS = [SearchBounds(n) for n in (1, 2, 3, 96, 500, 1990, 2010, 8000)] + 
     SearchBounds(2010, max_prime=2),
     SearchBounds(2010, max_prime=3),
 ]
+# a prime limit below max_order takes the heap of orders, not the sieve
+HEAP_BOUNDS = [SearchBounds(2003, max_prime=2002), SearchBounds(5000, max_prime=47)]
+WALK_BOUNDS += HEAP_BOUNDS
 
 
 @pytest.mark.parametrize("bounds", WALK_BOUNDS, ids=repr)
@@ -291,6 +294,21 @@ def test_order_by_order_walk_matches_the_stack_walk(bounds):
     reference = reference_rows(bounds)
     assert [g.factors for g in enumerate_groups(bounds)] == [f for _, f in reference]
     assert render_table(bounds) == slow_table(bounds)
+
+
+@pytest.mark.parametrize("bounds", HEAP_BOUNDS, ids=repr)
+def test_heap_orders_give_the_sieve_rows_they_share(bounds):
+    # the same max_order with every prime usable takes the sieve; its rows
+    # whose primes are all within the limit must be the heap's rows
+    dense = SearchBounds(bounds.max_order, max_rank_per_prime=bounds.max_rank_per_prime)
+    groups = list(enumerate_groups(dense))
+    usable = [all(p <= bounds.prime_limit for p, _ in g.factors) for g in groups]
+    assert not all(usable)
+    assert list(enumerate_groups(bounds)) == [g for g, ok in zip(groups, usable) if ok]
+    header, *rows = render_table(dense).splitlines(keepends=True)
+    assert render_table(bounds) == header + b"".join(
+        row for row, ok in zip(rows, usable) if ok
+    )
 
 
 @pytest.mark.parametrize(
@@ -502,6 +520,63 @@ def test_child_tables_grow_safely_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
+
+
+TABLE_SEQUENCE = [
+    SearchBounds(n, max_rank_per_prime=rank) for n in (30, 2000, 96) for rank in (1, 2, 8)
+]
+
+
+def test_shared_child_tables_keep_the_table_bytes():
+    # the f-table's p-parts of weight >= 2 come from the shared child
+    # tables: built in sequence, each table equals one built from empty
+    fresh = {}
+    for bounds in TABLE_SEQUENCE:
+        search._child_table.cache_clear()
+        fresh[bounds] = (render_table(bounds), list(enumerate_groups(bounds)))
+    search._child_table.cache_clear()
+    for bounds in TABLE_SEQUENCE:
+        assert render_table(bounds) == fresh[bounds][0], bounds
+        assert list(enumerate_groups(bounds)) == fresh[bounds][1], bounds
+
+
+def test_shared_child_tables_keep_the_table_bytes_under_threads():
+    serial = {b: render_table(b) for b in TABLE_SEQUENCE}
+    wrong = []
+
+    def worker(k):
+        for b in TABLE_SEQUENCE[k:] + TABLE_SEQUENCE[:k]:
+            if render_table(b) != serial[b]:
+                wrong.append((k, b))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):  # each round grows the tables from empty
+            search._child_table.cache_clear()
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_child_table_cache_stays_under_its_cap():
+    # rank 8 to 10**15 needs 238,093 children for p = 2 and 18,082 for p = 3:
+    # the 2-table would pass the cap, so it serves its call only
+    tables = search._child_table
+    tables.cache_clear()
+    find_exact(Fraction(3, 2), SearchBounds(5000))
+    ws = find_exact(11664, SearchBounds(10**15, max_prime=3))
+    assert len(ws) == 381
+    assert all(f_exact(w.group) == 11664 for w in ws)
+    assert tables.entries <= search._TABLE_ENTRIES_MAX
+    assert tables.entries == sum(len(kids) for t in tables.tables.values() for _, kids in t)
+    assert tables(2, 8)[-1][0] == 2**12 and tables(3, 8)[-1][0] == 3**31
 
 
 def local_ratio(p: int, part: tuple) -> Fraction:
