@@ -429,17 +429,15 @@ def format_group(g: AbelianGroup) -> str:
     )
 
 
-def _ranges_from_indices(indices) -> tuple[tuple[int, int], ...]:
-    """Run-length encode a sorted iterable of distinct ints into (lo, hi) runs."""
-    runs: list[tuple[int, int]] = []
-    for i in indices:
-        if runs and i == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], i)
-        elif runs and i <= runs[-1][1]:
-            raise ValueError("indices must be strictly increasing")
-        else:
-            runs.append((i, i))
-    return tuple(runs)
+def _add_run(runs: list[tuple[int, int]], lo: int, hi: int) -> None:
+    """Append the index run lo..hi to the (lo, hi) runs, merged with the
+    last run it extends; indices must be strictly increasing."""
+    if runs and lo <= runs[-1][1]:
+        raise ValueError("indices must be strictly increasing")
+    if runs and runs[-1][1] + 1 == lo:
+        runs[-1] = (runs[-1][0], hi)
+    else:
+        runs.append((lo, hi))
 
 
 @dataclass(frozen=True, slots=True)
@@ -466,7 +464,10 @@ class SymbolicGroup:
 
     @classmethod
     def from_indices(cls, two_rank: int, indices) -> "SymbolicGroup":
-        return cls(two_rank, _ranges_from_indices(indices))
+        runs: list[tuple[int, int]] = []
+        for i in indices:
+            _add_run(runs, i, i)
+        return cls(two_rank, tuple(runs))
 
     @property
     def index_count(self) -> int:

@@ -19,8 +19,8 @@ factors) order without a sort.  When every prime up to the order bound is
 usable, the orders are 2, 3, ... and a largest-prime sieve gives each one
 its p; below that a heap yields the orders ascending, each once, so a
 bound with few usable primes costs only the orders it has.  The p-part of
-weight 1 is C_p, made where its order comes; those of weight w >= 2 come
-from the per-prime child table that the pruned search shares (below).
+weight 1 is C_p, made where its order comes; those of weight w >= 2 are
+the cached levels that the pruned search shares (below).
 
 The pruned search walks only the primes a group includes, keeping live
 nodes on a stack and threading r = rn/rd = a / (product of chosen local
@@ -39,9 +39,10 @@ ratios), in lowest terms, through them.  A node is dead when (``reach``):
   including any prime past it would leave q uncancelled.
 
 A child, one p-part of weight w, is judged before it is divided or pushed
-(``_Walk.children``), by integer tests on rn and rd against a per-prime
-table of (p^w, (p, e), an/ad, low): an/ad is |Aut(G_p)|/p^w in lowest
-terms (ad is 1 or p) and low the part of an made of primes up to p.
+(``_Walk.children``), by integer tests on rn and rd against the level of
+p and w, one (pair, an, ad, low) per partition e of w with pair = (p, e):
+an/ad is |Aut(G_p)|/p^w in lowest terms (ad is 1 or p) and low the part
+of an made of primes up to p.
 
 * Denominator test: ``rn % low != 0``.  A prime up to p would stay in the
   child's denominator, and only its own part, already passed, can cancel it.
@@ -55,16 +56,19 @@ terms (ad is 1 or p) and low the part of an made of primes up to p.
 
 Each test is a consequence of the node cuts, so the witnesses do not
 change.  A child that passes is divided and pushed only when it can still
-hit or branch, with its end index.  Each table is built at its prime's
-first expansion and shared by later calls, up to a cap on the children
-cached in all.  All cuts are conservative;
-the differential test against the unpruned scan is part of the contract.
+hit or branch, with its end index.  f is multiplicative and the local
+factor depends only on p and e, so a level is a pure function of (p, w,
+rank): it is built once, never changed, and kept in a bounded cache that
+later calls, enumeration and the f-table share.  Two threads can at most
+build the same level twice, and both copies are equal.  A bound whose
+p = 2 alone would need more than ``MAX_SEARCH_PARTS`` p-parts is refused
+before any is built.  All cuts are conservative; the differential test
+against the unpruned scan is part of the contract.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -76,6 +80,7 @@ from math import gcd, isqrt, prod
 from typing import Iterator
 
 from .autorder import aut_order_local, f_exact
+from .errors import InputLimitExceeded
 from .groups import _MR_PROVEN_BELOW, AbelianGroup, _is_prime
 from .primes import shared_stream
 
@@ -86,9 +91,17 @@ __all__ = [
     "find_exact",
     "build_f_table",
     "TABLE_HEADER_PREFIX",
+    "MAX_SEARCH_PARTS",
 ]
 
 TABLE_HEADER_PREFIX = "# autratio f-table v1"
+
+# The p-parts the pruned search may build for p = 2, the prime with the
+# most: every partition of each weight w with 2^w <= max_order into at most
+# max_rank_per_prime parts.  At rank 8, 10^15 needs 238,093 and 2^56 - 1,
+# the largest bound let through, 478,699 (4.4 s and 204 MB peak RSS on one
+# core of a 2-vCPU Xeon); 10^30 would need 21,582,622.
+MAX_SEARCH_PARTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -119,24 +132,51 @@ class Witness:
     f_value: Fraction
 
 
-@lru_cache(maxsize=None)
-def _partitions(weight: int, max_len: int, min_part: int = 1) -> tuple:
-    """Ascending partitions of ``weight`` into at most ``max_len`` parts,
-    each at least ``min_part``, in tuple order."""
-    if weight == 0:
-        return ((),)
-    return tuple(
-        (first,) + rest for first in range(min_part, weight + 1) if max_len
-        for rest in _partitions(weight - first, max_len - 1, first)
-    )
+def _partitions(weight: int, max_len: int) -> list[tuple]:
+    """Ascending partitions of ``weight`` >= 1 into at most ``max_len``
+    parts, in tuple order.  Each one's successor raises its second-last
+    part by one, to x, and refills the rest with copies of x while at least
+    x is left and a part is free, the last part taking what remains
+    (Kelleher's rule_asc, with the fill stopped at max_len parts)."""
+    a = [0] * (weight + 1)
+    a[1], k, out = weight, 1, []
+    while k:
+        x, y = a[k - 1] + 1, a[k] - 1
+        k -= 1
+        while x <= y and k < max_len - 1:
+            a[k] = x
+            y -= x
+            k += 1
+        a[k] = x + y
+        out.append(tuple(a[: k + 1]))
+    return out
+
+
+@lru_cache(maxsize=64)
+def _part_count(weights: int, rank: int) -> int:
+    """The partitions of 1, ..., ``weights`` into at most ``rank`` parts, in
+    all, counted until the sum passes MAX_SEARCH_PARTS."""
+    rows, total = [[1]], 0  # rows[w][k], k <= w: partitions of w into parts <= k
+    for w in range(1, weights + 1):
+        row = [0]
+        for k in range(1, min(w, rank) + 1):
+            row.append(row[-1] + rows[w - k][min(k, w - k)])
+        rows.append(row)
+        total += row[-1]
+        if total > MAX_SEARCH_PARTS:
+            break
+    return total
 
 
 def _largest_primes(primes: list[int], max_order: int) -> array:
     """P(n), the largest prime of n, at index n for 2 <= n <= max_order;
     ``primes`` is every prime up to max_order."""
     top = array("I", bytes(4 * (max_order + 1)))
-    for p in primes:  # a larger prime overwrites a smaller one
+    half = bisect_right(primes, max_order // 2)
+    for p in primes[:half]:  # a larger prime overwrites a smaller one
         top[p::p] = array("I", [p]) * (max_order // p)
+    for p in primes[half:]:  # its only multiple up to max_order
+        top[p] = p
     return top
 
 
@@ -161,7 +201,7 @@ def _by_order(primes: list[int], bounds: SearchBounds, unit, cyclic, part, join)
     ``primes``: with p the largest prime of n = m * p**w, base is the rows
     of order m (``[unit]`` if m = 1) and block the p-parts of weight w,
     ``cyclic(p)`` for w = 1, else ``part(pair, |Aut|)`` per partition from
-    the shared child table.  ``join(base, block)`` is kept while a larger
+    the cached level.  ``join(base, block)`` is kept while a larger
     prime can join it.  The orders come from a largest-prime sieve when
     every prime up to max_order is usable, else from a heap."""
     max_order, rank = bounds.max_order, bounds.max_rank_per_prime
@@ -175,13 +215,13 @@ def _by_order(primes: list[int], bounds: SearchBounds, unit, cyclic, part, join)
         if m % p:
             block = cyclic(p)
         else:
-            m, pw = m // p, p * p
+            m, pw, w = m // p, p * p, 2
             while m % p == 0:
-                m, pw = m // p, pw * p
+                m, pw, w = m // p, pw * p, w + 1
             if (block := blocks.get(pw)) is None:
-                for qw, kids in _child_table(p, rank, max_order, primes)[1:]:
-                    blocks[qw] = [part(pair, an * qw // ad) for pair, an, ad, _ in kids]
-                block = blocks[pw]
+                block = blocks[pw] = [
+                    part(pair, an * pw // ad) for pair, an, ad, _ in _level(p, w, rank)
+                ]
         base = rows[m]
         if n * (p + 1) <= max_order:
             rows[n] = join(base, block)
@@ -202,12 +242,12 @@ def enumerate_groups(bounds: SearchBounds) -> Iterator[AbelianGroup]:
 
 
 def _smooth_part(n: int, p: int, primes: list[int]) -> int:
-    """The part of n made of primes up to p; ``primes`` ascending from 2
-    through p.  Trial division stops at the square root of what is left,
-    which is then 1 or a prime."""
+    """The part of n made of primes up to p; ``primes`` is every prime up to
+    p.  Trial division stops at the square root of what is left, which is
+    then 1 or a prime."""
     low = 1
     for q in primes:
-        if q > p or q * q > n:
+        if q * q > n:
             break
         if n % q == 0:
             qpart = gcd(n, q ** n.bit_length())  # all of it at once
@@ -216,57 +256,37 @@ def _smooth_part(n: int, p: int, primes: list[int]) -> int:
     return low * n if n <= p else low
 
 
-_TABLE_ENTRIES_MAX = 1 << 15  # children cached over every shared table
+# Levels cached, counted as levels, not p-parts: a dense search at the
+# sieve ceiling, 10^8, expands 2,633, nearly all of primes above 100 with
+# one or two p-parts each, so repeating any dense search builds nothing.
+# Large levels come only from small primes at large weights, which
+# MAX_SEARCH_PARTS bounds per search.
+_LEVELS_MAX = 1 << 12
 
 
-class _ChildTables:
-    """The per-prime child tables that every call shares, at most
-    ``_TABLE_ENTRIES_MAX`` children in all.
-
-    ``self(p, rank, max_order, primes)`` is the p-parts of at most ``rank``
-    parts, by weight, through the largest p**w <= max_order: entry w - 1 is
-    ``(p**w, children)``, one ``(pair, an, ad, low)`` per partition e of w,
-    with ``pair = (p, e)`` shared by every group that includes it, an/ad =
-    |Aut(G_p)| / p**w in lowest terms and low the part of an made of primes
-    up to p (``primes`` ascending from 2 through p).  A table whose new
-    weights would take the cache past its cap is extended for that call only.
-    Other calls may read a table while it grows: they stop at weights past
-    their own max_order, so an appended weight never reaches them."""
-
-    def __init__(self):
-        self.tables: dict[tuple[int, int], list] = {}
-        self.entries = 0
-        self.lock = threading.Lock()
-
-    def __call__(self, p: int, rank: int, max_order: int = 0, primes=()) -> list:
-        levels = self.tables.get((p, rank), [])
-        if (levels[-1][0] if levels else 1) * p > max_order:
-            return levels
-        with self.lock:  # one extension at a time, or a weight is doubled
-            levels = self.tables.setdefault((p, rank), [])
-            new, pw = [], p ** (len(levels) + 1)
-            while pw <= max_order:
-                kids = []
-                for part in _partitions(len(levels) + len(new) + 1, rank):
-                    aut = aut_order_local(p, part)
-                    an, ad = aut // (g := gcd(aut, pw)), pw // g
-                    kids.append(((p, part), an, ad, _smooth_part(an, p, primes)))
-                new.append((pw, tuple(kids)))
-                pw *= p
-            size = sum(len(kids) for _, kids in new)
-            if self.entries + size > _TABLE_ENTRIES_MAX:
-                return levels + new
-            self.entries += size
-            levels += new
-            return levels
-
-    def cache_clear(self) -> None:
-        with self.lock:
-            self.tables.clear()
-            self.entries = 0
+@lru_cache(maxsize=_LEVELS_MAX)
+def _level(p: int, w: int, rank: int) -> tuple:
+    """The p-parts of weight w and at most ``rank`` parts: one ``(pair, an,
+    ad, low)`` per partition e of w, in tuple order, with ``pair = (p, e)``
+    shared by every group that includes it, an/ad = |Aut(G_p)| / p**w in
+    lowest terms and low the part of an made of primes up to p."""
+    pw, primes, kids = p**w, shared_stream().primes_upto(p), []
+    for part in _partitions(w, rank):
+        aut = aut_order_local(p, part)
+        an, ad = aut // (g := gcd(aut, pw)), pw // g
+        kids.append(((p, part), an, ad, _smooth_part(an, p, primes)))
+    return tuple(kids)
 
 
-_child_table = _ChildTables()
+@lru_cache(maxsize=1 << 10)
+def _child_table(p: int, rank: int, max_order: int) -> tuple:
+    """``(p**w, _level(p, w, rank))`` for w = 1, 2, ... while p**w <=
+    max_order, so a walk reads a prime's levels with one cache hit."""
+    table, pw, w = [], p, 1
+    while pw <= max_order:
+        table.append((pw, _level(p, w, rank)))
+        pw, w = pw * p, w + 1
+    return tuple(table)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -287,7 +307,12 @@ class _Walk:
         self.limit = bounds.prime_limit
         self.rank = bounds.max_rank_per_prime
         self.max_order = bounds.max_order
-        self.tables: dict[int, list] = {}  # prime index -> _child_table
+        if _part_count(self.max_order.bit_length() - 1, self.rank) > MAX_SEARCH_PARTS:
+            raise InputLimitExceeded(
+                f"search bounds need more than MAX_SEARCH_PARTS = "
+                f"{MAX_SEARCH_PARTS} p-parts of p = 2 at rank {self.rank}"
+            )
+        self.tables: dict[int, tuple] = {}  # prime index -> its _child_table
 
     def reach(self, num: int, den: int, start: int, budget: int) -> int:
         """End of the prime indices worth including at node r = num/den:
@@ -348,10 +373,8 @@ class _Walk:
         if mid < end and rd % (p := primes[end - 1]) == 0 and rn % (p - 1) == 0:
             yield end - 1, _cyclic_pair(p), rn // (p - 1), rd // p, budget // p
 
-    def _table(self, j: int) -> list:
-        table = self.tables[j] = _child_table(
-            self.primes[j], self.rank, self.max_order, self.primes
-        )
+    def _table(self, j: int) -> tuple:
+        table = self.tables[j] = _child_table(self.primes[j], self.rank, self.max_order)
         return table
 
 
@@ -385,7 +408,8 @@ def find_exact(
     With ``prune=False`` the search degenerates to a plain filtered scan of
     the full enumeration (the reference behavior for differential tests).
     Raises SieveCapacityError when the prime limit is above the sieve
-    ceiling.
+    ceiling, and InputLimitExceeded when the pruned search would need more
+    than MAX_SEARCH_PARTS p-parts of p = 2.
     """
     a = Fraction(a)
     if a < 0:

@@ -54,7 +54,7 @@ import numpy as np
 from . import fixedlog
 from .autorder import product_tree
 from .errors import PrecisionRefusal, SieveCapacityError
-from .groups import _ranges_from_indices
+from .groups import _add_run
 from .primes import PrimeStream, shared_stream
 
 __all__ = [
@@ -279,7 +279,8 @@ def _bisect_first_fitting(fits, lo: int, hi: int | None) -> int | None:
 
 def _greedy_additive(source, target, eps, record_trail):
     total = Fraction(0)
-    included: list[int] = []
+    runs: list[tuple[int, int]] = []
+    count = 0
     trail: list[tuple] = []
     i = 1
     scanned = 0
@@ -301,7 +302,8 @@ def _greedy_additive(source, target, eps, record_trail):
         deficit = target - total
         if x <= deficit:
             total += x
-            included.append(i)
+            _add_run(runs, i, i)
+            count += 1
             if record_trail:
                 trail.append(("include", i, x, total))
             i += 1
@@ -320,8 +322,8 @@ def _greedy_additive(source, target, eps, record_trail):
         i = run_end + 1
 
     return Selection(
-        ranges=_ranges_from_indices(included),
-        count=len(included),
+        ranges=tuple(runs),
+        count=count,
         status=status,
         scanned=scanned,
         target=target,
@@ -531,12 +533,3 @@ def _continue_fixed_point(source, target, eps, record_trail, exact_cap):
         exact_product=product,
         trail=tuple(trail) if record_trail else None,
     )
-
-
-def _add_run(runs: list[tuple[int, int]], lo: int, hi: int) -> None:
-    """Append the index run lo..hi, merged with the last run it extends."""
-    if runs and runs[-1][1] + 1 == lo:
-        runs[-1] = (runs[-1][0], hi)
-    else:
-        runs.append((lo, hi))
-

@@ -225,6 +225,17 @@ def test_unbounded_inputs_are_refused_in_bounded_time(argv, limit):
     assert time.perf_counter() - start < 10
 
 
+def test_search_refuses_sparse_bounds_past_the_part_limit():
+    # rank 8 to 10^30 would need 21,582,622 p-parts of p = 2; building
+    # them ran out of memory after 24.5 s under a 1.5 GB address space
+    start = time.perf_counter()
+    argv = ["search", "5", "--max-prime", "2", "--max-order", str(10**30), "--json"]
+    code, message = run_cold(argv, timeout=30)
+    assert code == 2, message
+    assert "MAX_SEARCH_PARTS = 524288" in message
+    assert time.perf_counter() - start < 2
+
+
 def test_materialized_literal_round_trips_through_f(capsys):
     # 2512 primes of rank 1: a long literal, but a small |Aut| bound
     argv = ("approx", "0.055", "--eps", "1e-3", "--materialize")

@@ -146,6 +146,9 @@ def test_symbolic_group_basics(stream):
     assert s.odd_prime_ranges == ((2, 4), (7, 7))
     assert s.index_count == 4
     assert list(s.iter_indices()) == [2, 3, 4, 7]
+    for indices in ([2, 3, 3], [2, 5, 4]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SymbolicGroup.from_indices(0, indices)
     g = s.materialize(stream)
     # p2, p3, p4, p7 = 3, 5, 7, 17
     assert g == parse_group("C2^3 x C3 x C5 x C7 x C17")

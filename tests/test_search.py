@@ -14,7 +14,7 @@ import pytest
 import autratio.primes
 import autratio.search as search
 from autratio.autorder import aut_order, aut_order_local, f_exact
-from autratio.errors import SieveCapacityError
+from autratio.errors import InputLimitExceeded, SieveCapacityError
 from autratio.groups import AbelianGroup, format_group, order, parse_group
 from autratio.oracle import OracleCaps, aut_order_bruteforce
 from autratio.primes import PrimeStream
@@ -365,6 +365,18 @@ def test_failed_table_leaves_the_file_untouched(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
 
 
+def run_python(script: str, timeout: float) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter on this checkout's source."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
 SPARSE_BOUNDS = [
     SearchBounds(10**15, max_prime=3, max_rank_per_prime=2),
     SearchBounds(10**12, max_prime=5, max_rank_per_prime=2),
@@ -384,14 +396,7 @@ def test_walk_cost_follows_the_groups_not_the_order_bound(bounds):
         "print(hashlib.sha256(repr([g.factors for g in enumerate_groups(b)]).encode()).hexdigest())\n"
         "print(hashlib.sha256(render_table(b)).hexdigest())\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = run_python(script, timeout=60)
     assert proc.returncode == 0, proc.stderr
     factors = [f for _, f in reference_rows(bounds)]
     assert proc.stdout.split() == [
@@ -414,18 +419,7 @@ def test_walk_depth_does_not_grow_with_the_prime_count():
         "ws = find_exact(5, SearchBounds(9000))\n"
         "print(all(f_exact(w.group) == 5 for w in ws))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python(script, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rows, sound = proc.stdout.split()
     assert int(rows) == sum(abelian_count(n) for n in range(1, 8001))
@@ -466,11 +460,17 @@ def test_search_past_the_sieve_ceiling_needs_only_the_prime_limit():
     assert all(f_exact(w.group) == 11664 for w in ws)
 
 
+def clear_levels():
+    """Empty the level cache and the per-prime tables that hold its levels."""
+    search._child_table.cache_clear()
+    search._level.cache_clear()
+
+
 def test_child_tables_shared_across_calls_keep_the_witnesses():
     # the per-prime child tables outlive a call and grow with max_order:
     # calls in sequence, with bounds that shrink, grow and change rank and
     # prime limit, must each give the unpruned scan's witnesses
-    search._child_table.cache_clear()
+    clear_levels()
     sequence = [
         SearchBounds(300),
         SearchBounds(3000, max_rank_per_prime=2),
@@ -507,7 +507,7 @@ def test_child_tables_grow_safely_under_threads():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(6):  # each round grows the tables from empty
-            search._child_table.cache_clear()
+            clear_levels()
             threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
             for t in threads:
                 t.start()
@@ -515,7 +515,7 @@ def test_child_tables_grow_safely_under_threads():
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
             for p in (2, 3, 5, 7):
-                weights = [pw for pw, _ in search._child_table(p, 8)]
+                weights = [pw for pw, _ in search._child_table(p, 8, 6000)]
                 assert weights == [p**w for w in range(1, len(weights) + 1)]
     finally:
         sys.setswitchinterval(interval)
@@ -532,9 +532,9 @@ def test_shared_child_tables_keep_the_table_bytes():
     # tables: built in sequence, each table equals one built from empty
     fresh = {}
     for bounds in TABLE_SEQUENCE:
-        search._child_table.cache_clear()
+        clear_levels()
         fresh[bounds] = (render_table(bounds), list(enumerate_groups(bounds)))
-    search._child_table.cache_clear()
+    clear_levels()
     for bounds in TABLE_SEQUENCE:
         assert render_table(bounds) == fresh[bounds][0], bounds
         assert list(enumerate_groups(bounds)) == fresh[bounds][1], bounds
@@ -553,7 +553,7 @@ def test_shared_child_tables_keep_the_table_bytes_under_threads():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):  # each round grows the tables from empty
-            search._child_table.cache_clear()
+            clear_levels()
             threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
             for t in threads:
                 t.start()
@@ -565,18 +565,40 @@ def test_shared_child_tables_keep_the_table_bytes_under_threads():
     assert wrong == []
 
 
-def test_child_table_cache_stays_under_its_cap():
-    # rank 8 to 10**15 needs 238,093 children for p = 2 and 18,082 for p = 3:
-    # the 2-table would pass the cap, so it serves its call only
-    tables = search._child_table
-    tables.cache_clear()
-    find_exact(Fraction(3, 2), SearchBounds(5000))
-    ws = find_exact(11664, SearchBounds(10**15, max_prime=3))
-    assert len(ws) == 381
-    assert all(f_exact(w.group) == 11664 for w in ws)
-    assert tables.entries <= search._TABLE_ENTRIES_MAX
-    assert tables.entries == sum(len(kids) for t in tables.tables.values() for _, kids in t)
-    assert tables(2, 8)[-1][0] == 2**12 and tables(3, 8)[-1][0] == 3**31
+def test_sparse_search_builds_its_levels_once():
+    # rank 8 to 10**15 needs 238,093 p-parts for p = 2 and 18,082 for p = 3;
+    # under a 1 GiB address-space limit the cached levels serve a second
+    # call without building any
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from autratio import search\n"
+        "from autratio.autorder import f_exact\n"
+        "for _ in range(2):\n"
+        "    ws = search.find_exact(11664, search.SearchBounds(10**15, max_prime=3))\n"
+        "    print(len(ws), all(f_exact(w.group) == 11664 for w in ws),"
+        " search._level.cache_info().misses)\n"
+    )
+    proc = run_python(script, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, second = [line.split() for line in proc.stdout.splitlines()]
+    assert first[:2] == second[:2] == ["381", "True"]
+    assert second[2] == first[2]
+
+
+def test_partitions_and_their_count_match_the_reference():
+    for w in range(1, 25):
+        for rank in range(1, 10):
+            assert search._partitions(w, rank) == sorted(reference_partitions(w, rank))
+    for weights in range(30):
+        for rank in (1, 2, 3, 8, 40):
+            assert search._part_count(weights, rank) == sum(
+                partition_count_at_most(w, rank) for w in range(1, weights + 1)
+            )
+    # 10**30 at rank 8 would need 21,582,622; counting stops past the limit
+    assert search.MAX_SEARCH_PARTS < search._part_count(99, 8) < 2 * search.MAX_SEARCH_PARTS
+    with pytest.raises(InputLimitExceeded, match="MAX_SEARCH_PARTS"):
+        find_exact(5, SearchBounds(10**30, max_prime=2))
 
 
 def local_ratio(p: int, part: tuple) -> Fraction:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autratio.groups import _ranges_from_indices
+from autratio.groups import _add_run
 from autratio.primes import PrimeStream
 from autratio.subsum import (
     CAPACITY_EXHAUSTED,
@@ -423,6 +423,14 @@ def _ref_primes():
     return _primes_upto(1 << 22)
 
 
+def runs_of(indices) -> tuple[tuple[int, int], ...]:
+    """Strictly increasing indices as (lo, hi) runs."""
+    runs: list[tuple[int, int]] = []
+    for i in indices:
+        _add_run(runs, i, i)
+    return tuple(runs)
+
+
 def exact_greedy(q, eps, limit, exact_cap):
     """The greedy's exact phase one odd prime at a time, in integers only.
 
@@ -458,7 +466,7 @@ def exact_greedy(q, eps, limit, exact_cap):
             status = CAPACITY_EXHAUSTED
             break
         if len(included) >= exact_cap:
-            return {"switch": (un, ud, list(_ranges_from_indices(included)), trail, i, scanned)}
+            return {"switch": (un, ud, list(runs_of(included)), trail, i, scanned)}
         p = primes[i - 1]
         scanned = i
         if un * p * qd <= ud * (p - 1) * qn:
@@ -479,7 +487,7 @@ def exact_greedy(q, eps, limit, exact_cap):
             break
         i = j
     return {
-        "ranges": _ranges_from_indices(included),
+        "ranges": runs_of(included),
         "count": len(included),
         "scanned": scanned,
         "status": status,
