@@ -13,13 +13,20 @@ the greedy selects nothing and the hit is exact.
 Target 0 is in the closure but not the image, so a <= eps (unless a is
 itself some b) returns a below-eps witness: a certified f(G) < eps, never
 a pretended exact hit.
+
+From the parsed target to the returned result, rationals such as
+(a + eps)/a, b/a and a +- eps are integer pairs reduced by gcd, and
+logarithms are ``fixedlog`` integer enclosures at 2**-192; Fractions are
+built only for the result's own fields and the greedy's inputs.  The one
+float conversion is ``LogValue.from_bounds`` of the final enclosure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
+from math import gcd
 
 from . import fixedlog
 from .autorder import LogValue, _f_log_bounds, product_tree, two_rank_ratio
@@ -85,16 +92,24 @@ class ApproxResult:
         return self.group.materialize(stream or shared_stream(), cap)
 
 
-def _two_part(a: Fraction, odd_only: bool) -> tuple[int, Fraction]:
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0: the pair Fraction would hold."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _two_part(a: Fraction | int, odd_only: bool) -> tuple[int, Fraction]:
     """(n, b) for the C2^n with b = f(C2^n) the smallest of
     1/2 < 1 < 3/2 < 21 < 1260 < ... (n = 1, 0, 2, 3, 4, ...) that is >= a;
     (0, 1) under ``odd_only``.  f(C2^n) grows without bound, so this
     terminates."""
     if odd_only:
-        return 0, Fraction(1)
+        return 0, two_rank_ratio(0)
+    an, ad = a.numerator, a.denominator
     for n in chain((1, 0), count(2)):
-        if two_rank_ratio(n) >= a:
-            return n, two_rank_ratio(n)
+        b = two_rank_ratio(n)
+        if b.numerator * ad >= an * b.denominator:
+            return n, b
 
 
 def approx_in_unit(
@@ -137,38 +152,46 @@ def approx_ray(
     """
     a = Fraction(a)
     eps = Fraction(eps)
-    if a < 0:
+    # rationals as integer pairs in lowest terms from here on
+    an, ad, en, ed = a.numerator, a.denominator, eps.numerator, eps.denominator
+    if an < 0:
         raise ValueError("target must be >= 0")
-    if eps <= 0:
+    if en <= 0:
         raise ValueError("eps must be positive")
-    if odd_only and a > 1:
+    if odd_only and an > ad:
         raise ValueError("an odd-order construction needs a target in [0, 1]")
     stream = stream or shared_stream()
     n, b = _two_part(a, odd_only)
-    below_eps = a <= eps and a != b
+    hit = (an, ad) == (b.numerator, b.denominator)  # a = b, an exact hit
+    below_eps = an * ed <= en * ad and not hit
     if below_eps:
         # target ln Q with Q >= 3b/eps and log tolerance 1: convergence
         # leaves U > Q/e > b/eps (or U = 1 and b < eps/3), so f = b/U < eps
-        n, b = _two_part(Fraction(0), odd_only)
-        q, eps_log = max(Fraction(1), 3 * b / eps), Fraction(1)
+        n, b = _two_part(0, odd_only)
+        qn, qd = _reduced(3 * b.numerator * ed, b.denominator * en)
+        qn, qd = (qn, qd) if qn > qd else (1, 1)
+        eps_log = 1
     else:
         # rational lower bound of ln(1 + eps/a): stopping strictly earlier
         # than the true log tolerance keeps f < a + eps certified
-        lo_eps = fixedlog.ln_fraction_bounds((a + eps) / a, _PREC)[0]
-        if lo_eps <= 0 and a != b:
+        lo_eps = fixedlog.ln_quotient_end(*_reduced(an * ed + en * ad, an * ed), _PREC)
+        if lo_eps <= 0 and not hit:
             raise PrecisionRefusal(
                 f"eps ({_short(eps)}) is below the arithmetic resolution "
                 f"2^-{_PREC} of the log tolerance ln(1 + eps/a)"
             )
         # an exact hit (Q = 1) converges on the empty selection at any
         # positive tolerance
-        q, eps_log = b / a, Fraction(max(lo_eps, 1), 1 << _PREC)
+        qn, qd = _reduced(b.numerator * ad, b.denominator * an)
+        eps_log = Fraction(max(lo_eps, 1), 1 << _PREC)
     source = PrimeRatioSource(stream)
-    sel = greedy_select(source, LogTarget(q), eps_log, exact_cap=exact_cap)
+    sel = greedy_select(source, LogTarget(Fraction(qn, qd)), eps_log, exact_cap=exact_cap)
     max_p = source.prime(sel.scanned) if sel.scanned else 0
-    trace = ApproxTrace(
-        n, b, eps / b, replace(sel, exact_product=None), max_p, below_eps
+    kept = Selection(
+        sel.ranges, sel.count, sel.status, sel.scanned, sel.target, sel.eps,
+        sel.achieved, sel.exact_sum, None, sel.trail,
     )
+    trace = ApproxTrace(n, b, eps / b, kept, max_p, below_eps)
     if sel.status != CONVERGED:
         if below_eps:
             msg = (
@@ -183,11 +206,11 @@ def approx_ray(
         raise SieveCapacityError(msg, partial=trace)
     if sel.exact_product is not None:
         exact = b / sel.exact_product
-        lo, hi = fixedlog.ln_fraction_bounds(exact, _PREC)
+        lo, hi = fixedlog.ln_quotient_bounds(exact.numerator, exact.denominator, _PREC)
     else:
         # ln f = ln b - (selected sum), both integer pairs at 2**-PREC
         exact = None
-        b_lo, b_hi = fixedlog.ln_fraction_bounds(b, _PREC)
+        b_lo, b_hi = fixedlog.ln_quotient_bounds(b.numerator, b.denominator, _PREC)
         s_lo, s_hi = sel.achieved
         lo, hi = b_lo - s_hi, b_hi - s_lo
     return ApproxResult(
@@ -244,13 +267,17 @@ def _decide(lo: int, hi: int, prec: int, result: ApproxResult) -> bool | None:
     (ln(a - eps), ln(a + eps)): True when it lies certainly inside, False
     when certainly outside, None when it straddles an end."""
     a, eps = result.target, result.eps
-    up_lo, up_hi = fixedlog.ln_fraction_bounds(a + eps, prec)
+    # a + eps and a - eps over the denominator ad * ed, reduced as Fraction
+    # would reduce them
+    num, den = a.numerator * eps.denominator, a.denominator * eps.denominator
+    gap = eps.numerator * a.denominator
+    up_lo, up_hi = fixedlog.ln_quotient_bounds(*_reduced(num + gap, den), prec)
     if lo >= up_hi:
         return False  # f >= a + eps
     below_upper = hi < up_lo
-    if a - eps <= 0:
+    if num <= gap:  # a - eps <= 0
         return True if below_upper else None
-    low_lo, low_hi = fixedlog.ln_fraction_bounds(a - eps, prec)
+    low_lo, low_hi = fixedlog.ln_quotient_bounds(*_reduced(num - gap, den), prec)
     if hi <= low_lo:
         return False  # f <= a - eps
     return True if below_upper and lo > low_hi else None

@@ -52,7 +52,9 @@ class LogValue:
 
     Represents the interval [exp(log_value - abs_error),
     exp(log_value + abs_error)]; every constructor rounds outward, so the
-    true value is always inside.
+    true value is always inside.  The library builds it only with
+    ``from_bounds``, from an integer enclosure, so its floats are made
+    once, at the end of an exact computation.
     """
 
     log_value: float
@@ -66,13 +68,26 @@ class LogValue:
     def from_bounds(cls, lo: int, hi: int, prec: int) -> "LogValue":
         """From an integer enclosure [lo, hi] * 2**-prec: float midpoint and
         radius, the radius rounded up until the float interval contains the
-        exact one."""
-        lo, hi = Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
-        mid = float((lo + hi) / 2)
-        rad = max(hi - Fraction(mid), Fraction(mid) - lo, Fraction(0))
-        out = float(rad)
-        while Fraction(out) < rad:
+        exact one.
+
+        This is where the integer pairs of ``fixedlog`` become floats, once.
+        Int true division rounds correctly, as ``float(Fraction)`` does, so
+        the midpoint is (lo + hi) / 2**(prec + 1) and the radius is the
+        exact distance to the farther end, over the common power-of-two
+        denominator of 2**-prec and the midpoint's dyadic value."""
+        mid = (lo + hi) / (1 << (prec + 1))
+        mn, md = mid.as_integer_ratio()  # md is a power of two
+        shift = md.bit_length() - 1 - prec
+        if shift >= 0:  # rad = max(...) / md
+            den, lo, hi = md, lo << shift, hi << shift
+        else:  # rad = max(...) / 2**prec
+            den, mn = 1 << prec, mn << -shift
+        rad = max(hi - mn, mn - lo, 0)
+        out = rad / den
+        on, od = out.as_integer_ratio()
+        while on * den < rad * od:
             out = nextafter(out, inf)
+            on, od = out.as_integer_ratio()
         return cls(mid, out)
 
     def interval(self) -> tuple[Fraction, Fraction]:
@@ -165,7 +180,8 @@ def _f_log_bounds(
     ``approximate.verify_certificate`` use it.
     """
     p_used = prec or fixedlog.PREC
-    b_lo, b_hi = fixedlog.ln_fraction_bounds(two_rank_ratio(s.two_rank), p_used)
+    b = two_rank_ratio(s.two_rank)
+    b_lo, b_hi = fixedlog.ln_quotient_bounds(b.numerator, b.denominator, p_used)
     t_lo = t_hi = 0
     if prec is None:
         for i0, i1 in s.odd_prime_ranges:

@@ -6,7 +6,15 @@ Everything here returns *enclosures*: an integer pair (lo, hi) with
 
 obtained from exact integer arithmetic with directed rounding and explicit
 series-truncation bounds.  No float ever enters a bound, so downstream
-comparisons against exact rationals are rigorous.
+comparisons against exact rationals are rigorous.  Callers keep these
+pairs, and rationals as (num, den) pairs of integers, all the way to a
+result: floats are made once, by ``autorder.LogValue.from_bounds``.
+
+Each end of an enclosure comes from one one-sided function
+(``ln_int_end``, ``ln_quotient_end``) with its own directed rounding;
+``ln_int_bounds`` and ``ln_quotient_bounds`` return the pair of ends.  A
+caller that needs one end, such as the greedy's log tolerance, runs half
+the series.
 
 ln of an integer n = 2**e * m, 1 <= m < 2, is e ln 2 + ln m.  ln m is
 reduced by a table (Tang's table-driven logarithm, done in exact
@@ -47,8 +55,10 @@ __all__ = [
     "PREC",
     "SCALE_BITS",
     "TERM_ERR60",
+    "ln_int_end",
     "ln_int_bounds",
     "ln_fraction_bounds",
+    "ln_quotient_end",
     "ln_quotient_bounds",
     "log_ratio_term_bounds",
     "term_block_fp60",
@@ -100,13 +110,21 @@ def _atanh_series(z: int, prec: int, upper: bool) -> int:
     return 2 * acc
 
 
-def _ln_direct_bounds(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
-    """Enclosure of ln(m) for m in [m_lo, m_hi] * 2**-prec, 1 <= m <= 2, by
-    the series in z = (m-1)/(m+1) <= 1/3 with no reduction."""
+def _ln_direct_end(m: int, prec: int, upper: bool) -> int:
+    """One end of ln(m) for m * 2**-prec in [1, 2], by the series in
+    z = (m-1)/(m+1) <= 1/3 with no reduction: the lower end rounds z and
+    the series down, the upper end rounds both up."""
     one = 1 << prec
-    z_lo = ((m_lo - one) << prec) // (m_lo + one)
-    z_hi = _div_ceil((m_hi - one) << prec, m_hi + one)
-    return _atanh_series(z_lo, prec, upper=False), _atanh_series(z_hi, prec, upper=True)
+    if upper:
+        z = _div_ceil((m - one) << prec, m + one)
+    else:
+        z = ((m - one) << prec) // (m + one)
+    return _atanh_series(z, prec, upper)
+
+
+def _ln_direct_bounds(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
+    """Enclosure of ln(m) for m in [m_lo, m_hi] * 2**-prec, 1 <= m <= 2."""
+    return _ln_direct_end(m_lo, prec, False), _ln_direct_end(m_hi, prec, True)
 
 
 # Table-driven argument reduction (Tang, ACM TOMS 16(4), 1990) in exact
@@ -133,40 +151,46 @@ def _ln_table(prec: int) -> tuple[tuple[int, int], ...]:
     return tuple(table)
 
 
-def _ln_mantissa_bounds(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
-    """Enclosure of ln(m) for m in [m_lo, m_hi] * 2**-prec, 1 <= m < 2.
+def _ln_mantissa_end(m_lo: int, m_hi: int, prec: int, upper: bool) -> int:
+    """One end of the enclosure of ln(m) for m in [m_lo, m_hi] * 2**-prec,
+    1 <= m < 2: the lower end when ``upper`` is false, else the upper.
 
-    With j = floor(K (m_lo - 1)), ln m = ln(1 + j/K) + ln m', where
-    m' = m K / (K + j) lies in [1, 1 + 1/K) up to the width of [m_lo, m_hi].
-    m' is rounded outward (down from m_lo, up from m_hi), the table entry
-    is outward, and the series is outward, so the sum encloses ln m."""
+    With j = floor(K (m_lo - 1)) for both ends, ln m = ln(1 + j/K) + ln m',
+    where m' = m K / (K + j) lies in [1, 1 + 1/K) up to the width of
+    [m_lo, m_hi].  The lower end rounds m_lo's m' down and takes the table
+    entry's and the series' lower ends; the upper end rounds m_hi's m' up
+    and takes their upper ends."""
     one = 1 << prec
     j = (m_lo - one) >> (prec - _RED_BITS)
-    t_lo, t_hi = _ln_table(prec)[j]
+    m = m_hi if upper else m_lo
     if j:
         d = _RED_K + j
-        m_lo = (m_lo << _RED_BITS) // d
-        m_hi = _div_ceil(m_hi << _RED_BITS, d)
-    lo, hi = _ln_direct_bounds(m_lo, m_hi, prec)
-    return t_lo + lo, t_hi + hi
+        m = _div_ceil(m << _RED_BITS, d) if upper else (m << _RED_BITS) // d
+    return _ln_table(prec)[j][upper] + _ln_direct_end(m, prec, upper)
 
 
-def ln_int_bounds(n: int, prec: int = PREC) -> tuple[int, int]:
-    """Certified enclosure of ln(n) for an integer n >= 1, at prec >= 5
-    fractional bits (the table reduction reads five bits of n)."""
+def ln_int_end(n: int, prec: int = PREC, upper: bool = False) -> int:
+    """One end of the certified enclosure of ln(n) for an integer n >= 1,
+    at prec >= 5 fractional bits (the table reduction reads five bits of
+    n): the lower end, or the upper one when ``upper``."""
     if n < 1:
         raise ValueError("ln requires n >= 1")
     if n == 1:
-        return (0, 0)
+        return 0
     e = n.bit_length() - 1
     if e >= prec:
         m_lo = n >> (e - prec)
         m_hi = m_lo + 1  # shifted-off bits make the mantissa inexact
     else:
         m_lo = m_hi = n << (prec - e)
-    ml, mh = _ln_mantissa_bounds(m_lo, m_hi, prec)
-    l2l, l2h = _ln_table(prec)[_RED_K]
-    return (e * l2l + ml, e * l2h + mh)
+    ln2 = _ln_table(prec)[_RED_K][upper]
+    return e * ln2 + _ln_mantissa_end(m_lo, m_hi, prec, upper)
+
+
+def ln_int_bounds(n: int, prec: int = PREC) -> tuple[int, int]:
+    """Certified enclosure of ln(n) for an integer n >= 1: the pair of
+    ``ln_int_end``'s two ends."""
+    return ln_int_end(n, prec), ln_int_end(n, prec, True)
 
 
 def ln_fraction_bounds(q: Fraction | int, prec: int = PREC) -> tuple[int, int]:
@@ -177,12 +201,17 @@ def ln_fraction_bounds(q: Fraction | int, prec: int = PREC) -> tuple[int, int]:
     return ln_quotient_bounds(q.numerator, q.denominator, prec)
 
 
+def ln_quotient_end(num: int, den: int, prec: int = PREC, upper: bool = False) -> int:
+    """One end of the certified enclosure of ln(num/den) for integers
+    num, den >= 1: the lower end is num's lower end less den's upper one.
+    A caller that needs one end runs half the series."""
+    return ln_int_end(num, prec, upper) - ln_int_end(den, prec, not upper)
+
+
 def ln_quotient_bounds(num: int, den: int, prec: int = PREC) -> tuple[int, int]:
     """Certified enclosure of ln(num/den) for integers num, den >= 1, with no
     gcd: callers with large unreduced products skip the reduction."""
-    nl, nh = ln_int_bounds(num, prec)
-    dl, dh = ln_int_bounds(den, prec)
-    return (nl - dh, nh - dl)
+    return ln_quotient_end(num, den, prec), ln_quotient_end(num, den, prec, True)
 
 
 def log_ratio_term_bounds(p: int, prec: int = PREC) -> tuple[int, int]:

@@ -69,6 +69,7 @@ against the unpruned scan is part of the contract.
 from __future__ import annotations
 
 import os
+import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -256,12 +257,36 @@ def _smooth_part(n: int, p: int, primes: list[int]) -> int:
     return low * n if n <= p else low
 
 
-# Levels cached, counted as levels, not p-parts: a dense search at the
-# sieve ceiling, 10^8, expands 2,633, nearly all of primes above 100 with
-# one or two p-parts each, so repeating any dense search builds nothing.
-# Large levels come only from small primes at large weights, which
-# MAX_SEARCH_PARTS bounds per search.
+# Levels cached, counted as levels: a dense search at the sieve ceiling,
+# 10^8, expands 2,633, nearly all of primes above 100 with one or two
+# p-parts each, so repeating any dense search builds nothing.  Large levels
+# come only from small primes at large weights, which MAX_SEARCH_PARTS
+# bounds per search but not across searches at other ranks, so the p-parts
+# built are counted too: before they pass _PARTS_MAX, the level cache and
+# the child tables that hold its levels are cleared, as _WITNESSES is when
+# full.  A walk in progress keeps the tables it already read.
 _LEVELS_MAX = 1 << 12
+_PARTS_MAX = 2 * MAX_SEARCH_PARTS
+_parts_built = 0  # p-parts built since the caches were last cleared
+_parts_lock = threading.Lock()
+
+
+def _clear_levels() -> None:
+    """Empty the level cache and the child tables that hold its levels."""
+    global _parts_built
+    _child_table.cache_clear()
+    _level.cache_clear()
+    _parts_built = 0
+
+
+def _count_parts(n: int) -> None:
+    """Count n p-parts about to be built, clearing both caches first when
+    the count would pass _PARTS_MAX."""
+    global _parts_built
+    with _parts_lock:
+        if _parts_built + n > _PARTS_MAX:
+            _clear_levels()
+        _parts_built += n
 
 
 @lru_cache(maxsize=_LEVELS_MAX)
@@ -270,8 +295,10 @@ def _level(p: int, w: int, rank: int) -> tuple:
     ad, low)`` per partition e of w, in tuple order, with ``pair = (p, e)``
     shared by every group that includes it, an/ad = |Aut(G_p)| / p**w in
     lowest terms and low the part of an made of primes up to p."""
+    parts = _partitions(w, rank)
+    _count_parts(len(parts))
     pw, primes, kids = p**w, shared_stream().primes_upto(p), []
-    for part in _partitions(w, rank):
+    for part in parts:
         aut = aut_order_local(p, part)
         an, ad = aut // (g := gcd(aut, pw)), pw // g
         kids.append(((p, part), an, ad, _smooth_part(an, p, primes)))

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -346,17 +347,18 @@ def _certified_deficit_below(qn, qd, un, ud, bound: Fraction) -> bool:
     return hi * bound.denominator < bound.numerator << _PREC
 
 
-def _ceiling_upper_bound(source) -> Fraction | None:
+@lru_cache(maxsize=64)
+def _ceiling_upper_bound(x: int) -> tuple[int, int] | None:
     """Rigorous upper bound on the total ln(p/(p-1)) over the odd primes
-    below the sieve ceiling: sum_{p <= x} ln(p/(p-1)) < gamma + lnln x +
-    1/(2 ln^2 x) for x >= 285 (classical explicit Mertens-type bound),
-    padded outward, less a lower bound of ln 2 for p = 2.  Lets hopeless
-    targets fail fast instead of crawling the whole sieve."""
-    x = source.stream.ceiling
+    below the sieve ceiling x, as the exact integer ratio (num, den) of a
+    float: sum_{p <= x} ln(p/(p-1)) < gamma + lnln x + 1/(2 ln^2 x) for
+    x >= 285 (classical explicit Mertens-type bound), padded outward, less
+    a lower bound of ln 2 for p = 2.  Lets hopeless targets fail fast
+    instead of crawling the whole sieve."""
     if x < 285:
         return None
     total = 0.5772156650 + math.log(math.log(x)) + 0.5 / math.log(x) ** 2 + 0.01
-    return Fraction(total - 0.6931471805)
+    return (total - 0.6931471805).as_integer_ratio()
 
 
 def _product(source, runs) -> tuple[int, int]:
@@ -461,11 +463,14 @@ def _continue_fixed_point(source, target, eps, record_trail, exact_cap):
     trail: list[tuple] = []
     i, scanned, window = 1, 0, _RUN0
     status = None
-    avail = _ceiling_upper_bound(source)
-    if avail is not None and Fraction(q_lo, 1 << _SB) - avail >= eps:
-        # even selecting every prime under the ceiling leaves a deficit of
-        # at least eps: fail fast instead of crawling the sieve
-        status = CAPACITY_EXHAUSTED
+    avail = _ceiling_upper_bound(stream.ceiling)
+    if avail is not None:
+        # q_lo * 2**-60 - avail >= eps with every denominator cleared: even
+        # selecting every prime under the ceiling leaves a deficit of at
+        # least eps, so fail fast instead of crawling the sieve
+        an, ad = avail
+        if (q_lo * ad - (an << _SB)) * eps.denominator >= (eps.numerator << _SB) * ad:
+            status = CAPACITY_EXHAUSTED
 
     while status is None:
         if q_hi - lo <= done60 or (

@@ -289,6 +289,22 @@ def test_default_verifier_makes_no_scalar_term_calls(certified, stream, monkeypa
     assert calls == []
 
 
+def test_reduced_pairs_match_the_fraction_arithmetic(stream):
+    # approx_ray and the verifier build (a + eps)/a and a +- eps as
+    # gcd-reduced integer pairs: the greedy's log tolerance is the one the
+    # Fraction arithmetic gives, and a certified witness with a = eps, where
+    # a - eps = 0 has no logarithm, is still decided
+    for a in ("3/2", "0.83", "5/2", "7/3", "4.2", "0.3"):
+        a = Fraction(a)
+        r = approx_ray(a, EPS, stream=stream)
+        lo = fixedlog.ln_fraction_bounds((a + EPS) / a)[0]
+        assert r.trace.selection.eps == Fraction(max(lo, 1), 1 << fixedlog.PREC), a
+    r = approx_ray(Fraction(1, 10), Fraction(1, 10), stream=stream, exact_cap=1)
+    assert r.trace.below_eps_witness and r.exact_ratio is None
+    assert verify_certificate(r, stream=stream)
+    assert verify_certificate(r, stream=stream, prec=384)
+
+
 def test_verifier_recomputes_exact_ratio_from_the_group(stream):
     r = approx_ray(Fraction(9, 2), EPS, stream=stream)
     assert r.exact_ratio is not None and r.exact_ratio != r.target

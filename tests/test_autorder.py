@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -268,3 +269,28 @@ def test_logvalue_contract():
     lv = LogValue.from_bounds(-10, 10, 8)
     lo, hi = lv.interval()
     assert lo <= Fraction(-10, 256) and hi >= Fraction(10, 256)
+
+
+def fraction_from_bounds(lo, hi, prec):
+    """LogValue.from_bounds as it rounded through Fractions, kept as the
+    reference for the integer rounding."""
+    lo, hi = Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
+    mid = float((lo + hi) / 2)
+    rad = max(hi - Fraction(mid), Fraction(mid) - lo, Fraction(0))
+    out = float(rad)
+    while Fraction(out) < rad:
+        out = math.nextafter(out, math.inf)
+    return LogValue(mid, out)
+
+
+def test_from_bounds_rounds_as_the_fraction_reference():
+    rng = random.Random(19)
+    cases = [(0, 0, 8), (-5, 5, 8), (7, 7, 384), (-(1 << 200), -(1 << 200), 8), (1, 2, 384)]
+    for _ in range(20_000):
+        prec = rng.randint(8, 384)
+        lo = rng.choice((-1, 1)) * rng.randint(0, 1 << rng.randint(0, prec + 200))
+        width = rng.randint(0, 1 << rng.randint(0, 190)) if rng.random() < 0.95 else 0
+        cases.append((lo, lo + width, prec))
+    for lo, hi, prec in cases:
+        got = LogValue.from_bounds(lo, hi, prec)
+        assert repr(got) == repr(fraction_from_bounds(lo, hi, prec)), (lo, hi, prec)

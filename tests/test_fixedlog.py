@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from autratio.fixedlog import (
     SCALE_BITS,
     TERM_ERR60,
     _ln_direct_bounds,
-    _ln_mantissa_bounds,
+    _ln_mantissa_end,
     _ln_table,
     ln_int_bounds,
+    ln_int_end,
+    ln_quotient_bounds,
+    ln_quotient_end,
     log_ratio_term_bounds,
     term_block_atanh60,
     term_block_fp60,
@@ -99,6 +103,11 @@ def direct_ln_int(n, prec):
     return e * l2_lo + m_l, e * l2_hi + m_h
 
 
+def _ln_mantissa_bounds(m_lo, m_hi, prec):
+    """Both ends of the table-reduced ln of the mantissa [m_lo, m_hi]."""
+    return _ln_mantissa_end(m_lo, m_hi, prec, False), _ln_mantissa_end(m_lo, m_hi, prec, True)
+
+
 def assert_overlaps(bounds, reference, prec):
     """[lo, hi] at prec bits meets [r_lo, r_hi] at 2 * prec bits."""
     (lo, hi), (r_lo, r_hi) = bounds, reference
@@ -167,3 +176,45 @@ def test_ln_int_overlaps_the_direct_series_at_twice_the_bits(n, prec):
     got = ln_int_bounds(n, prec)
     assert_overlaps(got, direct_ln_int(n, 2 * prec), prec)
     assert got[1] - got[0] <= width_bound(n, prec)
+
+
+# ---------------------------------------------------------------------------
+# one-sided ends against the former two-sided reduction, kept as reference
+
+
+def reference_ln_int_bounds(n, prec):
+    """ln n enclosed by one table reduction shared by both ends, as
+    ln_int_bounds computed it before each end had its own function."""
+    if n == 1:
+        return (0, 0)
+    one = 1 << prec
+    e = n.bit_length() - 1
+    if e >= prec:
+        m_lo = n >> (e - prec)
+        m_hi = m_lo + 1
+    else:
+        m_lo = m_hi = n << (prec - e)
+    j = (m_lo - one) >> (prec - _RED_BITS)
+    t_lo, t_hi = _ln_table(prec)[j]
+    if j:
+        d = _RED_K + j
+        m_lo = (m_lo << _RED_BITS) // d
+        m_hi = -((-m_hi << _RED_BITS) // d)
+    lo, hi = _ln_direct_bounds(m_lo, m_hi, prec)
+    l2l, l2h = _ln_table(prec)[_RED_K]
+    return e * l2l + t_lo + lo, e * l2h + t_hi + hi
+
+
+def test_one_sided_ends_match_the_reference_pairs():
+    rng = random.Random(20)
+    for _ in range(20_000):
+        prec = rng.choice((8, 60, 64, 192, 384, rng.randint(5, 400)))
+        num = rng.randint(1, 1 << rng.randint(1, 600))
+        den = rng.randint(1, 1 << rng.randint(1, 600))
+        n_lo, n_hi = reference_ln_int_bounds(num, prec)
+        d_lo, d_hi = reference_ln_int_bounds(den, prec)
+        assert ln_int_end(num, prec) == n_lo and ln_int_end(num, prec, True) == n_hi
+        lo, hi = ln_quotient_bounds(num, den, prec)
+        assert (lo, hi) == (n_lo - d_hi, n_hi - d_lo), (num, den, prec)
+        assert ln_quotient_end(num, den, prec) == lo
+        assert ln_quotient_end(num, den, prec, True) == hi

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from autratio.approximate import approx_ray, verify_certificate
+from autratio.errors import PrecisionRefusal, SieveCapacityError
 from autratio.primes import PrimeStream
 
 EPS = Fraction(1, 1000)
@@ -67,3 +68,31 @@ def test_ray_outputs_pass_second_pass(results, prec):
     stream, res = results
     for a, r in zip(TARGETS, res):
         assert verify_certificate(r, stream=stream, prec=prec), (a, prec)
+
+
+# The floats ``LogValue.from_bounds`` rounds: ``achieved`` of every pinned
+# result (DIGEST hashes exact results by their ratio alone), then below-eps
+# witnesses, an exact hit at a <= eps and refusals from targets a <= eps or
+# an eps below the log tolerance's resolution, by exception and message.
+EXTRA = [
+    ("1/20", "1/10", False), ("0", "1/10", False), ("1/30", "1/10", True),
+    ("1/2", "1", False), ("1/1000", "1/100", False), ("0", "1/20", True),
+    ("0", "1/1000", True), ("3", "1e-60", False),
+]
+
+ACHIEVED_DIGEST = "5a6226387a7805114c0122b033f548a1767e979bb86c605b213e1dd2762ae1f3"
+
+
+def test_achieved_floats_match_pinned_digest(results):
+    stream, res = results
+    lines = [f"{a}|{r.achieved!r}" for a, r in zip(TARGETS, res)]
+    for a, eps, odd in EXTRA:
+        try:
+            r = approx_ray(Fraction(a), Fraction(eps), odd_only=odd, stream=stream)
+        except (PrecisionRefusal, SieveCapacityError) as exc:
+            lines.append(f"{a}|{eps}|{odd}|{type(exc).__name__}|{exc}")
+        else:
+            lines.append(f"{a}|{eps}|{odd}|{r.trace.below_eps_witness}|{r.achieved!r}")
+    assert sum("SieveCapacityError" in line for line in lines) == 3
+    assert sum("|True|LogValue(" in line for line in lines) == 3  # witnesses
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ACHIEVED_DIGEST

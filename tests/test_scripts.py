@@ -57,3 +57,37 @@ def test_table_scale_records_each_build(tmp_path):
         assert r["rows"] == table.count(b"\n") - 1
         assert r["sha256"] == hashlib.sha256(table).hexdigest()
         assert r["seconds"] > 0 and r["peak_rss_mb"] > 0
+
+
+def test_ray_latency_measures_each_tree(tmp_path, monkeypatch):
+    import importlib.util
+
+    from autratio.approximate import approx_ray, verify_certificate
+
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # its sibling table_scale
+    spec = importlib.util.spec_from_file_location("ray_latency", ROOT / "scripts" / "ray_latency.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "BENCH_ray.json"
+    out.write_text(json.dumps({"runs": {"parent": [{"median_ms": 1}]}}))
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ray_latency.py"), "--targets", "12",
+         "--repeat", "1", "--runs", "2", "--tree", f"a={src}", "--tree", f"b={src}",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["runs"]["parent"] == [{"median_ms": 1}]  # other labels are kept
+    lines = []
+    for a in script.ray_targets(16, 12):
+        res = approx_ray(a, script.EPS)
+        lines.append(script.output_line(a, res, verify_certificate(res)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    for label in "ab":
+        runs = data["runs"][label]
+        assert len(runs) == 2
+        for r in runs:
+            assert r["sha256"] == digest and r["ops"] == 12
+            assert 0 < r["q1_ms"] <= r["median_ms"] <= r["q3_ms"]

@@ -462,8 +462,7 @@ def test_search_past_the_sieve_ceiling_needs_only_the_prime_limit():
 
 def clear_levels():
     """Empty the level cache and the per-prime tables that hold its levels."""
-    search._child_table.cache_clear()
-    search._level.cache_clear()
+    search._clear_levels()
 
 
 def test_child_tables_shared_across_calls_keep_the_witnesses():
@@ -584,6 +583,34 @@ def test_sparse_search_builds_its_levels_once():
     first, second = [line.split() for line in proc.stdout.splitlines()]
     assert first[:2] == second[:2] == ["381", "True"]
     assert second[2] == first[2]
+
+
+def test_level_caches_are_cleared_before_they_pass_their_cap(monkeypatch):
+    # with the cap lowered to 1,500 p-parts, searches at other ranks (414 to
+    # 1,921 p-parts each) keep the count built since the last clear under
+    # it; the rank-8 search passes it alone, so the caches are cleared in
+    # the middle of its walk, which keeps the tables it has read; every
+    # search still finds what it finds with the caches kept
+    sequence = [
+        SearchBounds(2**W - 1, max_prime=3, max_rank_per_prime=r)
+        for r, W in ((4, 20), (5, 20), (6, 14), (8, 20), (4, 20), (3, 20))
+    ]
+    targets = [Fraction(112), Fraction(8, 3), Fraction(192), Fraction(208)]
+    clear_levels()
+    expected = [[find_exact(a, b) for a in targets] for b in sequence]
+    assert all(any(ws) for ws in expected)
+    cap, clears = 1500, []
+    clear = search._clear_levels
+    monkeypatch.setattr(search, "_PARTS_MAX", cap)
+    clear_levels()
+    monkeypatch.setattr(search, "_clear_levels", lambda: (clears.append(1), clear()))
+    for bounds, want in zip(sequence, expected):
+        before = len(clears)
+        assert [find_exact(a, bounds) for a in targets] == want, bounds
+        assert 0 < search._parts_built <= cap
+        if bounds.max_rank_per_prime == 8:
+            assert len(clears) > before  # cleared inside this search
+    assert len(clears) >= 3
 
 
 def test_partitions_and_their_count_match_the_reference():
