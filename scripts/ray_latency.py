@@ -2,25 +2,27 @@
 """Median per-op latency of certified ray approximations, one fresh
 interpreter per run.
 
-A run draws --targets seeded targets a, uniform in [0.1, 5], and on one
-shared PrimeStream runs ``approx_ray(a, 1/1000)`` and then
-``verify_certificate``, as ``autratio approx`` does.  A first pass sieves,
-fills the caches and gives the outputs; then --repeat passes time every op,
-and an op's latency is the best of its timed passes.  The run reports the
-median and quartiles of those latencies over the targets and the sha256 of
-the outputs (per target: the two-rank, the odd-prime ranges, the exact
-ratio in hex or the certificate's repr, and the second pass's verdict).
-The interpreter is pinned to one CPU where the platform allows it.
+A run draws TARGETS = 420 targets a with seed SEED = 16, uniform in
+[0.1, 5], and on one shared PrimeStream runs ``approx_ray(a, 1/1000)`` and
+then ``verify_certificate``, as ``autratio approx`` does.  A first pass
+sieves, fills the caches and gives the outputs; then REPEAT = 3 passes
+time every op, and an op's latency is the best of its timed passes.  The
+run reports the median and quartiles of those latencies over the targets
+and the sha256 of the outputs (per target: the two-rank, the odd-prime
+ranges, the exact ratio in hex or the certificate's repr, and the second
+pass's verdict).  The interpreter is pinned to one CPU where the platform
+allows it.
 
-Each --tree LABEL=SRC names a source tree to import autratio from.  The
-trees are measured --runs times, one after another, with the tree that
-goes first alternating, so two trees measured in one command are measured
-back to back on the same host.  Runs are stored in the --out JSON under
-their labels; entries under other labels are kept.
+Each --src names a source tree to import autratio from, and the --label
+given with it names its runs, as in ``table_scale.py``.  The trees are
+measured --runs times, one after another, with the tree that goes first
+alternating, so two trees measured in one command are measured back to
+back on the same host.  Runs are stored in the --out JSON under their
+labels; entries under other labels are kept.
 
 Example:
-    python scripts/ray_latency.py --tree parent=../parent/src --tree change=src \\
-        --runs 5 --out BENCH_ray.json
+    python scripts/ray_latency.py --label parent --src ../parent/src \\
+        --label change --src src --runs 6 --out BENCH_ray.json
 """
 
 import argparse
@@ -39,6 +41,9 @@ from table_scale import host
 
 ROOT = Path(__file__).resolve().parents[1]
 EPS = Fraction(1, 1000)
+SEED = 16
+TARGETS = 420
+REPEAT = 3  # timed passes; an op's latency is its best
 
 
 def ray_targets(seed: int, count: int) -> list[Fraction]:
@@ -60,8 +65,6 @@ def measure(seed: int, count: int, repeat: int) -> dict:
     from autratio.approximate import approx_ray, verify_certificate
     from autratio.primes import PrimeStream
 
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     targets = ray_targets(seed, count)
     stream = PrimeStream()
     start = time.perf_counter()
@@ -86,48 +89,40 @@ def measure(seed: int, count: int, repeat: int) -> dict:
     }
 
 
-def run(src: Path, seed: int, count: int, repeat: int) -> dict:
+def run(src: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, __file__, "--measure", str(seed), str(count), str(repeat)],
+        [sys.executable, __file__, "--measure", str(SEED), str(TARGETS), str(REPEAT)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
 
 
-def tree(spec: str) -> tuple[str, Path]:
-    label, sep, src = spec.partition("=")
-    if not sep or not label or not src:
-        raise argparse.ArgumentTypeError(f"expected LABEL=SRC, got {spec!r}")
-    return label, Path(src)
-
-
 def main() -> None:
     if sys.argv[1:2] == ["--measure"]:
+        if hasattr(os, "sched_setaffinity"):
+            os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
         print(json.dumps(measure(*map(int, sys.argv[2:5]))))
         return
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--tree", type=tree, action="append",
-                    help="LABEL=SRC, a source tree to measure (default change=src)")
-    ap.add_argument("--targets", type=int, default=420, help="at least 2")
-    ap.add_argument("--seed", type=int, default=16)
-    ap.add_argument("--repeat", type=int, default=3, help="timed passes; an op's latency is its best")
+    ap.add_argument("--label", action="append", help="label of the matching --src (default change)")
+    ap.add_argument("--src", type=Path, action="append",
+                    help="source tree to import autratio from (default this checkout's src)")
     ap.add_argument("--runs", type=int, default=1)
     ap.add_argument("--out", default="BENCH_ray.json")
     args = ap.parse_args()
-    trees = args.tree or [("change", ROOT / "src")]
-    if len({label for label, _ in trees}) != len(trees):
-        ap.error("each --tree needs its own label")
-    if args.targets < 2:
-        ap.error("--targets needs at least 2 targets for quartiles")
+    labels, srcs = args.label or ["change"], args.src or [ROOT / "src"]
+    if len(labels) != len(srcs) or len(set(labels)) != len(labels):
+        ap.error("give each --src its own --label")
+    trees = list(zip(labels, srcs))
 
-    runs: dict[str, list] = {label: [] for label, _ in trees}
+    runs: dict[str, list] = {label: [] for label in labels}
     for i in range(args.runs):
         for label, src in trees[::-1] if i % 2 else trees:
-            r = run(src, args.seed, args.targets, args.repeat)
+            r = run(src)
             runs[label].append(r)
             print(f"{label} run {i + 1}: median {r['median_ms']} ms "
                   f"[{r['q1_ms']}-{r['q3_ms']}] over {r['ops']} ops, "
@@ -138,8 +133,7 @@ def main() -> None:
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data["host"] = host()
-    data["settings"] = {"targets": args.targets, "seed": args.seed,
-                        "repeat": args.repeat, "eps": str(EPS)}
+    data["settings"] = {"targets": TARGETS, "seed": SEED, "repeat": REPEAT, "eps": str(EPS)}
     data.setdefault("runs", {}).update(runs)
     out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 

@@ -188,8 +188,9 @@ def approx_ray(
     sel = greedy_select(source, LogTarget(Fraction(qn, qd)), eps_log, exact_cap=exact_cap)
     max_p = source.prime(sel.scanned) if sel.scanned else 0
     kept = Selection(
-        sel.ranges, sel.count, sel.status, sel.scanned, sel.target, sel.eps,
-        sel.achieved, sel.exact_sum, None, sel.trail,
+        ranges=sel.ranges, count=sel.count, status=sel.status, scanned=sel.scanned,
+        target=sel.target, eps=sel.eps, achieved=sel.achieved,
+        exact_sum=sel.exact_sum, exact_product=None, trail=sel.trail,
     )
     trace = ApproxTrace(n, b, eps / b, kept, max_p, below_eps)
     if sel.status != CONVERGED:

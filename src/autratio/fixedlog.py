@@ -11,7 +11,7 @@ pairs, and rationals as (num, den) pairs of integers, all the way to a
 result: floats are made once, by ``autorder.LogValue.from_bounds``.
 
 Each end of an enclosure comes from one one-sided function
-(``ln_int_end``, ``ln_quotient_end``) with its own directed rounding;
+(``_ln_int_end``, ``ln_quotient_end``) with its own directed rounding;
 ``ln_int_bounds`` and ``ln_quotient_bounds`` return the pair of ends.  A
 caller that needs one end, such as the greedy's log tolerance, runs half
 the series.
@@ -55,7 +55,6 @@ __all__ = [
     "PREC",
     "SCALE_BITS",
     "TERM_ERR60",
-    "ln_int_end",
     "ln_int_bounds",
     "ln_fraction_bounds",
     "ln_quotient_end",
@@ -169,7 +168,7 @@ def _ln_mantissa_end(m_lo: int, m_hi: int, prec: int, upper: bool) -> int:
     return _ln_table(prec)[j][upper] + _ln_direct_end(m, prec, upper)
 
 
-def ln_int_end(n: int, prec: int = PREC, upper: bool = False) -> int:
+def _ln_int_end(n: int, prec: int = PREC, upper: bool = False) -> int:
     """One end of the certified enclosure of ln(n) for an integer n >= 1,
     at prec >= 5 fractional bits (the table reduction reads five bits of
     n): the lower end, or the upper one when ``upper``."""
@@ -189,8 +188,8 @@ def ln_int_end(n: int, prec: int = PREC, upper: bool = False) -> int:
 
 def ln_int_bounds(n: int, prec: int = PREC) -> tuple[int, int]:
     """Certified enclosure of ln(n) for an integer n >= 1: the pair of
-    ``ln_int_end``'s two ends."""
-    return ln_int_end(n, prec), ln_int_end(n, prec, True)
+    ``_ln_int_end``'s two ends."""
+    return _ln_int_end(n, prec), _ln_int_end(n, prec, True)
 
 
 def ln_fraction_bounds(q: Fraction | int, prec: int = PREC) -> tuple[int, int]:
@@ -205,7 +204,7 @@ def ln_quotient_end(num: int, den: int, prec: int = PREC, upper: bool = False) -
     """One end of the certified enclosure of ln(num/den) for integers
     num, den >= 1: the lower end is num's lower end less den's upper one.
     A caller that needs one end runs half the series."""
-    return ln_int_end(num, prec, upper) - ln_int_end(den, prec, not upper)
+    return _ln_int_end(num, prec, upper) - _ln_int_end(den, prec, not upper)
 
 
 def ln_quotient_bounds(num: int, den: int, prec: int = PREC) -> tuple[int, int]:

@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -347,7 +346,6 @@ def _certified_deficit_below(qn, qd, un, ud, bound: Fraction) -> bool:
     return hi * bound.denominator < bound.numerator << _PREC
 
 
-@lru_cache(maxsize=64)
 def _ceiling_upper_bound(x: int) -> tuple[int, int] | None:
     """Rigorous upper bound on the total ln(p/(p-1)) over the odd primes
     below the sieve ceiling x, as the exact integer ratio (num, den) of a

@@ -13,10 +13,10 @@ from autratio.fixedlog import (
     SCALE_BITS,
     TERM_ERR60,
     _ln_direct_bounds,
+    _ln_int_end,
     _ln_mantissa_end,
     _ln_table,
     ln_int_bounds,
-    ln_int_end,
     ln_quotient_bounds,
     ln_quotient_end,
     log_ratio_term_bounds,
@@ -213,7 +213,7 @@ def test_one_sided_ends_match_the_reference_pairs():
         den = rng.randint(1, 1 << rng.randint(1, 600))
         n_lo, n_hi = reference_ln_int_bounds(num, prec)
         d_lo, d_hi = reference_ln_int_bounds(den, prec)
-        assert ln_int_end(num, prec) == n_lo and ln_int_end(num, prec, True) == n_hi
+        assert _ln_int_end(num, prec) == n_lo and _ln_int_end(num, prec, True) == n_hi
         lo, hi = ln_quotient_bounds(num, den, prec)
         assert (lo, hi) == (n_lo - d_hi, n_hi - d_lo), (num, den, prec)
         assert ln_quotient_end(num, den, prec) == lo

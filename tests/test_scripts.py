@@ -68,23 +68,28 @@ def test_ray_latency_measures_each_tree(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("ray_latency", ROOT / "scripts" / "ray_latency.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    out = tmp_path / "BENCH_ray.json"
-    out.write_text(json.dumps({"runs": {"parent": [{"median_ms": 1}]}}))
-    src = str(ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "ray_latency.py"), "--targets", "12",
-         "--repeat", "1", "--runs", "2", "--tree", f"a={src}", "--tree", f"b={src}",
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    data = json.loads(out.read_text())
-    assert data["runs"]["parent"] == [{"median_ms": 1}]  # other labels are kept
     lines = []
-    for a in script.ray_targets(16, 12):
+    for a in script.ray_targets(script.SEED, 12):
         res = approx_ray(a, script.EPS)
         lines.append(script.output_line(a, res, verify_certificate(res)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    r = script.measure(script.SEED, 12, 1)
+    assert r["sha256"] == digest and r["ops"] == 12
+    assert 0 < r["q1_ms"] <= r["median_ms"] <= r["q3_ms"]
+
+    # two trees, alternating, each run in its own interpreter
+    out = tmp_path / "BENCH_ray.json"
+    out.write_text(json.dumps({"runs": {"parent": [{"median_ms": 1}]}}))
+    monkeypatch.setattr(script, "TARGETS", 12)
+    monkeypatch.setattr(script, "REPEAT", 1)
+    src = str(ROOT / "src")
+    monkeypatch.setattr(sys, "argv", ["ray_latency.py", "--runs", "2", "--label", "a",
+                                      "--src", src, "--label", "b", "--src", src,
+                                      "--out", str(out)])
+    script.main()
+    data = json.loads(out.read_text())
+    assert data["runs"]["parent"] == [{"median_ms": 1}]  # other labels are kept
+    assert data["settings"]["targets"] == 12
     for label in "ab":
         runs = data["runs"][label]
         assert len(runs) == 2
