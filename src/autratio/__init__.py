@@ -7,108 +7,55 @@ Three capabilities built on one exact core:
   abelian group whose ratio provably lies within eps of a (certified);
 * exhaustively search bounded families of abelian groups for exact
   rational hits f(G) = a.
+
+Every public name is imported from its module on first use (PEP 562), so
+``import autratio`` loads nothing else, and numpy is imported only by the
+modules whose kernels use it.
 """
 
-from .errors import (
-    AutratioError,
-    GroupParseError,
-    InputLimitExceeded,
-    OracleCapExceeded,
-    PrecisionRefusal,
-    SieveCapacityError,
-)
-from .groups import (
-    TRIVIAL,
-    AbelianGroup,
-    SymbolicGroup,
-    cyclic,
-    direct_product,
-    format_group,
-    invariant_factors,
-    order,
-    parse_group,
-)
-from .primes import PrimeStream, nth_prime, shared_stream
-from .autorder import (
-    LogValue,
-    Ratio,
-    aut_order,
-    aut_order_local,
-    f_exact,
-    f_log,
-    f_prime_exact,
-    two_rank_ratio,
-)
-from .oracle import OracleCaps, aut_order_bruteforce, aut_order_bruteforce_naive
-from .subsum import (
-    CAPACITY_EXHAUSTED,
-    CONVERGED,
-    LogTarget,
-    PrimeRatioSource,
-    Selection,
-    TermSource,
-    greedy_select,
-)
-from .approximate import (
-    ApproxResult,
-    approx_in_unit,
-    approx_ray,
-    verify_certificate,
-)
-from .search import (
-    SearchBounds,
-    Witness,
-    build_f_table,
-    enumerate_groups,
-    find_exact,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "SymbolicGroup",
-    "TRIVIAL",
-    "cyclic",
-    "order",
-    "direct_product",
-    "invariant_factors",
-    "parse_group",
-    "format_group",
-    "PrimeStream",
-    "shared_stream",
-    "nth_prime",
-    "Ratio",
-    "LogValue",
-    "aut_order",
-    "aut_order_local",
-    "f_exact",
-    "f_prime_exact",
-    "f_log",
-    "two_rank_ratio",
-    "OracleCaps",
-    "aut_order_bruteforce",
-    "aut_order_bruteforce_naive",
-    "TermSource",
-    "PrimeRatioSource",
-    "LogTarget",
-    "Selection",
-    "greedy_select",
-    "CONVERGED",
-    "CAPACITY_EXHAUSTED",
-    "ApproxResult",
-    "approx_in_unit",
-    "approx_ray",
-    "verify_certificate",
-    "SearchBounds",
-    "Witness",
-    "enumerate_groups",
-    "find_exact",
-    "build_f_table",
-    "AutratioError",
-    "GroupParseError",
-    "SieveCapacityError",
-    "OracleCapExceeded",
-    "PrecisionRefusal",
-    "InputLimitExceeded",
-]
+# Each public name and the module that defines it, in ``__all__`` order.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("groups", (
+            "AbelianGroup", "SymbolicGroup", "TRIVIAL", "cyclic", "order",
+            "direct_product", "invariant_factors", "parse_group", "format_group",
+        )),
+        ("primes", ("PrimeStream", "shared_stream", "nth_prime")),
+        ("autorder", (
+            "Ratio", "LogValue", "aut_order", "aut_order_local", "f_exact",
+            "f_prime_exact", "f_log", "two_rank_ratio",
+        )),
+        ("oracle", ("OracleCaps", "aut_order_bruteforce", "aut_order_bruteforce_naive")),
+        ("subsum", (
+            "TermSource", "PrimeRatioSource", "LogTarget", "Selection",
+            "greedy_select", "CONVERGED", "CAPACITY_EXHAUSTED",
+        )),
+        ("approximate", ("ApproxResult", "approx_in_unit", "approx_ray", "verify_certificate")),
+        ("search", ("SearchBounds", "Witness", "enumerate_groups", "find_exact", "build_f_table")),
+        ("errors", (
+            "AutratioError", "GroupParseError", "SieveCapacityError",
+            "OracleCapExceeded", "PrecisionRefusal", "InputLimitExceeded",
+        )),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,6 +15,9 @@ A refusal or failure has null inputs and result; a completed run that
 fails its own check (oracle mismatch, rejected certificate) keeps both
 and exits 3.  The oracle alias reports "command": "aut".  Without --json
 the lines go to stdout, or "error: <message>" to stderr.
+
+Only ``approx`` and ``aut --oracle`` (with its alias) import numpy: they
+import the approximation and oracle modules when they run.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import re
 import sys
 from fractions import Fraction
 
-from .approximate import approx_ray, verify_certificate
 from .autorder import aut_order, f_exact, f_prime_exact
 from .errors import (
     GroupParseError,
@@ -36,7 +38,6 @@ from .errors import (
     SieveCapacityError,
 )
 from .groups import MAX_LITERAL_DIGITS, format_group, parse_group
-from .oracle import OracleCaps, aut_order_bruteforce
 from .primes import env_int, shared_stream
 from .search import SearchBounds, build_f_table, find_exact
 
@@ -130,7 +131,9 @@ def _check_digits(what: str, **counts: int) -> None:
             )
 
 
-def _oracle_caps() -> OracleCaps:
+def _oracle_caps():
+    from .oracle import OracleCaps
+
     return OracleCaps(
         order_cap=env_int("AUTRATIO_ORACLE_ORDER_CAP", 200, 1),
         work_cap=env_int("AUTRATIO_ORACLE_WORK_CAP", 10**8, 1),
@@ -150,6 +153,8 @@ def _cmd_aut(args):
     if not args.oracle:
         text = _int_str(formula)
         return inputs, {"aut_order": text}, [text], None
+    from .oracle import aut_order_bruteforce
+
     brute = aut_order_bruteforce(g, _oracle_caps())
     match = formula == brute
     result = {"aut_order": _int_str(formula), "oracle": _int_str(brute), "match": match}
@@ -158,11 +163,13 @@ def _cmd_aut(args):
 
 
 def _cmd_approx(args):
+    from . import approximate
+
     a = _parse_rational(args.target, "target", allow_decimal=True)
     eps = _parse_rational(args.eps, "eps", allow_decimal=True)
     stream = shared_stream()
-    res = approx_ray(a, eps, odd_only=args.odd_only, stream=stream)
-    verified = verify_certificate(res, stream=stream)
+    res = approximate.approx_ray(a, eps, odd_only=args.odd_only, stream=stream)
+    verified = approximate.verify_certificate(res, stream=stream)
     trace = {
         "two_rank": res.trace.two_rank,
         "b": _ratio_str(res.trace.b),

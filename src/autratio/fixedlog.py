@@ -41,15 +41,18 @@ enclosure of its selected sum and takes its decisions on it.
 ``term_block_atanh60`` sums a different series into one enclosure per
 block; it encloses ln f(G) for the second pass and for ``autorder.f_log``
 above 65,536 odd primes, so an error in one kernel cannot hide in both the
-greedy and its verifier.
+greedy and its verifier.  Only these two kernels use numpy, and each
+imports it when first called, so the scalar enclosures load without it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PREC",
@@ -246,6 +249,8 @@ def _root_cut(k: int) -> int:
 def term_block_fp60(primes: np.ndarray) -> np.ndarray:
     """Floor values of ln(p/(p-1)) * 2**60 for an ascending int64 array of
     odd primes.  True value exceeds the stored one by < TERM_ERR60 units."""
+    import numpy as np
+
     if len(primes) == 0:
         return np.zeros(0, dtype=np.int64)
     scale = 1 << SCALE_BITS
@@ -287,6 +292,8 @@ def term_block_atanh60(primes: np.ndarray) -> tuple[int, int]:
     partial sums stay below 2**61 (the sum of 1/(2p - 1) over the first
     2**16 odd primes is below 2), and no array outgrows the block.
     """
+    import numpy as np
+
     scale = 1 << SCALE_BITS
     lo = err = 0
     for start in range(0, len(primes), _ATANH_BLOCK):

@@ -41,6 +41,7 @@ __all__ = [
     "MAX_LITERAL_AUT_BITS",
     "MAX_LITERAL_DIGITS",
     "RHO_STEP_BUDGET",
+    "MAX_COFACTOR_BITS",
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -156,6 +157,13 @@ def _pollard_brent(n: int) -> int | None:
     raise ArithmeticError(f"{n} did not split")  # unreachable for composite n
 
 
+# factorize refuses a cofactor above this size before testing it: one
+# Miller-Rabin round costs about 0.2 s at 4096 bits and 1.6 s at 8192 (the
+# cost grows near the cube of the size), so a probable prime at the bound
+# is refused after its twelve rounds in about 3 s.
+MAX_COFACTOR_BITS = 4096
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1, as {prime: exponent}.
 
@@ -170,7 +178,8 @@ def factorize(n: int) -> dict[int, int]:
     proving it prime or composite is out of reach here (trial division
     would cost sqrt(n) steps), so factorize raises InputLimitExceeded; so
     it does when Pollard-Brent spends its step budget on a cofactor
-    without splitting it.
+    without splitting it, and, before any test, when the cofactor left by
+    trial division has more than MAX_COFACTOR_BITS bits.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -180,6 +189,12 @@ def factorize(n: int) -> dict[int, int]:
         if m > 1:
             out[m] = 1  # a prime above every factor divided out
         return out
+    if m.bit_length() > MAX_COFACTOR_BITS:
+        raise InputLimitExceeded(
+            f"cannot factor {_short(n)}: its cofactor after trial division "
+            f"has {m.bit_length()} bits, above MAX_COFACTOR_BITS = "
+            f"{MAX_COFACTOR_BITS}"
+        )
     todo = [m]
     while todo:
         m = todo.pop()

@@ -4,6 +4,12 @@ A shared, extendable segmented sieve is the package's one prime source: it
 supplies the indexed prime sequence p1 < p2 < ... (1-based, p1 = 2) and the
 list of primes up to a bound, growing on demand but never past its hard
 ceiling.
+
+The first window, the primes up to 2^16, is sieved with the standard
+library (a bytearray of marks, stored as an ``array('q')``), so commands
+that stay inside it, such as small tables and searches, never import
+numpy.  Extensions past it sieve 2^22-wide segments with numpy and store
+an int64 ndarray; ``primes_slice`` always returns an int64 ndarray.
 """
 
 from __future__ import annotations
@@ -11,10 +17,15 @@ from __future__ import annotations
 import math
 import os
 import threading
-
-import numpy as np
+from array import array
+from bisect import bisect_right
+from itertools import compress
+from typing import TYPE_CHECKING
 
 from .errors import SieveCapacityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PrimeStream",
@@ -52,19 +63,22 @@ def _hard_ceiling(ceiling: int | None) -> int:
     return ceiling
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+def _simple_sieve(limit: int) -> array:
+    """All primes <= limit (>= 2) as an array('q'), without numpy."""
+    flags = bytearray([1]) * ((limit + 1) // 2)  # flags[i] marks 2i + 1
+    flags[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    return array("q", [2, *compress(range(1, limit + 1, 2), flags)])
 
 
 class PrimeStream:
     """All primes up to a growing sieve limit, index base 1 (p1 = 2).
 
-    Reads are lock-free on the immutable prime array; extension is
+    Reads are lock-free on the immutable prime store (an array('q') for
+    the first window, an int64 ndarray once extended); extension is
     serialized, so concurrent callers may share one stream.
     """
 
@@ -87,6 +101,8 @@ class PrimeStream:
         limit = min(int(limit), self.ceiling)
         if limit <= self._limit:
             return
+        import numpy as np
+
         with self._lock:
             if limit <= self._limit:
                 return
@@ -95,8 +111,8 @@ class PrimeStream:
                 # sqrt(limit) outgrew the current sieve; rebuild the base first
                 base = _simple_sieve(root)
             else:
-                base = self._primes[self._primes <= root]
-            chunks = [self._primes]
+                base = self._primes[: bisect_right(self._primes, root)]
+            chunks = [np.asarray(self._primes)]  # views an array("q") store
             lo = self._limit + 1
             while lo <= limit:
                 hi = min(lo + _SEGMENT - 1, limit)
@@ -140,7 +156,12 @@ class PrimeStream:
         if i0 < 1 or i1 < i0:
             raise ValueError(f"bad prime index range [{i0}, {i1}]")
         self._ensure_count(i1)
-        return self._primes[i0 - 1 : i1]
+        primes = self._primes
+        if isinstance(primes, array):  # the first window, viewed as int64
+            import numpy as np
+
+            primes = np.asarray(primes)
+        return primes[i0 - 1 : i1]
 
     def primes_upto(self, n: int) -> list[int]:
         """All primes <= n as Python ints, ascending.
@@ -155,7 +176,7 @@ class PrimeStream:
             )
         self.extend_to(n)
         primes = self._primes
-        return primes[: int(np.searchsorted(primes, n, side="right"))].tolist()
+        return primes[: bisect_right(primes, n)].tolist()
 
 
 _shared: PrimeStream | None = None

@@ -138,7 +138,7 @@ def test_table_error_names_the_out_path(capsys, tmp_path):
 
 
 def test_rejected_certificate_is_an_error(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_certificate", lambda res, stream=None: False)
+    monkeypatch.setattr(autratio.approximate, "verify_certificate", lambda res, stream=None: False)
     code, out, _ = run(capsys, "approx", "2/3", "--eps", "1e-3", "--json")
     assert code == 3
     doc = json.loads(out)
@@ -150,23 +150,58 @@ def test_rejected_certificate_is_an_error(capsys, monkeypatch):
     assert out.splitlines()[-1] == "second-pass check: FAILED"
 
 
-def run_cold(argv, timeout):
-    """One `python -m autratio.cli` process on this checkout's source: its
-    exit code and error message (stderr, or the JSON envelope's error)."""
+def cold_process(argv, timeout, *flags):
+    """One `python <flags> -m autratio.cli <argv>` process on this
+    checkout's source, run to its end."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "autratio.cli", *argv],
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "autratio.cli", *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=timeout,
     )
+
+
+def run_cold(argv, timeout):
+    """One `python -m autratio.cli` process on this checkout's source: its
+    exit code and error message (stderr, or the JSON envelope's error)."""
+    proc = cold_process(argv, timeout)
     message = proc.stderr if "--json" not in argv else json.loads(proc.stdout)["error"]
     return proc.returncode, message
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["table", "--max-order", "300"], False),
+        (["search", "3/2", "--max-order", "5000"], False),
+        (["f", "C2 x C4 x C9"], False),
+        (["aut", "C4 x C6"], False),
+        (["aut", "--oracle", "C4 x C6"], True),
+        (["oracle", "C6"], True),
+        (["approx", "9/2", "--eps", "1/1000"], True),
+    ],
+)
+def test_only_approx_and_the_oracle_import_numpy(tmp_path, argv, loads_numpy):
+    # -X importtime logs every module imported, so the modules logged are
+    # those in sys.modules when the command exits
+    if argv[0] == "table":
+        argv = argv + ["--out", str(tmp_path / "t.tsv")]
+    proc = cold_process([*argv, "--json"], 60, "-X", "importtime")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "autratio.primes" in imported
+    assert ("numpy" in imported) == loads_numpy
 
 
 def test_gigantic_literal_is_refused_before_it_is_expanded():

@@ -274,10 +274,35 @@ def test_factorize_refuses_when_rho_spends_its_budget(monkeypatch):
 
 def test_factorize_rho_budget_scales_with_cofactor_size():
     # M2203 * M2281 (4484 bits): a rho step costs about 16 times one at
-    # 1128 bits, so the full step budget would take about 25 s
+    # 1128 bits, so the full step budget would take about 25 s; the
+    # cofactor is now refused by MAX_COFACTOR_BITS before rho runs
     start = time.perf_counter()
     with pytest.raises(InputLimitExceeded, match="4484 bits"):
         factorize((2**2203 - 1) * (2**2281 - 1))
+    assert time.perf_counter() - start < 5.0
+
+
+def test_factorize_refuses_a_cofactor_above_the_size_bound_before_testing_it():
+    # (2^4423 - 1)(2^9689 - 1), 14,112 bits: its Miller-Rabin test alone
+    # took about 8 s; 1031^409 leaves a cofactor of 4095 bits, 1031^410 of 4105
+    big = (2**4423 - 1) * (2**9689 - 1)
+    for literal in (f"C{big}", f"C2 x C{12 * big}"):
+        start = time.perf_counter()
+        with pytest.raises(InputLimitExceeded, match="14112 bits, above MAX_COFACTOR_BITS = 4096"):
+            parse_group(literal)
+        assert time.perf_counter() - start < 1.0
+    assert groups_mod.MAX_COFACTOR_BITS == 4096
+    assert factorize(6 * 1031**409) == {2: 1, 3: 1, 1031: 409}
+    with pytest.raises(InputLimitExceeded, match="4105 bits, above MAX_COFACTOR_BITS"):
+        factorize(6 * 1031**410)
+
+
+def test_factorize_rho_budget_scales_below_the_size_bound():
+    # M1279 * M2281 (3560 bits) is within MAX_COFACTOR_BITS, so rho runs
+    # and spends its scaled budget
+    start = time.perf_counter()
+    with pytest.raises(InputLimitExceeded, match="3560 bits within RHO_STEP_BUDGET"):
+        factorize((2**1279 - 1) * (2**2281 - 1))
     assert time.perf_counter() - start < 5.0
 
 

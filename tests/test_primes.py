@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import autratio.primes
@@ -121,3 +122,33 @@ def test_extension_rebuilds_base_sieve_only_past_its_root(monkeypatch):
     assert calls[1:] == [141]
     assert s.primes_upto(20_000) == trial_division_primes(20_000)
 
+
+
+FIRST_WINDOW = 1 << 16
+
+
+def test_first_window_matches_trial_division():
+    s = PrimeStream()
+    assert s.limit == FIRST_WINDOW  # nothing extended yet
+    ref = [n for n in range(FIRST_WINDOW + 1) if is_prime_td(n)]
+    assert s.primes_upto(FIRST_WINDOW) == ref
+    assert s.count == len(ref) and s.nth_prime(len(ref)) == ref[-1]
+    assert s.limit == FIRST_WINDOW
+
+
+def test_reads_agree_across_the_first_extension():
+    s = PrimeStream()
+    n = s.count
+    before = s.primes_slice(1, n)
+    assert isinstance(before, np.ndarray) and before.dtype == np.int64
+    ref = [p for p in range(2 * FIRST_WINDOW + 1) if is_prime_td(p)]
+    assert before.tolist() == ref[:n] and s.nth_prime(n) == ref[n - 1]
+    s.extend_to(2 * FIRST_WINDOW)
+    assert s.limit == 2 * FIRST_WINDOW and s.count == len(ref)
+    assert before.tolist() == ref[:n]  # a slice taken before stays valid
+    across = s.primes_slice(n - 2, n + 2)
+    assert isinstance(across, np.ndarray) and across.dtype == np.int64
+    assert across.tolist() == ref[n - 3 : n + 2]
+    assert [s.nth_prime(i) for i in range(n - 1, n + 2)] == ref[n - 2 : n + 1]
+    assert s.primes_upto(FIRST_WINDOW) == ref[:n]
+    assert s.primes_upto(2 * FIRST_WINDOW) == ref
