@@ -288,7 +288,7 @@ def _verify_exact(result: ApproxResult, stream: PrimeStream) -> bool:
     g = result.group
     primes: list[int] = []
     for lo, hi in g.odd_prime_ranges:
-        primes += stream.primes_slice(lo, hi).tolist()
+        primes += stream.primes_list(lo, hi)
     b = two_rank_ratio(g.two_rank)
     num = b.numerator * product_tree([p - 1 for p in primes])
     den = b.denominator * product_tree(primes)

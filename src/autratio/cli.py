@@ -16,8 +16,11 @@ fails its own check (oracle mismatch, rejected certificate) keeps both
 and exits 3.  The oracle alias reports "command": "aut".  Without --json
 the lines go to stdout, or "error: <message>" to stderr.
 
-Only ``approx`` and ``aut --oracle`` (with its alias) import numpy: they
-import the approximation and oracle modules when they run.
+Each command imports the modules it needs when it runs: ``search`` and
+``table`` the search module, ``approx`` the approximation modules and
+``aut --oracle`` (with its alias) the oracle.  Only the oracle and the
+numpy kernels behind an ``approx`` whose greedy leaves the prime sieve's
+first window import numpy.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .errors import (
 )
 from .groups import MAX_LITERAL_DIGITS, format_group, parse_group
 from .primes import env_int, shared_stream
-from .search import SearchBounds, build_f_table, find_exact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -229,6 +231,8 @@ def _cmd_approx(args):
 
 
 def _cmd_search(args):
+    from .search import SearchBounds, find_exact
+
     a = _parse_rational(args.target, "target", allow_decimal=False)
     bounds = SearchBounds(
         max_order=args.max_order,
@@ -247,6 +251,8 @@ def _cmd_search(args):
 
 
 def _cmd_table(args):
+    from .search import SearchBounds, build_f_table
+
     bounds = SearchBounds(max_order=args.max_order, max_rank_per_prime=args.max_rank)
     rows = build_f_table(bounds, args.out)
     inputs = {"max_order": args.max_order, "out": args.out}

@@ -30,10 +30,10 @@ Two precision regimes are used:
 
 * scalar enclosures at ``prec`` fractional bits (default 192), for targets,
   per-term values and final certificates;
-* a vectorized int64 regime at 60 fractional bits for bulk evaluation of
-  ln(p/(p-1)) over millions of primes.
+* a 60-fractional-bit regime for bulk evaluation of ln(p/(p-1)) over
+  millions of primes, vectorized in int64.
 
-There are two int64 kernels.  ``term_block_fp60`` is the greedy's kernel:
+There are two 60-bit kernels.  ``term_block_fp60`` is the greedy's kernel:
 floor values per prime, with the uniform per-term error constant
 ``TERM_ERR60`` (the true value overshoots the stored one by strictly less
 than TERM_ERR60 units of 2**-60).  The greedy sums them into an integer
@@ -42,7 +42,11 @@ enclosure of its selected sum and takes its decisions on it.
 block; it encloses ln f(G) for the second pass and for ``autorder.f_log``
 above 65,536 odd primes, so an error in one kernel cannot hide in both the
 greedy and its verifier.  Only these two kernels use numpy, and each
-imports it when first called, so the scalar enclosures load without it.
+imports it only on an int64 array: ``term_block_fp60`` gives the same
+floor values for a list of Python ints with the standard library, which
+is how the greedy reads the primes of the sieve's first window.  So the
+scalar enclosures, and a greedy that stays in that window, load without
+numpy.
 """
 
 from __future__ import annotations
@@ -246,9 +250,27 @@ def _root_cut(k: int) -> int:
     return r
 
 
-def term_block_fp60(primes: np.ndarray) -> np.ndarray:
-    """Floor values of ln(p/(p-1)) * 2**60 for an ascending int64 array of
-    odd primes.  True value exceeds the stored one by < TERM_ERR60 units."""
+def term_block_fp60(primes: list[int] | np.ndarray) -> list[int] | np.ndarray:
+    """Floor values of ln(p/(p-1)) * 2**60 for ascending odd primes: a list
+    of Python ints for a list, an int64 array for an int64 array.  True
+    value exceeds the stored one by < TERM_ERR60 units.
+
+    Both paths sum floor(floor(2**60 / p**k) / k) over the k with
+    p**k <= 2**60: the list path prime by prime with the standard library,
+    the array path one k at a time over the primes up to ``_root_cut(k)``.
+    """
+    if isinstance(primes, list):
+        scale = 1 << SCALE_BITS
+        out = []
+        for p in primes:
+            acc = scale // p
+            pk, k = p * p, 2
+            while pk <= scale:
+                acc += scale // pk // k
+                pk *= p
+                k += 1
+            out.append(acc)
+        return out
     import numpy as np
 
     if len(primes) == 0:

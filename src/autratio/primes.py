@@ -5,11 +5,13 @@ supplies the indexed prime sequence p1 < p2 < ... (1-based, p1 = 2) and the
 list of primes up to a bound, growing on demand but never past its hard
 ceiling.
 
-The first window, the primes up to 2^16, is sieved with the standard
-library (a bytearray of marks, stored as an ``array('q')``), so commands
-that stay inside it, such as small tables and searches, never import
-numpy.  Extensions past it sieve 2^22-wide segments with numpy and store
-an int64 ndarray; ``primes_slice`` always returns an int64 ndarray.
+The first window, the primes up to ``FIRST_WINDOW`` = 2^16, is sieved
+with the standard library (a bytearray of marks, stored as an
+``array('q')``), so commands that stay inside it, such as small tables,
+searches and short approximations, never import numpy.  Extensions past it
+sieve 2^22-wide segments with numpy and store an int64 ndarray.
+``primes_list`` reads either store as Python ints without numpy;
+``primes_slice`` always returns an int64 ndarray, for the numpy kernels.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ __all__ = [
     "shared_stream",
     "nth_prime",
     "DEFAULT_CEILING",
+    "FIRST_WINDOW",
 ]
 
 DEFAULT_CEILING = 10**8
+FIRST_WINDOW = 1 << 16
 _SEGMENT = 1 << 22
 
 
@@ -85,7 +89,7 @@ class PrimeStream:
     def __init__(self, ceiling: int | None = None):
         self.ceiling = _hard_ceiling(ceiling)
         self._lock = threading.Lock()
-        self._limit = min(1 << 16, self.ceiling)
+        self._limit = min(FIRST_WINDOW, self.ceiling)
         self._primes = _simple_sieve(self._limit)
 
     @property
@@ -151,12 +155,20 @@ class PrimeStream:
         self._ensure_count(i)
         return int(self._primes[i - 1])
 
-    def primes_slice(self, i0: int, i1: int) -> np.ndarray:
-        """Primes p_{i0}..p_{i1} inclusive (1-based) as an int64 array."""
+    def _store_upto(self, i0: int, i1: int):
         if i0 < 1 or i1 < i0:
             raise ValueError(f"bad prime index range [{i0}, {i1}]")
         self._ensure_count(i1)
-        primes = self._primes
+        return self._primes
+
+    def primes_list(self, i0: int, i1: int) -> list[int]:
+        """Primes p_{i0}..p_{i1} inclusive (1-based) as Python ints, read
+        from either store without importing numpy."""
+        return self._store_upto(i0, i1)[i0 - 1 : i1].tolist()
+
+    def primes_slice(self, i0: int, i1: int) -> np.ndarray:
+        """Primes p_{i0}..p_{i1} inclusive (1-based) as an int64 array."""
+        primes = self._store_upto(i0, i1)
         if isinstance(primes, array):  # the first window, viewed as int64
             import numpy as np
 

@@ -31,6 +31,15 @@ Two kinds of term source are supported:
   is tested after every inclusion, so the selection does not depend on
   how far the sieve has been extended.
 
+The table is read a window at a time and never copied whole.  While the
+stream holds only its sieve's first window (``primes.FIRST_WINDOW``) the
+table is an ``array('q')`` filled by ``term_block_fp60``'s standard-library
+path, and past it an int64 ndarray.  Windows of at most ``_SMALL`` terms
+are summed in Python ints and longer ones with numpy; a skip's bisection
+probes compute a term past the table alone; and U is multiplied from
+Python-int lists of primes.  So a greedy that stays inside the first
+window and its short runs never imports numpy.
+
 Each source has one limit on the scan: a ``TermSource``'s ``capacity``
 and a ``PrimeRatioSource``'s sieve ceiling.  A run that reaches it before
 converging ends with status ``capacity_exhausted``.
@@ -45,17 +54,20 @@ exact run logs its ``exact_product`` itself.
 from __future__ import annotations
 
 import math
+import threading
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from . import fixedlog
 from .autorder import product_tree
 from .errors import PrecisionRefusal, SieveCapacityError
 from .groups import _add_run
-from .primes import PrimeStream, shared_stream
+from .primes import FIRST_WINDOW, PrimeStream, shared_stream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CONVERGED",
@@ -153,33 +165,68 @@ class PrimeRatioSource:
             raise ValueError("term index must be >= 1")
         return self.stream.nth_prime(j + 1)
 
-    def term60_array(self, count: int) -> np.ndarray:
-        """Floor terms at scale 2**-60 for source indices 1..count, a view
-        of the stream's table (entry j - 1 is index j's term)."""
-        return _stream_term60_cache(self.stream, count)[:count]
+    def term60_window(self, i0: int, i1: int) -> memoryview | np.ndarray:
+        """Floor terms at scale 2**-60 of source indices i0..i1: a view of
+        the stream's table (entry j - 1 is index j's term), never a copy."""
+        table = _stream_term60_cache(self.stream, i1)
+        if isinstance(table, array):
+            table = memoryview(table)
+        return table[i0 - 1 : i1]
+
+    def term60(self, j: int) -> int:
+        """Floor term of source index j: read from the table when it holds
+        j, else computed for that prime alone, leaving the table as it is."""
+        table = getattr(self.stream, "_term60_cache", None)
+        if table is not None and j <= len(table):
+            return int(table[j - 1])
+        return fixedlog.term_block_fp60([self.prime(j)])[0]
 
 
-def _stream_term60_cache(stream: PrimeStream, count: int) -> np.ndarray:
+_term60_lock = threading.Lock()
+
+
+def _stream_term60_cache(stream: PrimeStream, count: int) -> array | np.ndarray:
     """Growing per-stream table of floor terms: entry j - 1 is that of the
-    j-th odd prime p_(j+1).
+    j-th odd prime p_(j+1).  Entries never change once written, so reads
+    take no lock.
 
-    The table at least doubles when it grows, up to the sieve's extent, and
-    new terms are computed a window at a time straight into the grown
-    array, so the kernel's temporaries stay at a window's size."""
+    While the stream holds only its sieve's first window the table is an
+    ``array('q')`` grown to exactly the terms read, by the standard-library
+    kernel.  Past it the table is an int64 ndarray that at least doubles
+    when it grows, up to the sieve's extent, with new terms computed a
+    window at a time straight into the grown array, so the kernel's
+    temporaries stay at a window's size."""
     cache = getattr(stream, "_term60_cache", None)
-    have = 0 if cache is None else len(cache)
-    if count > have:
-        stream.nth_prime(count + 1)
-        size = max(count, min(2 * have, stream.count - 1))
-        grown = np.empty(size, dtype=np.int64)
-        if have:
-            grown[:have] = cache
-        lo = have + 1
-        while lo <= size:
-            hi = min(lo + _WINDOW - 1, size)
-            grown[lo - 1 : hi] = fixedlog.term_block_fp60(stream.primes_slice(lo + 1, hi + 1))
-            lo = hi + 1
-        cache = stream._term60_cache = grown
+    if cache is not None and count <= len(cache):
+        return cache
+    stream.nth_prime(count + 1)
+    with _term60_lock:
+        cache = getattr(stream, "_term60_cache", None)
+        have = 0 if cache is None else len(cache)
+        if count <= have:
+            return cache
+        if stream.limit <= FIRST_WINDOW:
+            terms = fixedlog.term_block_fp60(stream.primes_list(have + 2, count + 1))
+            cache = array("q") if cache is None else cache
+            try:
+                cache.extend(terms)
+            except BufferError:  # a read still views the table: grow a copy
+                cache = array("q", cache)
+                cache.extend(terms)
+        else:
+            import numpy as np
+
+            size = max(count, min(2 * have, stream.count - 1))
+            grown = np.empty(size, dtype=np.int64)
+            if have:
+                grown[:have] = cache
+            lo = have + 1
+            while lo <= size:
+                hi = min(lo + _WINDOW - 1, size)
+                grown[lo - 1 : hi] = fixedlog.term_block_fp60(stream.primes_slice(lo + 1, hi + 1))
+                lo = hi + 1
+            cache = grown
+        stream._term60_cache = cache
     return cache
 
 
@@ -362,28 +409,53 @@ def _ceiling_upper_bound(x: int) -> tuple[int, int] | None:
 def _product(source, runs) -> tuple[int, int]:
     """U = prod p/(p-1) over the included runs, as a gcd-free pair, with
     one product tree per side."""
-    stream = source.stream
-    parts = [stream.primes_slice(lo + 1, hi + 1) for lo, hi in runs]
-    primes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return product_tree(primes.tolist()), product_tree((primes - 1).tolist())
+    primes: list[int] = []
+    for lo, hi in runs:
+        primes += source.stream.primes_list(lo + 1, hi + 1)
+    return product_tree(primes), product_tree([p - 1 for p in primes])
 
 
 # The include run's window starts at _RUN0 terms and doubles while whole
 # windows fit, up to _WINDOW, so its temporaries stay at a window's size.
+# Windows of at most _SMALL terms are summed in Python ints.
 _RUN0 = 64
+_SMALL = 256
 _WINDOW = 1 << 16
 
 
-def _certain_prefix(terms: np.ndarray, room: int, eps60: int) -> tuple[int, int]:
-    """Length n of the run of ``terms`` the greedy includes one after
-    another as far as the enclosures prove it, and their sum plus n * _C.
+def _certain_prefix(terms: memoryview | np.ndarray, room: int, eps60: int) -> tuple[int, int]:
+    """Length n of the run of the window ``terms`` of the table that the
+    greedy includes one after another as far as the enclosures prove it,
+    and their sum plus n * _C.
 
     With T_k the sum of the first k terms plus k * _C, the true sum of ln U
     and those terms is below hi + T_k, so T_k <= room = q_lo - hi proves
     that the k-th term fits, and T_k <= room - eps60 that the deficit after
     it is still at least eps.  The run takes k = 1, 2, ... while the k-th
     term fits and every earlier one left the deficit at eps or more.
+    Windows of at most _SMALL terms take ``_prefix_in_ints``, longer ones
+    ``_prefix_in_int64``; both give the same answer.
     """
+    if len(terms) <= _SMALL:
+        return _prefix_in_ints(terms.tolist(), room, eps60)
+    return _prefix_in_int64(terms, room, eps60)
+
+
+def _prefix_in_ints(terms: list[int], room: int, eps60: int) -> tuple[int, int]:
+    """``_certain_prefix`` over a list of Python ints, for eps60 >= 0: T_k
+    one k at a time, up to the first that leaves the deficit below eps."""
+    used = 0
+    for n, t in enumerate(terms):
+        used += t + _C
+        if used > room - eps60:
+            return (n + 1, used) if used <= room else (n, used - t - _C)
+    return len(terms), used
+
+
+def _prefix_in_int64(terms: memoryview | np.ndarray, room: int, eps60: int) -> tuple[int, int]:
+    """``_certain_prefix`` with numpy, its sums in int64."""
+    import numpy as np
+
     adj = np.cumsum(terms) + _C * np.arange(1, len(terms) + 1, dtype=np.int64)
     top = int(adj[-1])  # clamp: keep searchsorted in int64
     fit = int(np.searchsorted(adj, min(room, top), side="right"))
@@ -402,14 +474,11 @@ def _first_included(source, i, limit, runs, lo, hi, q, exact):
     monotone in j, since the floor terms are nonincreasing.
     """
     qn, qd, q_lo, q_hi = q
-    table = source.term60_array(i)
     u = None
 
     def fits(j: int) -> bool:
-        nonlocal table, u
-        if j > len(table):
-            table = source.term60_array(j)
-        t = int(table[j - 1])
+        nonlocal u
+        t = source.term60(j)
         if hi + t + _C <= q_lo:
             return True
         if lo + t > q_hi or not exact:
@@ -491,8 +560,7 @@ def _continue_fixed_point(source, target, eps, record_trail, exact_cap):
                 status = CAPACITY_EXHAUSTED
             continue
         w = min(window, limit - i + 1)
-        terms = source.term60_array(i + w - 1)[i - 1 :]
-        n, used = _certain_prefix(terms, q_lo - hi, eps60)
+        n, used = _certain_prefix(source.term60_window(i, i + w - 1), q_lo - hi, eps60)
         window = min(2 * window, _WINDOW) if n == w else _RUN0
         if n:
             first = i
@@ -513,14 +581,14 @@ def _continue_fixed_point(source, target, eps, record_trail, exact_cap):
                 status = CAPACITY_EXHAUSTED
                 break
             n = 1
-            t = int(source.term60_array(first)[first - 1])
+            t = source.term60(first)
             lo += t
             hi += t + _C
         scanned = first + n - 1
         _add_run(runs, first, scanned)
         count += n
         if record_trail:
-            primes = stream.primes_slice(first + 1, scanned + 1).tolist()
+            primes = stream.primes_list(first + 1, scanned + 1)
             trail.extend(("include", j, p) for j, p in zip(range(first, scanned + 1), primes))
         i = scanned + 1
 

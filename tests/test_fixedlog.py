@@ -16,6 +16,7 @@ from autratio.fixedlog import (
     _ln_int_end,
     _ln_mantissa_end,
     _ln_table,
+    _root_cut,
     ln_int_bounds,
     ln_quotient_bounds,
     ln_quotient_end,
@@ -80,6 +81,34 @@ def test_atanh_kernel_blocks_agree_with_first_pass_kernel():
 
 def test_atanh_kernel_empty_block():
     assert term_block_atanh60(np.zeros(0, dtype=np.int64)) == (0, 0)
+
+
+def test_fp60_list_path_matches_int64_path_below_2_16():
+    primes = odd_primes_below(1 << 16)
+    got = term_block_fp60(primes.tolist())
+    assert type(got) is list and all(type(t) is int for t in got)
+    assert got == term_block_fp60(primes).tolist()
+    assert term_block_fp60([]) == []
+
+
+def test_fp60_list_path_matches_int64_path_at_the_root_cuts():
+    # the last k of a prime's sum is the largest with p**k <= 2**60, so
+    # primes just under and just over each cut end their sums one k apart
+    near = []
+    for k in range(2, 7):
+        cut = _root_cut(k)
+        assert cut**k <= 1 << SCALE_BITS < (cut + 1) ** k
+        below = [n for n in range(cut, cut - 2000, -1) if is_prime(n)][:3]
+        above = [n for n in range(cut + 1, cut + 2000) if is_prime(n)][:3]
+        assert len(below) == len(above) == 3
+        near += below + above
+    near.sort()
+    want = term_block_fp60(np.array(near, dtype=np.int64)).tolist()
+    assert term_block_fp60(near) == want
+    scale = 1 << SCALE_BITS
+    for p, t in zip(near, want):
+        ks = range(1, 61)
+        assert t == sum(scale // p**k // k for k in ks if p**k <= scale), p
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -595,13 +596,13 @@ def test_stream_term_table_layout():
     s = PrimeStream()
     src = PrimeRatioSource(s)
     assert not hasattr(s, "_term60_cache")  # made on first read
-    src.term60_array(5000)
+    src.term60_window(1, 5000)
     table = s._term60_cache
     # entry j - 1 is the j-th odd prime's term, the prime p_(j+1)
     assert (table[:5000] == term_block_fp60(s.primes_slice(2, 5001))).all()
-    view = src.term60_array(3000)
+    view = src.term60_window(1, 3000)
     assert len(view) == 3000 and np.shares_memory(view, s._term60_cache)
-    assert (view == s._term60_cache[:3000]).all()
+    assert np.array_equal(view, s._term60_cache[:3000])
     for i in [1, 2, 255, 256, 257, 2999, 3000]:
         assert src.prime(i) == s.nth_prime(i + 1)
 
@@ -637,8 +638,96 @@ def test_term60_cache_grows_in_place():
 
     s = PrimeStream()
     src = PrimeRatioSource(s)
-    head = src.term60_array(1000).copy()
+    head = src.term60_window(1, 1000).tolist()
     s.extend_to(10**6)
-    grown = src.term60_array(70_000)
+    grown = src.term60_window(1, 70_000)
     assert (grown[:1000] == head).all()
     assert (grown == term_block_fp60(s.primes_slice(2, 70_001))).all()
+
+
+def test_short_window_prefix_in_ints_matches_int64():
+    # the list path of _certain_prefix against the int64 one on random
+    # windows of 1.._SMALL terms: slices of the real table and synthetic
+    # nonincreasing terms, with rooms below the first term, rooms whose
+    # room - eps60 is negative, and rooms past the window's total
+    import numpy as np
+
+    from autratio.subsum import _C, _SMALL, _certain_prefix, _prefix_in_int64, _prefix_in_ints
+
+    rng = random.Random(20)
+    table = PrimeRatioSource(PrimeStream()).term60_window(1, 6000).tolist()
+    kinds = set()
+    for trial in range(10_000):
+        n = rng.randint(1, _SMALL)
+        if trial % 2:
+            start = rng.randint(0, len(table) - n)
+            terms = table[start : start + n]
+        else:
+            terms = sorted((rng.randrange(1 << rng.randint(1, 52)) for _ in range(n)), reverse=True)
+        total = sum(terms) + n * _C
+        room = rng.choice([
+            terms[0] + _C - rng.randrange(1, 1 << rng.randint(1, 62)),  # below the first term
+            rng.randrange(terms[0] + _C, total + 1),
+            total + rng.randrange(1 << 62),  # past the window's total
+        ])
+        eps60 = rng.choice([0, 1, rng.randrange(1 << 61), room + rng.randrange(1, 1 << 40)])
+        kinds.add((room < terms[0] + _C, room - eps60 < 0, room > total))
+        want = _prefix_in_int64(np.array(terms, dtype=np.int64), room, eps60)
+        assert _prefix_in_ints(terms, room, eps60) == want, (terms, room, eps60)
+        assert _certain_prefix(memoryview(array("q", terms)), room, eps60) == want
+    assert {k[0] for k in kinds} == {k[1] for k in kinds} == {k[2] for k in kinds} == {True, False}
+
+
+def test_first_window_table_grows_to_what_is_read():
+    s = PrimeStream()
+    src = PrimeRatioSource(s)
+    window = src.term60_window(101, 164)
+    assert isinstance(s._term60_cache, array) and len(s._term60_cache) == 164
+    assert len(window) == 64 and window.tolist() == s._term60_cache[100:164].tolist()
+    # a probe past the table computes its term alone and leaves the table
+    t = src.term60(3000)
+    assert len(s._term60_cache) == 164
+    # a read that still holds a view does not stop the table from growing
+    assert src.term60_window(1, 3000).tolist()[-1] == t == src.term60(3000)
+    assert window.tolist() == s._term60_cache[100:164].tolist()
+
+
+def test_first_window_table_grows_safely_under_threads():
+    # threads read windows and single terms of one fresh stream's table at
+    # once; a lost check-then-extend would write a run of terms twice
+    import sys
+    import threading
+
+    from autratio.fixedlog import term_block_fp60
+
+    ref = term_block_fp60(PrimeStream().primes_list(2, 6001))
+    wrong = []
+
+    def worker(k, src):
+        rng = random.Random(k)
+        for _ in range(200):
+            i0 = rng.randint(1, 6000)
+            i1 = min(6000, i0 + rng.randint(0, 300))
+            if src.term60_window(i0, i1).tolist() != ref[i0 - 1 : i1]:
+                wrong.append((k, i0, i1))
+            j = rng.randint(1, 6000)
+            if src.term60(j) != ref[j - 1]:
+                wrong.append((k, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):  # each round grows a table from empty
+            s = PrimeStream()
+            src = PrimeRatioSource(s)
+            threads = [threading.Thread(target=worker, args=(k, src)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert isinstance(s._term60_cache, array)
+            assert s._term60_cache.tolist() == ref[: len(s._term60_cache)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
