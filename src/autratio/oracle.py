@@ -8,11 +8,16 @@ generator g_j), every endomorphism is determined by generator images
 the images generate G (a surjective endomorphism of a finite group is
 bijective).  So |Aut(G)| is the number of generating image tuples.
 
-Elements are mixed-radix exponent tuples; generation is checked by subgroup
-closure.  The DFS over image choices memoizes on the subgroup generated so
-far, which collapses the count without changing what is counted; the
-literal tuple-by-tuple scan is kept as ``aut_order_bruteforce_naive`` and
-the test suite checks the two against each other.
+Elements are mixed-radix ints and subgroups are frozensets of them;
+generation is checked by subgroup closure.  The DFS over image choices
+memoizes on the subgroup S generated so far, and it collapses the choices
+for h_j by coset.  closure(S, h) = closure(S, h + s) for every s in S, and
+the allowed images G[q_j] = {h : q_j h = 0} form a subgroup, so they split
+into the cosets h + W of W = S n G[q_j], and the |W| images of one coset
+lead to the same subgroup.  Counting one image per coset, weighted by |W|,
+therefore counts exactly the same generating tuples.  The literal
+tuple-by-tuple scan is kept as ``aut_order_bruteforce_naive`` and the test
+suite checks the two against each other.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-
-import numpy as np
 
 from .errors import OracleCapExceeded
 from .groups import AbelianGroup, order
@@ -39,43 +42,6 @@ class OracleCaps:
 
 def _cyclic_radices(g: AbelianGroup) -> list[int]:
     return [p**e for p, part in g.factors for e in part]
-
-
-class _GroupTable:
-    """Dense addition tables for one small abelian group."""
-
-    def __init__(self, g: AbelianGroup):
-        self.radices = _cyclic_radices(g)
-        self.n = order(g)
-        k = len(self.radices)
-        digits = np.zeros((k, self.n), dtype=np.int64)
-        idx = np.arange(self.n)
-        stride = 1
-        strides = []
-        for j, q in enumerate(self.radices):
-            digits[j] = (idx // stride) % q
-            strides.append(stride)
-            stride *= q
-        self.digits = digits
-        self.strides = strides
-        # add[a] is the permutation x -> x + a
-        self.add = np.zeros((self.n, self.n), dtype=np.int32)
-        for a in range(self.n):
-            acc = np.zeros(self.n, dtype=np.int64)
-            for j, q in enumerate(self.radices):
-                acc += ((digits[j] + digits[j][a]) % q) * strides[j]
-            self.add[a] = acc
-        neg = np.zeros(self.n, dtype=np.int64)
-        for j, q in enumerate(self.radices):
-            neg += ((q - digits[j]) % q) * strides[j]
-        self.neg = neg.astype(np.int32)
-
-    def allowed_images(self, q: int) -> list[int]:
-        """Elements h with ord(h) | q, i.e. q*h = 0."""
-        ok = np.ones(self.n, dtype=bool)
-        for j, qj in enumerate(self.radices):
-            ok &= (self.digits[j] * q) % qj == 0
-        return [int(x) for x in np.flatnonzero(ok)]
 
 
 def _check_caps(g: AbelianGroup, caps: OracleCaps) -> None:
@@ -99,45 +65,56 @@ def aut_order_bruteforce(g: AbelianGroup, caps: OracleCaps = OracleCaps()) -> in
     _check_caps(g, caps)
     if g.is_trivial:
         return 1
-    tab = _GroupTable(g)
-    k = len(tab.radices)
-    allowed = [tab.allowed_images(q) for q in tab.radices]
+    radices = _cyclic_radices(g)
+    n = order(g)
+    k = len(radices)
+    strides = [prod(radices[:j]) for j in range(k)]
+    digits = [[x // s % q for x in range(n)] for q, s in zip(radices, strides)]
+    # allowed[j]: the subgroup G[q_j] of elements h with q_j h = 0
+    allowed = [
+        frozenset(
+            x for x in range(n) if all(d[x] * q % r == 0 for d, r in zip(digits, radices))
+        )
+        for q in radices
+    ]
     # room left at depth j: adding an image of order dividing q grows the
     # generated subgroup by at most a factor q
-    room = [prod(tab.radices[j:]) for j in range(k)] + [1]
+    room = [prod(radices[j:]) for j in range(k)] + [1]
+    memo: dict[tuple[int, frozenset[int]], int] = {}
 
-    trivial = np.zeros(tab.n, dtype=bool)
-    trivial[0] = True
-    memo: dict[tuple[int, bytes], int] = {}
+    def add(x: int, y: int) -> int:
+        return sum((d[x] + d[y]) % q * s for d, q, s in zip(digits, radices, strides))
 
-    def closure(S: np.ndarray, h: int) -> np.ndarray:
-        if S[h]:
-            return S
-        T = S.copy()
+    def closure(S: frozenset[int], h: int) -> frozenset[int]:
+        T = set(S)
         m = h
-        while m != 0:
-            T |= S[tab.add[tab.neg[m]]]
-            m = int(tab.add[m][h])
-        return T
+        while m not in S:
+            T.update(add(s, m) for s in S)
+            m = add(m, h)
+        return frozenset(T)
 
-    def count(j: int, S: np.ndarray, size: int) -> int:
-        if size * room[j] < tab.n:
+    def count(j: int, S: frozenset[int]) -> int:
+        if len(S) * room[j] < n:
             return 0
         if j == k:
-            return 1 if size == tab.n else 0
-        key = (j, S.tobytes())
+            return 1  # room[k] = 1, so S is all of G
+        key = (j, S)
         hit = memo.get(key)
         if hit is not None:
             return hit
+        W = S & allowed[j]
+        covered: set[int] = set()
         total = 0
         for h in allowed[j]:
-            T = closure(S, h)
-            total += count(j + 1, T, int(T.sum()))
+            if h not in covered:
+                covered.update(add(h, w) for w in W)
+                total += count(j + 1, closure(S, h))
+        total *= len(W)
         memo[key] = total
         return total
 
-    total = count(0, trivial, 1)
-    del count  # count refers to itself; drop the cycle so tab and memo go now
+    total = count(0, frozenset([0]))
+    del count  # count refers to itself; drop the cycle so memo goes now
     return total
 
 

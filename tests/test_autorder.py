@@ -140,6 +140,20 @@ def test_naive_and_fast_oracle_agree():
         ), lit
 
 
+def test_coset_collapsed_oracle_matches_the_literal_scan():
+    # every group of order <= 32 whose tuple space the scan takes in; among
+    # them are groups where one coset of S n G[q_j] holds several images
+    checked = set()
+    for g in enumerate_groups(SearchBounds(max_order=32)):
+        try:
+            naive = aut_order_bruteforce_naive(g, BIG_CAPS, max_tuples=10_000)
+        except OracleCapExceeded:
+            continue
+        assert aut_order_bruteforce(g, BIG_CAPS) == naive, g
+        checked.add(g)
+    assert {parse_group(s) for s in ("C2^3", "C4 x C4", "C3^2 x C2")} <= checked
+
+
 def test_oracle_frees_its_tables_on_return():
     # a reference cycle would keep each call's tables and memo until the
     # cyclic collector runs
