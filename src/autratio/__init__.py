@@ -9,8 +9,8 @@ Three capabilities built on one exact core:
   rational hits f(G) = a.
 
 Every public name is imported from its module on first use (PEP 562), so
-``import autratio`` loads nothing else, and numpy is imported only by the
-modules whose kernels use it.
+``import autratio`` loads nothing else.  The package needs only the
+standard library.
 """
 
 from importlib import import_module

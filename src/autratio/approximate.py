@@ -241,11 +241,12 @@ def verify_certificate(
     run makes and whose product would cost more than its enclosure.
 
     Both enclosures come from ``autorder._f_log_bounds`` and are judged by
-    ``_decide``.  With ``prec`` None the first is the int64 atanh-series
-    kernel (``fixedlog.term_block_atanh60``), which shares no series with
-    the first pass.  It answers only when it lies certainly inside or
-    certainly outside the interval; otherwise the scalar path decides at
-    2 * PREC, so the verdict always equals the scalar one.  An explicit
+    ``_decide``.  With ``prec`` None the first is the 60-bit atanh-series
+    kernel (``fixedlog.term_block_atanh60``, read through the stream's
+    checkpoints), which shares no series with the first pass.  It answers
+    only when it lies certainly inside or certainly outside the interval;
+    otherwise the scalar path decides at 2 * PREC, so the verdict always
+    equals the scalar one.  An explicit
     ``prec`` runs the scalar path at that precision: one enclosure per
     prime, ``log_ratio_term_bounds`` at ``prec`` bits.
     """

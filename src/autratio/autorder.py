@@ -19,6 +19,8 @@ log-space result for groups too large for exact rationals.
 
 from __future__ import annotations
 
+import threading
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -162,9 +164,57 @@ def two_rank_ratio(n: int) -> Fraction:
     return Fraction(aut_order_local(2, (1,) * n), 2**n) if n else Fraction(1)
 
 
-# Above this many odd-prime factors, f_log sums the int64 atanh kernel
+# Above this many odd-prime factors, f_log sums the atanh kernel
 # instead of one scalar enclosure per prime.
 _VECTOR_THRESHOLD = 65536
+
+# The atanh kernel's running sums are kept at every _CHECKPOINT-th prime
+# index, so a range sum reads two checkpoints and at most two partial
+# blocks, and the table takes a 128th of the prime store's memory.
+_CHECKPOINT = 256
+_atanh_lock = threading.Lock()
+
+
+def _atanh_checkpoints(stream: PrimeStream, c: int) -> array:
+    """The stream's running sums of ``fixedlog.term_block_atanh60``, grown
+    to hold checkpoint c: entries 2j and 2j + 1 are the (lo, hi) enclosure
+    of the sum over prime indices 2..j * _CHECKPOINT (checkpoint 0 is
+    empty).  The table grows one block at a time; an entry never changes
+    once written, so reads take no lock."""
+    sums = getattr(stream, "_atanh60_sums", None)
+    if sums is not None and 2 * c + 1 < len(sums):
+        return sums
+    stream.nth_prime(c * _CHECKPOINT)
+    with _atanh_lock:
+        sums = getattr(stream, "_atanh60_sums", None)
+        if sums is None:
+            sums = stream._atanh60_sums = array("q", [0, 0])
+        while len(sums) <= 2 * c:
+            j = len(sums) // 2
+            block = stream.primes_list(max(2, (j - 1) * _CHECKPOINT + 1), j * _CHECKPOINT)
+            lo, hi = fixedlog.term_block_atanh60(block)
+            sums.extend((sums[-2] + lo, sums[-1] + hi))
+    return sums
+
+
+def _atanh_range(stream: PrimeStream, i0: int, i1: int) -> tuple[int, int]:
+    """Enclosure at scale 2**-60 of the sum of ln(p/(p-1)) over the prime
+    indices i0..i1, i0 >= 2: the checkpoints' difference for the whole
+    blocks inside the range, plus the kernel on the partial blocks at its
+    two ends."""
+    c0 = -(-(i0 - 1) // _CHECKPOINT)  # the first checkpoint at or past i0 - 1
+    c1 = i1 // _CHECKPOINT
+    if c0 >= c1:
+        return fixedlog.term_block_atanh60(stream.primes_list(i0, i1))
+    sums = _atanh_checkpoints(stream, c1)
+    ends = stream.primes_list(i0, c0 * _CHECKPOINT) if c0 * _CHECKPOINT >= i0 else []
+    if i1 > c1 * _CHECKPOINT:
+        ends += stream.primes_list(c1 * _CHECKPOINT + 1, i1)
+    lo, hi = fixedlog.term_block_atanh60(ends)
+    return (
+        lo + sums[2 * c1] - sums[2 * c0],
+        hi + sums[2 * c1 + 1] - sums[2 * c0 + 1],
+    )
 
 
 def _f_log_bounds(
@@ -174,9 +224,10 @@ def _f_log_bounds(
 
     ln f = ln f(C2^two_rank) - sum over the odd primes of ln(p/(p-1)).  With
     ``prec`` None the sum comes from ``fixedlog.term_block_atanh60`` over
-    the index ranges; with an explicit ``prec`` each prime is enclosed at
-    ``prec`` bits by ``fixedlog.log_ratio_term_bounds``.  This is the one
-    enclosure of ln f(G) from a group: ``f_log`` and both passes of
+    the index ranges, read through the stream's checkpoints; with an
+    explicit ``prec`` each prime is enclosed at ``prec`` bits by
+    ``fixedlog.log_ratio_term_bounds``.  This is the one enclosure of
+    ln f(G) from a group: ``f_log`` and both passes of
     ``approximate.verify_certificate`` use it.
     """
     p_used = prec or fixedlog.PREC
@@ -185,7 +236,7 @@ def _f_log_bounds(
     t_lo = t_hi = 0
     if prec is None:
         for i0, i1 in s.odd_prime_ranges:
-            lo, hi = fixedlog.term_block_atanh60(stream.primes_slice(i0, i1))
+            lo, hi = _atanh_range(stream, i0, i1)
             t_lo += lo
             t_hi += hi
         shift = p_used - fixedlog.SCALE_BITS
@@ -209,8 +260,8 @@ def f_log(
     ln f = ln f(C2^two_rank) + sum over selected odd primes of ln((p-1)/p),
     with every term enclosed by directed fixed-point arithmetic and the
     per-term bounds summed into abs_error.  Up to 65,536 odd primes each
-    term is enclosed at 192 bits; above that the sum comes from the int64
-    kernel ``fixedlog.term_block_atanh60`` (``term_block_fp60`` is the
+    term is enclosed at 192 bits; above that the sum comes from the 60-bit
+    atanh kernel ``fixedlog.term_block_atanh60`` (``term_block_fp60`` is the
     greedy's kernel, not an enclosure of f).  Pass ``prec`` (fractional
     bits) to force per-term evaluation, e.g. for a doubled-precision
     second pass.

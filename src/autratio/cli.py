@@ -18,9 +18,8 @@ the lines go to stdout, or "error: <message>" to stderr.
 
 Each command imports the modules it needs when it runs: ``search`` and
 ``table`` the search module, ``approx`` the approximation modules and
-``aut --oracle`` (with its alias) the oracle.  Only the numpy kernels
-behind an ``approx`` whose greedy leaves the prime sieve's first window
-import numpy.
+``aut --oracle`` (with its alias) the oracle.  Every command runs on the
+standard library alone.
 """
 
 from __future__ import annotations

@@ -31,32 +31,25 @@ Two precision regimes are used:
 * scalar enclosures at ``prec`` fractional bits (default 192), for targets,
   per-term values and final certificates;
 * a 60-fractional-bit regime for bulk evaluation of ln(p/(p-1)) over
-  millions of primes, vectorized in int64.
+  millions of primes.  Running sums of these terms fit the signed 64-bit
+  arrays the prime stream keeps: over the odd primes below 10^8 they
+  total less than 3 * 2**60.
 
-There are two 60-bit kernels.  ``term_block_fp60`` is the greedy's kernel:
-floor values per prime, with the uniform per-term error constant
-``TERM_ERR60`` (the true value overshoots the stored one by strictly less
-than TERM_ERR60 units of 2**-60).  The greedy sums them into an integer
-enclosure of its selected sum and takes its decisions on it.
-``term_block_atanh60`` sums a different series into one enclosure per
-block; it encloses ln f(G) for the second pass and for ``autorder.f_log``
-above 65,536 odd primes, so an error in one kernel cannot hide in both the
-greedy and its verifier.  Only these two kernels use numpy, and each
-imports it only on an int64 array: ``term_block_fp60`` gives the same
-floor values for a list of Python ints with the standard library, which
-is how the greedy reads the primes of the sieve's first window.  So the
-scalar enclosures, and a greedy that stays in that window, load without
-numpy.
+There are two 60-bit kernels, both per-prime loops over Python ints.
+``term_block_fp60`` is the greedy's kernel: floor values per prime, with
+the uniform per-term error constant ``TERM_ERR60`` (the true value
+overshoots the stored one by strictly less than TERM_ERR60 units of
+2**-60).  The greedy sums them into an integer enclosure of its selected
+sum and takes its decisions on it.  ``term_block_atanh60`` sums a
+different series into one enclosure per block; it encloses ln f(G) for the
+second pass and for ``autorder.f_log`` above 65,536 odd primes, so an
+error in one kernel cannot hide in both the greedy and its verifier.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "PREC",
@@ -239,97 +232,52 @@ def log_ratio_term_bounds(p: int, prec: int = PREC) -> tuple[int, int]:
     return (acc, acc + k + 1)
 
 
-def _root_cut(k: int) -> int:
-    """Largest r with r**k <= 2**60."""
-    scale = 1 << SCALE_BITS
-    r = int(scale ** (1.0 / k))
-    while (r + 1) ** k <= scale:
-        r += 1
-    while r**k > scale:
-        r -= 1
-    return r
+def term_block_fp60(primes: list[int]) -> list[int]:
+    """Floor values of ln(p/(p-1)) * 2**60 for odd primes, as a list of
+    Python ints.  True value exceeds the stored one by < TERM_ERR60 units.
 
-
-def term_block_fp60(primes: list[int] | np.ndarray) -> list[int] | np.ndarray:
-    """Floor values of ln(p/(p-1)) * 2**60 for ascending odd primes: a list
-    of Python ints for a list, an int64 array for an int64 array.  True
-    value exceeds the stored one by < TERM_ERR60 units.
-
-    Both paths sum floor(floor(2**60 / p**k) / k) over the k with
-    p**k <= 2**60: the list path prime by prime with the standard library,
-    the array path one k at a time over the primes up to ``_root_cut(k)``.
+    Each is the sum of floor(floor(2**60 / p**k) / k) over the k with
+    p**k <= 2**60.
     """
-    if isinstance(primes, list):
-        scale = 1 << SCALE_BITS
-        out = []
-        for p in primes:
-            acc = scale // p
-            pk, k = p * p, 2
-            while pk <= scale:
-                acc += scale // pk // k
-                pk *= p
-                k += 1
-            out.append(acc)
-        return out
-    import numpy as np
-
-    if len(primes) == 0:
-        return np.zeros(0, dtype=np.int64)
     scale = 1 << SCALE_BITS
-    acc = scale // primes  # k = 1
-    k = 2
-    while True:
-        # terms for p > _root_cut(k) floor to zero
-        cut = int(np.searchsorted(primes, _root_cut(k), side="right"))
-        if cut == 0:
-            break
-        pk = primes[:cut] ** k
-        acc[:cut] += (scale // pk) // k
-        k += 1
-    return acc
+    out = []
+    for p in primes:
+        acc = scale // p
+        pk, k = p * p, 2
+        while pk <= scale:
+            acc += scale // pk // k
+            pk *= p
+            k += 1
+        out.append(acc)
+    return out
 
 
-_ATANH_BLOCK = 1 << 16
-
-
-def term_block_atanh60(primes: np.ndarray) -> tuple[int, int]:
-    """Enclosure (lo, hi) at scale 2**-60 of the sum of ln(p/(p-1)) over an
-    ascending int64 array of odd primes, by a series independent of
-    ``term_block_fp60``.
+def term_block_atanh60(primes: list[int]) -> tuple[int, int]:
+    """Enclosure (lo, hi) at scale 2**-60 of the sum of ln(p/(p-1)) over
+    odd primes, by a series independent of ``term_block_fp60``.
 
     With m = 2p - 1,  ln(p/(p-1)) = 2 atanh(1/m) = 2 sum_k 1/(k m^k)  over
-    odd k.  For each prime, term k is computed only where m^k <= 2**60 (the
-    same root cut as ``term_block_fp60``), as floor(floor(2**60 / m^k) / k),
-    which equals floor(2**60 / (k m^k)) and so lies below the true term by
-    less than one unit.  The first omitted term, with m^k > 2**60 and
-    k >= 3, is below 1/3 unit, and each later one is at most 1/m^2 <= 1/25
-    of the one before (p >= 3), so the omitted tail is below
-    (1/3) * 25/24 < 0.35 unit.  If A is the sum of a prime's n computed
-    terms, its true value times 2**60 therefore lies in
+    odd k.  For each prime, term k is computed only where m^k <= 2**60, as
+    floor(floor(2**60 / m^k) / k), which equals floor(2**60 / (k m^k)) and
+    so lies below the true term by less than one unit.  The first omitted
+    term, with m^k > 2**60 and k >= 3, is below 1/3 unit, and each later
+    one is at most 1/m^2 <= 1/25 of the one before (p >= 3), so the omitted
+    tail is below (1/3) * 25/24 < 0.35 unit.  If A is the sum of a prime's
+    n computed terms, its true value times 2**60 therefore lies in
     [2A, 2(A + n + 0.35)) and below 2A + 2n + 1.  Summed over the block,
-    the error is 2 * (terms computed) + (number of primes), where the terms
-    computed are counted from the cuts.
-
-    Blocks of at most 2**16 primes are summed into Python ints: the int64
-    partial sums stay below 2**61 (the sum of 1/(2p - 1) over the first
-    2**16 odd primes is below 2), and no array outgrows the block.
+    the error is 2 * (terms computed) + (number of primes).
     """
-    import numpy as np
-
     scale = 1 << SCALE_BITS
-    lo = err = 0
-    for start in range(0, len(primes), _ATANH_BLOCK):
-        m = 2 * primes[start : start + _ATANH_BLOCK] - 1
-        acc = scale // m  # k = 1, computed for every prime
-        terms = len(m)
-        k = 3
-        while True:
-            cut = int(np.searchsorted(m, _root_cut(k), side="right"))
-            if cut == 0:
-                break
-            acc[:cut] += (scale // m[:cut] ** k) // k
-            terms += cut
+    acc = terms = 0
+    for p in primes:
+        m = 2 * p - 1
+        acc += scale // m  # k = 1, computed for every prime
+        m2 = m * m
+        mk, k = m2 * m, 3
+        while mk <= scale:
+            acc += scale // mk // k
+            terms += 1
+            mk *= m2
             k += 2
-        lo += 2 * int(acc.sum())
-        err += 2 * terms + len(m)
-    return lo, lo + err
+    lo = 2 * acc
+    return lo, lo + 2 * (terms + len(primes)) + len(primes)

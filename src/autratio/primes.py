@@ -5,13 +5,11 @@ supplies the indexed prime sequence p1 < p2 < ... (1-based, p1 = 2) and the
 list of primes up to a bound, growing on demand but never past its hard
 ceiling.
 
-The first window, the primes up to ``FIRST_WINDOW`` = 2^16, is sieved
-with the standard library (a bytearray of marks, stored as an
-``array('q')``), so commands that stay inside it, such as small tables,
-searches and short approximations, never import numpy.  Extensions past it
-sieve 2^22-wide segments with numpy and store an int64 ndarray.
-``primes_list`` reads either store as Python ints without numpy;
-``primes_slice`` always returns an int64 ndarray, for the numpy kernels.
+Everything runs on the standard library.  The first window, the primes up
+to ``FIRST_WINDOW`` = 2^16, is sieved at construction; extensions past it
+sieve 2^22-wide segments.  Both mark odd numbers only, in a bytearray, and
+append the primes they find to one ``array('q')``, so a prime costs eight
+bytes whatever window it lies in.
 """
 
 from __future__ import annotations
@@ -22,12 +20,8 @@ import threading
 from array import array
 from bisect import bisect_right
 from itertools import compress
-from typing import TYPE_CHECKING
 
 from .errors import SieveCapacityError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "PrimeStream",
@@ -68,7 +62,7 @@ def _hard_ceiling(ceiling: int | None) -> int:
 
 
 def _simple_sieve(limit: int) -> array:
-    """All primes <= limit (>= 2) as an array('q'), without numpy."""
+    """All primes <= limit (>= 2) as an array('q')."""
     flags = bytearray([1]) * ((limit + 1) // 2)  # flags[i] marks 2i + 1
     flags[0] = 0
     for i in range(1, (math.isqrt(limit) + 1) // 2):
@@ -78,12 +72,28 @@ def _simple_sieve(limit: int) -> array:
     return array("q", [2, *compress(range(1, limit + 1, 2), flags)])
 
 
+def _odd_segment(lo: int, hi: int, base) -> compress:
+    """The primes in [lo, hi], for odd lo > 2, with ``base`` the odd primes
+    up to sqrt(hi) at least: flags[i] marks lo + 2i, and each base prime p
+    clears its odd multiples from max(p*p, lo) on."""
+    flags = bytearray([1]) * ((hi - lo) // 2 + 1)
+    for p in base:
+        if p * p > hi:
+            break
+        start = max(p * p, -(-lo // p) * p)
+        if start % 2 == 0:
+            start += p  # the even multiples are not in the segment
+        first = (start - lo) // 2
+        flags[first::p] = bytes(len(range(first, len(flags), p)))
+    return compress(range(lo, hi + 1, 2), flags)
+
+
 class PrimeStream:
     """All primes up to a growing sieve limit, index base 1 (p1 = 2).
 
-    Reads are lock-free on the immutable prime store (an array('q') for
-    the first window, an int64 ndarray once extended); extension is
-    serialized, so concurrent callers may share one stream.
+    Reads are lock-free: the prime store, one array('q'), only grows, and
+    an entry never changes once written.  Extension is serialized, so
+    concurrent callers may share one stream.
     """
 
     def __init__(self, ceiling: int | None = None):
@@ -105,8 +115,6 @@ class PrimeStream:
         limit = min(int(limit), self.ceiling)
         if limit <= self._limit:
             return
-        import numpy as np
-
         with self._lock:
             if limit <= self._limit:
                 return
@@ -116,22 +124,12 @@ class PrimeStream:
                 base = _simple_sieve(root)
             else:
                 base = self._primes[: bisect_right(self._primes, root)]
-            chunks = [np.asarray(self._primes)]  # views an array("q") store
-            lo = self._limit + 1
+            base = base[1:]  # the segments hold odd numbers only
+            lo = self._limit + 1 | 1
             while lo <= limit:
                 hi = min(lo + _SEGMENT - 1, limit)
-                flags = np.ones(hi - lo + 1, dtype=bool)
-                for p in base:
-                    p = int(p)
-                    start = max(p * p, ((lo + p - 1) // p) * p)
-                    if start > hi:
-                        continue
-                    flags[start - lo :: p] = False
-                chunk = np.flatnonzero(flags).astype(np.int64, copy=False)
-                chunk += lo
-                chunks.append(chunk)
-                lo = hi + 1
-            self._primes = np.concatenate(chunks)
+                self._primes.extend(_odd_segment(lo, hi, base))
+                lo = hi + 1 | 1
             self._limit = limit
 
     def _ensure_count(self, n: int) -> None:
@@ -155,25 +153,12 @@ class PrimeStream:
         self._ensure_count(i)
         return int(self._primes[i - 1])
 
-    def _store_upto(self, i0: int, i1: int):
+    def primes_list(self, i0: int, i1: int) -> list[int]:
+        """Primes p_{i0}..p_{i1} inclusive (1-based) as Python ints."""
         if i0 < 1 or i1 < i0:
             raise ValueError(f"bad prime index range [{i0}, {i1}]")
         self._ensure_count(i1)
-        return self._primes
-
-    def primes_list(self, i0: int, i1: int) -> list[int]:
-        """Primes p_{i0}..p_{i1} inclusive (1-based) as Python ints, read
-        from either store without importing numpy."""
-        return self._store_upto(i0, i1)[i0 - 1 : i1].tolist()
-
-    def primes_slice(self, i0: int, i1: int) -> np.ndarray:
-        """Primes p_{i0}..p_{i1} inclusive (1-based) as an int64 array."""
-        primes = self._store_upto(i0, i1)
-        if isinstance(primes, array):  # the first window, viewed as int64
-            import numpy as np
-
-            primes = np.asarray(primes)
-        return primes[i0 - 1 : i1]
+        return self._primes[i0 - 1 : i1].tolist()
 
     def primes_upto(self, n: int) -> list[int]:
         """All primes <= n as Python ints, ascending.

@@ -21,8 +21,8 @@ Two kinds of term source are supported:
   (``fixedlog.term_block_fp60``, each under its true value by less than
   ``fixedlog.TERM_ERR60`` units).  It keeps the included runs and an
   integer enclosure of ln U built from their terms, and nothing else.  One
-  prefix sum over a window of the table proves a whole run of inclusions,
-  and a bisection over the table skips to the next included term.  U is
+  bisection over the table's running sums proves a whole run of
+  inclusions, and one over its terms skips to the next included term.  U is
   built, one product tree per side, only for a comparison the enclosures
   cannot settle, which is then decided exactly while fewer than
   ``exact_cap`` terms are included and conservatively after; and for the
@@ -31,14 +31,12 @@ Two kinds of term source are supported:
   is tested after every inclusion, so the selection does not depend on
   how far the sieve has been extended.
 
-The table is read a window at a time and never copied whole.  While the
-stream holds only its sieve's first window (``primes.FIRST_WINDOW``) the
-table is an ``array('q')`` filled by ``term_block_fp60``'s standard-library
-path, and past it an int64 ndarray.  Windows of at most ``_SMALL`` terms
-are summed in Python ints and longer ones with numpy; a skip's bisection
-probes compute a term past the table alone; and U is multiplied from
-Python-int lists of primes.  So a greedy that stays inside the first
-window and its short runs never imports numpy.
+The table is one ``array('q')`` per stream: entry j is the sum of the
+floor terms of source indices 1..j, so a term is the difference of two
+entries and so is a run's sum.  It grows in place to the entries read, a
+bounded number of terms at a time, by the same standard-library code in
+every sieve window.  A skip's probes compute a term past the table alone,
+and U is multiplied from Python-int lists of primes.
 
 Each source has one limit on the scan: a ``TermSource``'s ``capacity``
 and a ``PrimeRatioSource``'s sieve ceiling.  A run that reaches it before
@@ -58,16 +56,14 @@ import threading
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from itertools import accumulate, islice
+from typing import Callable
 
 from . import fixedlog
 from .autorder import product_tree
 from .errors import PrecisionRefusal, SieveCapacityError
 from .groups import _add_run
-from .primes import FIRST_WINDOW, PrimeStream, shared_stream
-
-if TYPE_CHECKING:
-    import numpy as np
+from .primes import PrimeStream, shared_stream
 
 __all__ = [
     "CONVERGED",
@@ -165,69 +161,46 @@ class PrimeRatioSource:
             raise ValueError("term index must be >= 1")
         return self.stream.nth_prime(j + 1)
 
-    def term60_window(self, i0: int, i1: int) -> memoryview | np.ndarray:
-        """Floor terms at scale 2**-60 of source indices i0..i1: a view of
-        the stream's table (entry j - 1 is index j's term), never a copy."""
-        table = _stream_term60_cache(self.stream, i1)
-        if isinstance(table, array):
-            table = memoryview(table)
-        return table[i0 - 1 : i1]
+    def sum60(self, j: int) -> int:
+        """Sum of the floor terms of source indices 1..j (0 for j = 0), read
+        from the stream's table of running sums, which grows to hold it."""
+        return _term60_sums(self.stream, j)[j]
 
     def term60(self, j: int) -> int:
-        """Floor term of source index j: read from the table when it holds
-        j, else computed for that prime alone, leaving the table as it is."""
-        table = getattr(self.stream, "_term60_cache", None)
-        if table is not None and j <= len(table):
-            return int(table[j - 1])
+        """Floor term of source index j: the difference of two running sums
+        when the table holds j, else computed for that prime alone, leaving
+        the table as it is."""
+        sums = getattr(self.stream, "_term60_sums", None)
+        if sums is not None and j < len(sums):
+            return sums[j] - sums[j - 1]
         return fixedlog.term_block_fp60([self.prime(j)])[0]
 
 
 _term60_lock = threading.Lock()
+_GROW = 1 << 16  # the most terms the table computes at once
 
 
-def _stream_term60_cache(stream: PrimeStream, count: int) -> array | np.ndarray:
-    """Growing per-stream table of floor terms: entry j - 1 is that of the
-    j-th odd prime p_(j+1).  Entries never change once written, so reads
-    take no lock.
+def _term60_sums(stream: PrimeStream, j: int) -> array:
+    """The stream's running sums of floor terms, grown to hold entry j:
+    entry j is the sum of the terms of source indices 1..j, the odd primes
+    p_2..p_(j+1), and entry 0 is 0.
 
-    While the stream holds only its sieve's first window the table is an
-    ``array('q')`` grown to exactly the terms read, by the standard-library
-    kernel.  Past it the table is an int64 ndarray that at least doubles
-    when it grows, up to the sieve's extent, with new terms computed a
-    window at a time straight into the grown array, so the kernel's
-    temporaries stay at a window's size."""
-    cache = getattr(stream, "_term60_cache", None)
-    if cache is not None and count <= len(cache):
-        return cache
-    stream.nth_prime(count + 1)
+    The table is one array('q') grown in place to the entries read, at most
+    _GROW terms at a time, so the kernel's list stays at that size.  An
+    entry never changes once written, so reads take no lock."""
+    sums = getattr(stream, "_term60_sums", None)
+    if sums is not None and j < len(sums):
+        return sums
+    stream.nth_prime(j + 1)
     with _term60_lock:
-        cache = getattr(stream, "_term60_cache", None)
-        have = 0 if cache is None else len(cache)
-        if count <= have:
-            return cache
-        if stream.limit <= FIRST_WINDOW:
-            terms = fixedlog.term_block_fp60(stream.primes_list(have + 2, count + 1))
-            cache = array("q") if cache is None else cache
-            try:
-                cache.extend(terms)
-            except BufferError:  # a read still views the table: grow a copy
-                cache = array("q", cache)
-                cache.extend(terms)
-        else:
-            import numpy as np
-
-            size = max(count, min(2 * have, stream.count - 1))
-            grown = np.empty(size, dtype=np.int64)
-            if have:
-                grown[:have] = cache
-            lo = have + 1
-            while lo <= size:
-                hi = min(lo + _WINDOW - 1, size)
-                grown[lo - 1 : hi] = fixedlog.term_block_fp60(stream.primes_slice(lo + 1, hi + 1))
-                lo = hi + 1
-            cache = grown
-        stream._term60_cache = cache
-    return cache
+        sums = getattr(stream, "_term60_sums", None)
+        if sums is None:
+            sums = stream._term60_sums = array("q", [0])
+        while len(sums) <= j:
+            have = len(sums) - 1
+            terms = fixedlog.term_block_fp60(stream.primes_list(have + 2, min(j, have + _GROW) + 1))
+            sums.extend(islice(accumulate(terms, initial=sums[-1]), 1, None))
+    return sums
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,16 +273,18 @@ def _bisect_first_fitting(fits, lo: int, hi: int | None) -> int | None:
     """Smallest j in [lo, hi] with fits(j), assuming fits is monotone in j.
 
     Returns None when even hi fails.  With hi None the range is unbounded
-    and some j must fit.  Exponential probe, then bisection.
+    and some j must fit.  Exponential probe from lo, then bisection, so no
+    probe lies past twice the answer's distance from lo (or past hi).
     """
     if fits(lo):
         return lo
-    if hi is not None and (lo == hi or not fits(hi)):
-        return None
-    step = 1
-    known_bad = lo
-    while hi is None or known_bad + step < hi:
+    known_bad, step = lo, 1
+    while True:
         mid = known_bad + step
+        if hi is not None and mid >= hi:
+            if known_bad >= hi or not fits(hi):
+                return None
+            break
         if fits(mid):
             hi = mid
             break
@@ -415,53 +390,28 @@ def _product(source, runs) -> tuple[int, int]:
     return product_tree(primes), product_tree([p - 1 for p in primes])
 
 
-# The include run's window starts at _RUN0 terms and doubles while whole
-# windows fit, up to _WINDOW, so its temporaries stay at a window's size.
-# Windows of at most _SMALL terms are summed in Python ints.
-_RUN0 = 64
-_SMALL = 256
-_WINDOW = 1 << 16
+def _certain_run(sum60, i: int, limit: int, room: int, eps60: int) -> int:
+    """Last index of the run from i in [i, limit] that the greedy includes
+    term after term as far as the enclosures prove it; i - 1 for none.
 
-
-def _certain_prefix(terms: memoryview | np.ndarray, room: int, eps60: int) -> tuple[int, int]:
-    """Length n of the run of the window ``terms`` of the table that the
-    greedy includes one after another as far as the enclosures prove it,
-    and their sum plus n * _C.
-
-    With T_k the sum of the first k terms plus k * _C, the true sum of ln U
-    and those terms is below hi + T_k, so T_k <= room = q_lo - hi proves
-    that the k-th term fits, and T_k <= room - eps60 that the deficit after
-    it is still at least eps.  The run takes k = 1, 2, ... while the k-th
-    term fits and every earlier one left the deficit at eps or more.
-    Windows of at most _SMALL terms take ``_prefix_in_ints``, longer ones
-    ``_prefix_in_int64``; both give the same answer.
+    With T_k the sum of the terms of indices i..k plus (k - i + 1) * _C, the
+    true sum of ln U and those terms is below hi + T_k, so T_k <= room =
+    q_lo - hi proves that term k fits, and T_k <= room - eps60 that the
+    deficit after it is still at least eps.  The run takes k = i, i + 1, ...
+    while term k fits and every earlier one left the deficit at eps or more.
+    T_k increases with k, so one bisection finds the first k that may leave
+    the deficit below eps, and that term ends the run if it fits.
+    ``sum60(k)`` is the sum of the terms of indices 1..k.
     """
-    if len(terms) <= _SMALL:
-        return _prefix_in_ints(terms.tolist(), room, eps60)
-    return _prefix_in_int64(terms, room, eps60)
+    base = sum60(i - 1) + (i - 1) * _C
 
+    def past(k: int) -> bool:
+        return sum60(k) + k * _C - base > room - eps60
 
-def _prefix_in_ints(terms: list[int], room: int, eps60: int) -> tuple[int, int]:
-    """``_certain_prefix`` over a list of Python ints, for eps60 >= 0: T_k
-    one k at a time, up to the first that leaves the deficit below eps."""
-    used = 0
-    for n, t in enumerate(terms):
-        used += t + _C
-        if used > room - eps60:
-            return (n + 1, used) if used <= room else (n, used - t - _C)
-    return len(terms), used
-
-
-def _prefix_in_int64(terms: memoryview | np.ndarray, room: int, eps60: int) -> tuple[int, int]:
-    """``_certain_prefix`` with numpy, its sums in int64."""
-    import numpy as np
-
-    adj = np.cumsum(terms) + _C * np.arange(1, len(terms) + 1, dtype=np.int64)
-    top = int(adj[-1])  # clamp: keep searchsorted in int64
-    fit = int(np.searchsorted(adj, min(room, top), side="right"))
-    open_ = int(np.searchsorted(adj, min(room - eps60, top), side="right"))
-    n = min(fit, open_ + 1)
-    return n, int(adj[n - 1]) if n else 0
+    k = _bisect_first_fitting(past, i, limit)
+    if k is None:
+        return limit
+    return k if sum60(k) + k * _C - base <= room else k - 1
 
 
 def _first_included(source, i, limit, runs, lo, hi, q, exact):
@@ -528,7 +478,7 @@ def _continue_fixed_point(source, target, eps, record_trail, exact_cap):
     runs: list[tuple[int, int]] = []  # the included indices
     count = lo = hi = 0
     trail: list[tuple] = []
-    i, scanned, window = 1, 0, _RUN0
+    i, scanned = 1, 0
     status = None
     avail = _ceiling_upper_bound(stream.ceiling)
     if avail is not None:
@@ -559,13 +509,12 @@ def _continue_fixed_point(source, target, eps, record_trail, exact_cap):
             if not _extend(stream):
                 status = CAPACITY_EXHAUSTED
             continue
-        w = min(window, limit - i + 1)
-        n, used = _certain_prefix(source.term60_window(i, i + w - 1), q_lo - hi, eps60)
-        window = min(2 * window, _WINDOW) if n == w else _RUN0
-        if n:
-            first = i
-            lo += used - n * _C
-            hi += used
+        end = _certain_run(source.sum60, i, limit, q_lo - hi, eps60)
+        if end >= i:
+            first, n = i, end - i + 1
+            run = source.sum60(end) - source.sum60(i - 1)
+            lo += run
+            hi += run + n * _C
         else:
             # the front term is not a certain fit: skip to the first index
             # the greedy includes, extending the sieve as the skip needs

@@ -261,7 +261,7 @@ def fast_enclosure_mid(r, stream) -> float:
     b_lo, b_hi = fixedlog.ln_fraction_bounds(two_rank_ratio(g.two_rank))
     t_lo = t_hi = 0
     for i0, i1 in g.odd_prime_ranges:
-        lo, hi = fixedlog.term_block_atanh60(stream.primes_slice(i0, i1))
+        lo, hi = fixedlog.term_block_atanh60(stream.primes_list(i0, i1))
         t_lo, t_hi = t_lo + lo, t_hi + hi
     return (b_lo + b_hi) / 2 ** (fixedlog.PREC + 1) - (t_lo + t_hi) / 2 ** (
         fixedlog.SCALE_BITS + 1
@@ -270,7 +270,7 @@ def fast_enclosure_mid(r, stream) -> float:
 
 @pytest.mark.parametrize("end", [1, -1])
 def test_straddling_enclosure_falls_back_to_scalar(certified, stream, monkeypatch, end):
-    # put an end of (a - eps, a + eps) at the middle of the int64 enclosure,
+    # put an end of (a - eps, a + eps) at the middle of the 60-bit enclosure,
     # where only the scalar path can decide
     r = certified["1.8"]
     x = Fraction(math.exp(fast_enclosure_mid(r, stream)))

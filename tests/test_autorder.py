@@ -245,7 +245,7 @@ def test_f_log_doubled_precision_pass(stream):
 
 
 def assert_bulk_enclosure(s, stream):
-    """f_log's int64 branch overlaps the 192-bit enclosure and is no wider
+    """f_log's 60-bit branch overlaps the 192-bit enclosure and is no wider
     than the former floor-kernel bound of 64 units of 2**-60 per prime."""
     bulk = f_log(s, stream=stream)
     lo, hi = bulk.interval()
@@ -275,6 +275,32 @@ def test_f_log_bulk_branch_above_threshold(stream):
     s = SymbolicGroup(1, ((2, 70_000),))
     assert s.index_count > autorder._VECTOR_THRESHOLD
     assert_bulk_enclosure(s, stream)
+
+
+@pytest.mark.parametrize("spacing", [256, 3])
+def test_atanh_range_sums_match_the_direct_per_prime_sum(monkeypatch, spacing):
+    # range sums read through the checkpoints equal the atanh kernel summed
+    # one prime at a time: ranges inside one block, ranges ending on and
+    # beside checkpoints, and ranges across many blocks
+    from autratio.fixedlog import term_block_atanh60
+    from autratio.primes import PrimeStream
+
+    monkeypatch.setattr(autorder, "_CHECKPOINT", spacing)
+    s = PrimeStream()
+    per_prime = [(0, 0), (0, 0)] + [term_block_atanh60([p]) for p in s.primes_list(2, 4000)]
+
+    def direct(i0, i1):
+        return tuple(map(sum, zip(*per_prime[i0 : i1 + 1])))
+
+    rng = random.Random(23)
+    k = spacing
+    ranges = [(2, 2), (2, k), (2, k + 1), (k, k), (k, k + 1), (k + 1, 2 * k), (k - 1, 3 * k + 1),
+              (2, 4000), (3999, 4000)]
+    ranges += [tuple(sorted(rng.sample(range(2, 4001), 2))) for _ in range(300)]
+    for i0, i1 in ranges:
+        assert autorder._atanh_range(s, i0, i1) == direct(i0, i1), (i0, i1)
+    table = s._atanh60_sums
+    assert table.typecode == "q" and len(table) <= 2 * (4000 // k + 1)
 
 
 def test_logvalue_contract():

@@ -1,7 +1,7 @@
 import math
 import random
+from itertools import compress
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +16,6 @@ from autratio.fixedlog import (
     _ln_int_end,
     _ln_mantissa_end,
     _ln_table,
-    _root_cut,
     ln_int_bounds,
     ln_quotient_bounds,
     ln_quotient_end,
@@ -29,12 +28,22 @@ SHIFT = PREC - SCALE_BITS
 
 
 def odd_primes_below(limit):
-    flags = np.ones(limit, dtype=bool)
-    flags[:2] = False
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags)[1:].astype(np.int64)
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return list(compress(range(limit), flags))[1:]
+
+
+def root_cut(k):
+    """Largest r with r**k <= 2**60."""
+    r = round(2 ** (SCALE_BITS / k))
+    while (r + 1) ** k <= 1 << SCALE_BITS:
+        r += 1
+    while r**k > 1 << SCALE_BITS:
+        r -= 1
+    return r
 
 
 def is_prime(n):
@@ -42,7 +51,7 @@ def is_prime(n):
 
 
 def assert_overlaps_scalar(p):
-    lo, hi = term_block_atanh60(np.array([p], dtype=np.int64))
+    lo, hi = term_block_atanh60([p])
     s_lo, s_hi = log_ratio_term_bounds(p, PREC)
     assert lo << SHIFT <= s_hi and s_lo <= hi << SHIFT, p
 
@@ -50,7 +59,7 @@ def assert_overlaps_scalar(p):
 def test_atanh_kernel_matches_scalar_on_small_primes():
     primes = odd_primes_below(200_000)
     assert primes[0] == 3  # the largest per-prime error: 13 series terms
-    for p in primes.tolist():
+    for p in primes:
         assert_overlaps_scalar(p)
 
 
@@ -63,48 +72,62 @@ def test_atanh_kernel_matches_scalar_near_1e8():
 
 def test_atanh_kernel_error_bound_for_p3():
     # m = 5: odd k up to 25 have 5**k <= 2**60, so 13 terms, error 2*13 + 1
-    lo, hi = term_block_atanh60(np.array([3], dtype=np.int64))
+    lo, hi = term_block_atanh60([3])
     assert hi - lo == 27
     assert lo <= math.log(1.5) * 2**SCALE_BITS <= hi
 
 
 def test_atanh_kernel_blocks_agree_with_first_pass_kernel():
-    # more than one 2**16 block, against the independent 1/(k p^k) kernel
+    # a block sum is the sum of its parts, and it overlaps the independent
+    # 1/(k p^k) kernel's enclosure of the same sum
     primes = odd_primes_below(1_000_000)
     assert len(primes) > 1 << 16
     lo, hi = term_block_atanh60(primes)
-    fp = int(term_block_fp60(primes).sum())
+    fp = sum(term_block_fp60(primes))
     assert lo <= fp + TERM_ERR60 * len(primes) and fp <= hi
     halves = [term_block_atanh60(part) for part in (primes[:70_000], primes[70_000:])]
     assert (lo, hi) == tuple(map(sum, zip(*halves)))
+    one_by_one = [term_block_atanh60([p]) for p in primes[:5000]]
+    assert term_block_atanh60(primes[:5000]) == tuple(map(sum, zip(*one_by_one)))
 
 
 def test_atanh_kernel_empty_block():
-    assert term_block_atanh60(np.zeros(0, dtype=np.int64)) == (0, 0)
+    assert term_block_atanh60([]) == (0, 0)
 
 
-def test_fp60_list_path_matches_int64_path_below_2_16():
-    primes = odd_primes_below(1 << 16)
-    got = term_block_fp60(primes.tolist())
-    assert type(got) is list and all(type(t) is int for t in got)
-    assert got == term_block_fp60(primes).tolist()
+def assert_fp60_floor(primes):
+    """Each floor term is the 60-bit scalar series' lower end, lies under
+    ln(p/(p-1)) * 2**60 and within TERM_ERR60 units of it (checked against
+    the 192-bit enclosure)."""
+    got = term_block_fp60(primes)
+    assert type(got) is list and len(got) == len(primes)
+    for p, t in zip(primes, got):
+        assert type(t) is int
+        lo60, hi60 = log_ratio_term_bounds(p, SCALE_BITS)
+        assert t == lo60 and hi60 < t + TERM_ERR60, p
+        lo, hi = log_ratio_term_bounds(p, PREC)
+        assert t << SHIFT <= hi and lo < (t + TERM_ERR60) << SHIFT, p
+
+
+def test_fp60_floor_matches_the_scalar_series_below_2_16():
+    assert_fp60_floor(odd_primes_below(1 << 16))
     assert term_block_fp60([]) == []
 
 
-def test_fp60_list_path_matches_int64_path_at_the_root_cuts():
+def test_fp60_floor_at_the_root_cuts():
     # the last k of a prime's sum is the largest with p**k <= 2**60, so
     # primes just under and just over each cut end their sums one k apart
     near = []
     for k in range(2, 7):
-        cut = _root_cut(k)
+        cut = root_cut(k)
         assert cut**k <= 1 << SCALE_BITS < (cut + 1) ** k
         below = [n for n in range(cut, cut - 2000, -1) if is_prime(n)][:3]
         above = [n for n in range(cut + 1, cut + 2000) if is_prime(n)][:3]
         assert len(below) == len(above) == 3
         near += below + above
     near.sort()
-    want = term_block_fp60(np.array(near, dtype=np.int64)).tolist()
-    assert term_block_fp60(near) == want
+    want = term_block_fp60(near)
+    assert_fp60_floor(near)
     scale = 1 << SCALE_BITS
     for p, t in zip(near, want):
         ks = range(1, 61)

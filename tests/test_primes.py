@@ -1,6 +1,6 @@
 import math
+from array import array
 
-import numpy as np
 import pytest
 
 import autratio.primes
@@ -23,8 +23,8 @@ def is_prime_td(n):
 
 def test_sieve_matches_trial_division(stream):
     ref = trial_division_primes(100_000)
-    got = stream.primes_slice(1, len(ref))
-    assert got.tolist() == ref
+    got = stream.primes_list(1, len(ref))
+    assert got == ref
     assert stream.nth_prime(len(ref)) == ref[-1]
 
 
@@ -60,7 +60,7 @@ def test_ceiling_below_the_first_segment(monkeypatch):
     with pytest.raises(SieveCapacityError):
         s.nth_prime(1000)
     monkeypatch.setenv("AUTRATIO_SIEVE_CEILING", "1000")
-    assert PrimeStream().primes_slice(168, 168).tolist() == [997]
+    assert PrimeStream().primes_list(168, 168) == [997]
     with pytest.raises(SieveCapacityError):
         PrimeStream().nth_prime(169)
 
@@ -139,16 +139,34 @@ def test_first_window_matches_trial_division():
 def test_reads_agree_across_the_first_extension():
     s = PrimeStream()
     n = s.count
-    before = s.primes_slice(1, n)
-    assert isinstance(before, np.ndarray) and before.dtype == np.int64
+    before = s.primes_list(1, n)
+    assert all(type(p) is int for p in before)
     ref = [p for p in range(2 * FIRST_WINDOW + 1) if is_prime_td(p)]
-    assert before.tolist() == ref[:n] and s.nth_prime(n) == ref[n - 1]
+    assert before == ref[:n] and s.nth_prime(n) == ref[n - 1]
+    store = s._primes
     s.extend_to(2 * FIRST_WINDOW)
     assert s.limit == 2 * FIRST_WINDOW and s.count == len(ref)
-    assert before.tolist() == ref[:n]  # a slice taken before stays valid
-    across = s.primes_slice(n - 2, n + 2)
-    assert isinstance(across, np.ndarray) and across.dtype == np.int64
-    assert across.tolist() == ref[n - 3 : n + 2]
+    # one array('q') store in every window, grown in place
+    assert s._primes is store and store.typecode == "q"
+    assert s.primes_list(n - 2, n + 2) == ref[n - 3 : n + 2]
     assert [s.nth_prime(i) for i in range(n - 1, n + 2)] == ref[n - 2 : n + 1]
     assert s.primes_upto(FIRST_WINDOW) == ref[:n]
     assert s.primes_upto(2 * FIRST_WINDOW) == ref
+
+
+def test_segments_match_the_unsegmented_sieve():
+    # three 2**22-wide segments, the last one cut short, against the plain
+    # odd-only sieve run in one piece; then extensions by one odd number,
+    # from an even limit (100,001 = 11 * 9091) and from an odd one (100,003)
+    limit = FIRST_WINDOW + 2 * (1 << 22) + 12_345
+    s = PrimeStream()
+    s.extend_to(limit)
+    assert s._primes == autratio.primes._simple_sieve(limit)
+    assert isinstance(s._primes, array)
+    s = PrimeStream(ceiling=100_003)
+    s.extend_to(100_000)
+    s.extend_to(100_001)
+    assert s.limit == 100_001 and s.nth_prime(s.count) == 99_991
+    s.extend_to(100_003)
+    assert s.nth_prime(s.count) == 100_003
+    assert s._primes == autratio.primes._simple_sieve(100_003)

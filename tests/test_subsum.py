@@ -5,6 +5,7 @@ import math
 import random
 from array import array
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -302,34 +303,50 @@ def test_mixed_phase_random_differential(stream):
     assert n_mixed >= 25  # the cap choices really exercised the switch
 
 
+def one_term_at_a_time(terms, room, eps60):
+    """The run a term-by-term pass includes from the front of ``terms``:
+    its length n and the sum of its terms plus n * _C."""
+    from autratio.subsum import _C
+
+    n = used = 0
+    for t in terms:
+        if used + t + _C > room:
+            break
+        n, used = n + 1, used + t + _C
+        if used > room - eps60:
+            break  # the deficit may be below eps after this term
+    return n, used
+
+
+def bisected_run(sum60, i, limit, room, eps60):
+    """``_certain_run`` from index i, over the running sums ``sum60``, as
+    the pair ``one_term_at_a_time`` gives."""
+    from autratio.subsum import _C, _certain_run
+
+    end = _certain_run(sum60, i, limit, room, eps60)
+    n = end - i + 1
+    return n, sum60(end) - sum60(i - 1) + n * _C
+
+
 def test_windowed_fixed_point_scan_matches_one_pass(monkeypatch):
-    # one include run's prefix must be the one a term-by-term pass takes,
-    # up to rooms past the int64 range, and the window sizes must not move
-    # any selection
-    import numpy as np
-
+    # one include run must be the one a term-by-term pass takes, up to rooms
+    # past the int64 range, and the table's growth step must not move any
+    # selection
     from autratio import subsum
-    from autratio.subsum import _C, _certain_prefix
+    from autratio.subsum import _C
 
-    rng = np.random.default_rng(5)
-    terms = np.sort(rng.integers(0, 2**40, 300))[::-1].copy()
-    adj = np.cumsum(terms) + _C * np.arange(1, len(terms) + 1)
+    rng = random.Random(5)
+    terms = sorted((rng.randrange(2**40) for _ in range(300)), reverse=True)
+    sums = [0, *accumulate(terms)]
+    adj = [t + k * _C for k, t in enumerate(sums)]  # adj[k]: T_k from index 1
 
-    def one_pass(room, eps60):
-        n = used = 0
-        for t in terms.tolist():
-            if used + t + _C > room:
-                break
-            n, used = n + 1, used + t + _C
-            if used > room - eps60:
-                break  # the deficit may be below eps after this term
-        return n, used
-
-    for k in [0, 1, 150, len(terms) - 1]:
-        for room in [int(adj[k]) - 1, int(adj[k]), int(adj[-1]) + 2**66]:
-            for eps60 in [0, 1, int(terms[k]), int(adj[-1]) + 2**65]:
-                assert _certain_prefix(terms, room, eps60) == one_pass(room, eps60)
-    assert _certain_prefix(terms, -(2**70), 0) == (0, 0)
+    for i in [1, 2, 150, len(terms)]:
+        for k in [1, 150, len(terms)]:
+            for room in [adj[k] - 1, adj[k], adj[-1] + 2**66]:
+                for eps60 in [0, 1, terms[k - 1], adj[-1] + 2**65]:
+                    want = one_term_at_a_time(terms[i - 1 :], room, eps60)
+                    assert bisected_run(sums.__getitem__, i, len(terms), room, eps60) == want
+    assert bisected_run(sums.__getitem__, 1, len(terms), -(2**70), 0) == (0, 0)
 
     cases = [
         (Fraction(27, 20), Fraction(1, 10**5), 5),
@@ -340,13 +357,49 @@ def test_windowed_fixed_point_scan_matches_one_pass(monkeypatch):
         greedy_select(PrimeRatioSource(PrimeStream()), LogTarget(q), eps, exact_cap=cap)
         for q, eps, cap in cases
     ]
-    monkeypatch.setattr(subsum, "_RUN0", 1)
-    monkeypatch.setattr(subsum, "_WINDOW", 4)
+    monkeypatch.setattr(subsum, "_GROW", 7)
     for (q, eps, cap), w in zip(cases, want):
         got = greedy_select(
             PrimeRatioSource(PrimeStream()), LogTarget(q), eps, exact_cap=cap
         )
         assert got == w
+
+
+@pytest.mark.parametrize("eps60", [1, 40])
+def test_refusal_fires_where_the_run_enters_the_error_zone(eps60):
+    # past exact_cap, with eps60 <= TERM_ERR60 = C (eps <= 2**-54), a run may
+    # leave the certain deficit q_lo - hi in [eps60, C], where the refusal
+    # check fires.  The one bisection over [i, sieve limit] ends the run at
+    # that term, since the next term exceeds C and cannot fit, so the check
+    # runs before any later read: the refusal reports q_hi - lo over exactly
+    # the first n terms.
+    from autratio.autorder import product_tree
+    from autratio.errors import PrecisionRefusal
+    from autratio.fixedlog import TERM_ERR60 as C
+    from autratio.fixedlog import ln_quotient_bounds
+
+    s = PrimeStream(ceiling=10**5)
+    src = PrimeRatioSource(s)
+    n = 100
+    ps = s.primes_list(2, n + 1)
+    floor_sum = src.sum60(n)
+    un, ud = product_tree(ps), product_tree([p - 1 for p in ps])
+    # Q = U (1 + delta), with delta stepped a unit at a time until q_lo lies
+    # in [eps60, C] above hi
+    start = floor_sum + n * C - ln_quotient_bounds(un, ud, 60)[0]
+    for d in range(start - 1000, start + 1000):
+        q = Fraction(un, ud) * (1 + Fraction(d, 1 << 60))
+        q_lo, q_hi = ln_quotient_bounds(q.numerator, q.denominator, 60)
+        if eps60 <= q_lo - (floor_sum + n * C) <= C:
+            break
+    assert eps60 <= q_lo - (floor_sum + n * C) <= C
+    eps = Fraction(eps60, 1 << 60)
+    with pytest.raises(PrecisionRefusal, match="accumulated fixed-point error") as info:
+        greedy_select(src, LogTarget(q), eps, exact_cap=0)
+    assert f"<= {float(Fraction(q_hi - floor_sum, 1 << 60)):.3e})" in str(info.value)
+    # with the run inside exact_cap, U decides instead, and nothing more fits
+    sel = greedy_select(src, LogTarget(q), eps, exact_cap=n + 1)
+    assert sel.status == CAPACITY_EXHAUSTED and sel.ranges == ((1, n),)
 
 
 def test_hopeless_targets_fail_fast(stream):
@@ -534,7 +587,7 @@ def _exact_ratio(ranges):
     from autratio.autorder import product_tree
 
     s = PrimeStream()
-    ps = [p for lo, hi in ranges for p in s.primes_slice(lo + 1, hi + 1).tolist()]
+    ps = [p for lo, hi in ranges for p in s.primes_list(lo + 1, hi + 1)]
     return product_tree(ps), product_tree([p - 1 for p in ps])
 
 
@@ -589,20 +642,18 @@ def test_exact_phase_ceiling_cut_matches_plain_exact_greedy():
 
 
 def test_stream_term_table_layout():
-    import numpy as np
-
     from autratio.fixedlog import term_block_fp60
 
     s = PrimeStream()
     src = PrimeRatioSource(s)
-    assert not hasattr(s, "_term60_cache")  # made on first read
-    src.term60_window(1, 5000)
-    table = s._term60_cache
-    # entry j - 1 is the j-th odd prime's term, the prime p_(j+1)
-    assert (table[:5000] == term_block_fp60(s.primes_slice(2, 5001))).all()
-    view = src.term60_window(1, 3000)
-    assert len(view) == 3000 and np.shares_memory(view, s._term60_cache)
-    assert np.array_equal(view, s._term60_cache[:3000])
+    assert not hasattr(s, "_term60_sums")  # made on first read
+    total = src.sum60(5000)
+    table = s._term60_sums
+    assert isinstance(table, array) and table.typecode == "q" and len(table) == 5001
+    # entry j sums the terms of the first j odd primes, p_2..p_(j+1)
+    terms = term_block_fp60(s.primes_list(2, 5001))
+    assert table.tolist() == [0, *accumulate(terms)] and total == table[-1]
+    assert [src.term60(j) for j in range(1, 5001)] == terms
     for i in [1, 2, 255, 256, 257, 2999, 3000]:
         assert src.prime(i) == s.nth_prime(i + 1)
 
@@ -634,36 +685,46 @@ def test_product_state_encloses_ln_u(stream):
 
 
 def test_term60_cache_grows_in_place():
+    # past the sieve's first window and by more than one growth step, the
+    # table stays one array, grown in place
+    from autratio import subsum
     from autratio.fixedlog import term_block_fp60
 
     s = PrimeStream()
     src = PrimeRatioSource(s)
-    head = src.term60_window(1, 1000).tolist()
+    src.sum60(1000)
+    table = s._term60_sums
+    head = table.tolist()
     s.extend_to(10**6)
-    grown = src.term60_window(1, 70_000)
-    assert (grown[:1000] == head).all()
-    assert (grown == term_block_fp60(s.primes_slice(2, 70_001))).all()
+    assert 70_000 > subsum._GROW
+    src.sum60(70_000)
+    assert s._term60_sums is table and len(table) == 70_001
+    assert table[:1001].tolist() == head
+    assert table.tolist() == [0, *accumulate(term_block_fp60(s.primes_list(2, 70_001)))]
 
 
-def test_short_window_prefix_in_ints_matches_int64():
-    # the list path of _certain_prefix against the int64 one on random
-    # windows of 1.._SMALL terms: slices of the real table and synthetic
-    # nonincreasing terms, with rooms below the first term, rooms whose
-    # room - eps60 is negative, and rooms past the window's total
-    import numpy as np
-
-    from autratio.subsum import _C, _SMALL, _certain_prefix, _prefix_in_int64, _prefix_in_ints
+def test_bisected_run_matches_one_term_at_a_time():
+    # _certain_run's one bisection against the term-by-term pass, on windows
+    # of 1..300 terms: slices of the real table and synthetic nonincreasing
+    # terms, with rooms below the first term, rooms below eps60, eps60 = 0,
+    # and rooms past the window's total
+    from autratio.subsum import _C
 
     rng = random.Random(20)
-    table = PrimeRatioSource(PrimeStream()).term60_window(1, 6000).tolist()
+    src = PrimeRatioSource(PrimeStream())
+    real = [src.term60(j) for j in range(1, 6001)]
     kinds = set()
-    for trial in range(10_000):
-        n = rng.randint(1, _SMALL)
+    for trial in range(6000):
+        n = rng.randint(1, 300)
         if trial % 2:
-            start = rng.randint(0, len(table) - n)
-            terms = table[start : start + n]
+            start = rng.randint(1, len(real) - n + 1)
+            terms = real[start - 1 : start - 1 + n]
+            sum60 = src.sum60
         else:
+            start = rng.randint(1, 40)
             terms = sorted((rng.randrange(1 << rng.randint(1, 52)) for _ in range(n)), reverse=True)
+            sums = [0, *accumulate([rng.randrange(1 << 52) for _ in range(start - 1)] + terms)]
+            sum60 = sums.__getitem__
         total = sum(terms) + n * _C
         room = rng.choice([
             terms[0] + _C - rng.randrange(1, 1 << rng.randint(1, 62)),  # below the first term
@@ -671,63 +732,81 @@ def test_short_window_prefix_in_ints_matches_int64():
             total + rng.randrange(1 << 62),  # past the window's total
         ])
         eps60 = rng.choice([0, 1, rng.randrange(1 << 61), room + rng.randrange(1, 1 << 40)])
-        kinds.add((room < terms[0] + _C, room - eps60 < 0, room > total))
-        want = _prefix_in_int64(np.array(terms, dtype=np.int64), room, eps60)
-        assert _prefix_in_ints(terms, room, eps60) == want, (terms, room, eps60)
-        assert _certain_prefix(memoryview(array("q", terms)), room, eps60) == want
-    assert {k[0] for k in kinds} == {k[1] for k in kinds} == {k[2] for k in kinds} == {True, False}
+        kinds.add((room < terms[0] + _C, room < eps60, eps60 == 0, room > total))
+        want = one_term_at_a_time(terms, room, eps60)
+        got = bisected_run(sum60, start, start + n - 1, room, eps60)
+        assert got == want, (terms, room, eps60)
+    for k in range(4):
+        assert {kind[k] for kind in kinds} == {True, False}
 
 
 def test_first_window_table_grows_to_what_is_read():
     s = PrimeStream()
     src = PrimeRatioSource(s)
-    window = src.term60_window(101, 164)
-    assert isinstance(s._term60_cache, array) and len(s._term60_cache) == 164
-    assert len(window) == 64 and window.tolist() == s._term60_cache[100:164].tolist()
+    assert src.sum60(164) - src.sum60(100) == sum(src.term60(j) for j in range(101, 165))
+    assert len(s._term60_sums) == 165
     # a probe past the table computes its term alone and leaves the table
     t = src.term60(3000)
-    assert len(s._term60_cache) == 164
-    # a read that still holds a view does not stop the table from growing
-    assert src.term60_window(1, 3000).tolist()[-1] == t == src.term60(3000)
-    assert window.tolist() == s._term60_cache[100:164].tolist()
+    assert len(s._term60_sums) == 165
+    assert src.sum60(3000) - src.sum60(2999) == t == src.term60(3000)
+    assert len(s._term60_sums) == 3001
+    # a greedy reads the sums no further than twice past what it scans
+    s = PrimeStream()
+    sel = greedy_select(PrimeRatioSource(s), LogTarget(Fraction(3)), Fraction(1, 1000))
+    assert sel.status == CONVERGED and sel.scanned < s.count // 4
+    assert len(s._term60_sums) <= 2 * sel.scanned + 2
 
 
 def test_first_window_table_grows_safely_under_threads():
-    # threads read windows and single terms of one fresh stream's table at
-    # once; a lost check-then-extend would write a run of terms twice
+    # threads read running sums, single terms and atanh checkpoints of one
+    # fresh stream at once; a lost check-then-extend would write a run of
+    # entries twice
     import sys
     import threading
 
-    from autratio.fixedlog import term_block_fp60
+    from autratio import autorder
+    from autratio.fixedlog import term_block_atanh60, term_block_fp60
 
-    ref = term_block_fp60(PrimeStream().primes_list(2, 6001))
+    primes = PrimeStream().primes_list(2, 6001)
+    terms = term_block_fp60(primes)
+    ref = [0, *accumulate(terms)]
+    k = autorder._CHECKPOINT
+    per_prime = [term_block_atanh60([p]) for p in primes]  # indices 2..6001
+    checkpoints = [(0, 0)] + [
+        tuple(map(sum, zip(*per_prime[: c * k - 1]))) for c in range(1, 6001 // k + 1)
+    ]
     wrong = []
 
-    def worker(k, src):
-        rng = random.Random(k)
+    def worker(seed, src):
+        rng = random.Random(seed)
         for _ in range(200):
-            i0 = rng.randint(1, 6000)
-            i1 = min(6000, i0 + rng.randint(0, 300))
-            if src.term60_window(i0, i1).tolist() != ref[i0 - 1 : i1]:
-                wrong.append((k, i0, i1))
+            j = rng.randint(0, 6000)
+            if src.sum60(j) != ref[j]:
+                wrong.append((seed, "sum", j))
             j = rng.randint(1, 6000)
-            if src.term60(j) != ref[j - 1]:
-                wrong.append((k, j))
+            if src.term60(j) != terms[j - 1]:
+                wrong.append((seed, "term", j))
+            c = rng.randrange(len(checkpoints))
+            got = autorder._atanh_checkpoints(src.stream, c)[2 * c : 2 * c + 2]
+            if tuple(got) != checkpoints[c]:
+                wrong.append((seed, "checkpoint", c))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(4):  # each round grows a table from empty
+        for _ in range(4):  # each round grows both tables from empty
             s = PrimeStream()
             src = PrimeRatioSource(s)
-            threads = [threading.Thread(target=worker, args=(k, src)) for k in range(8)]
+            threads = [threading.Thread(target=worker, args=(n, src)) for n in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
-            assert isinstance(s._term60_cache, array)
-            assert s._term60_cache.tolist() == ref[: len(s._term60_cache)]
+            assert isinstance(s._term60_sums, array)
+            assert s._term60_sums.tolist() == ref[: len(s._term60_sums)]
+            got = s._atanh60_sums.tolist()
+            assert list(zip(got[::2], got[1::2])) == checkpoints[: len(got) // 2]
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
