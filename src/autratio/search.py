@@ -33,10 +33,26 @@ ratios), in lowest terms, through them.  A node is dead when (``reach``):
   divides some q^j - 1 < budget.  Only primes up to the prime limit are
   divided out, so below a budget past the limit what is left is cut only
   when it is a proven prime at or above the budget;
-* a prime q of rd is not a later prime, or q^v does not fit the budget:
-  local denominators are 1 or the prime itself, so only the q-part can
-  cancel q.  The node's prime loop ends at the smallest such q, since
-  including any prime past it would leave q uncancelled.
+* a prime q of rd is not a later prime: local denominators are 1 or the
+  prime itself, so only the q-part can cancel q.  The node's prime loop
+  ends at the smallest such q, since including any prime past it would
+  leave q uncancelled.
+* (first, for dense and sparse bounds alike) rn.bit_length() -
+  rd.bit_length() > L(L - 1), with L = budget.bit_length(), so that r >
+  2^(L(L - 1)).  An endomorphism of an abelian H is fixed by the images of
+  rank(H) <= log2 |H| generators, so |Aut H| <= |End H| <= |H|^rank(H),
+  and f(H) <= |H|^(log2 |H| - 1) < 2^(L(L - 1)) for 2 <= |H| <= budget <
+  2^L (f = 1 for the trivial group).
+
+The two prime tests factor a value up to T = min(max_order, 2^16, sieve
+ceiling) by lookup in one largest-prime table, P(n) at index n
+(``_top_table``: built to the largest T asked for, never past 2^16 + 1
+entries, and shared by later walks); larger values are divided by the
+primes in turn.  With P = P(rn), the numerator cut is P >= budget when
+budget <= limit + 1, and past that P >= budget with no prime of rn / P
+above the limit, so that the part of rn above the limit is the prime P.
+rd is read largest prime first: the largest must be within the limit, and
+the smallest, at or past the node's first prime, sets the end.
 
 A child, one p-part of weight w, is judged before it is divided or pushed
 (``_Walk.children``), by integer tests on rn and rd against the level of
@@ -71,7 +87,7 @@ from __future__ import annotations
 import os
 import threading
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -178,6 +194,22 @@ def _largest_primes(primes: list[int], max_order: int) -> array:
         top[p::p] = array("I", [p]) * (max_order // p)
     for p in primes[half:]:  # its only multiple up to max_order
         top[p] = p
+    return top
+
+
+# The node tests' largest-prime table: one array, grown to the largest T a
+# walk has asked for and shared by every later walk, at most _TOP_MAX + 1
+# entries (256 KB).  A walk keeps the table it read if another replaces it.
+_TOP_MAX = 1 << 16
+_top = array("I")
+
+
+def _top_table(size: int, stream) -> array:
+    """``_largest_primes`` up to at least ``size``, from ``stream``."""
+    global _top
+    top = _top
+    if len(top) <= size:
+        top = _top = _largest_primes(stream.primes_upto(size), size)
     return top
 
 
@@ -340,6 +372,11 @@ class _Walk:
                 f"{MAX_SEARCH_PARTS} p-parts of p = 2 at rank {self.rank}"
             )
         self.tables: dict[int, tuple] = {}  # prime index -> its _child_table
+        # node values up to T are factored by lookup; T stays within the
+        # sieve ceiling, as the table's primes come from the stream
+        stream = shared_stream()
+        self.tabled = min(self.max_order, _TOP_MAX, stream.ceiling)
+        self.top = _top_table(self.tabled, stream)
 
     def reach(self, num: int, den: int, start: int, budget: int) -> int:
         """End of the prime indices worth including at node r = num/den:
@@ -347,35 +384,44 @@ class _Walk:
         denominator (and never past the budget)."""
         if den > budget:
             return start
-        primes = self.primes
-        end = bisect_right(primes, budget, start)
-        if num > 1:
+        size = budget.bit_length()
+        if num.bit_length() - den.bit_length() > size * (size - 1):
+            return start  # r > 2^(L(L - 1)) >= f(H) for every |H| <= budget
+        primes, top, tabled, limit = self.primes, self.top, self.tabled, self.limit
+        if 1 < num <= tabled:
+            q = top[num]  # past the limit: is q all of num above the limit?
+            if q >= budget and (budget <= limit + 1 or top[num // q] <= limit):
+                return start
+        elif num > 1:
             for q in primes:
                 if q >= budget or q > num:
                     break
                 while num % q == 0:
                     num //= q
             if num > 1 and (
-                budget <= self.limit + 1  # every prime below it divided out
-                or num >= budget and _proven_prime(num, self.limit)
+                budget <= limit + 1  # every prime below it divided out
+                or num >= budget and _proven_prime(num, limit)
             ):
                 return start
-        if den > 1:
-            for j in range(start, end):
-                q = primes[j]
-                if q > den:
-                    break
-                v = 0
+        if den == 1:
+            return bisect_right(primes, budget, start)
+        if den <= tabled:
+            if top[den] > limit:
+                return start
+            while den > 1:  # largest prime first: q ends as the smallest
+                den //= (q := top[den])
+            j = bisect_left(primes, q, start)
+            return j + 1 if j < len(primes) and primes[j] == q else start
+        end = bisect_right(primes, budget, start)
+        for j in range(start, end):
+            q = primes[j]
+            if q > den:
+                break
+            if den % q == 0:
+                end = min(end, j + 1)
                 while den % q == 0:
                     den //= q
-                    v += 1
-                if v:
-                    if q**v > budget:
-                        return start
-                    end = min(end, j + 1)
-            if den > 1:
-                return start
-        return end
+        return start if den > 1 else end
 
     def children(self, rn: int, rd: int, start: int, end: int, budget: int):
         """``(j, pair, n, d, b)`` for each child of a live node, ``end =

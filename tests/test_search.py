@@ -454,10 +454,15 @@ def test_prune_differential_on_limited_bounds(bounds):
         assert [w.group for w in find_exact(a, bounds)] == plain.get(a, []), a
 
 
-def test_search_past_the_sieve_ceiling_needs_only_the_prime_limit():
+def test_search_past_the_sieve_ceiling_needs_only_the_prime_limit(monkeypatch):
     ws = find_exact(11664, SPARSE_BOUNDS[0])
     assert len(ws) == 320
     assert all(f_exact(w.group) == 11664 for w in ws)
+    # the node tests' table, built afresh, stays within a ceiling below its
+    # 2^16 cap
+    monkeypatch.setattr(autratio.primes, "_shared", PrimeStream(ceiling=1000))
+    monkeypatch.setattr(search, "_top", search._top[:0])
+    assert find_exact(11664, SPARSE_BOUNDS[0]) == ws
 
 
 def clear_levels():
@@ -679,3 +684,108 @@ def test_integer_tests_leave_out_only_dead_children(bounds):
                 w, pw = w + 1, pw * p
         assert not kept  # nothing but children
     assert live >= 100 and cut >= 1000
+
+
+def loop_reach(walk, num: int, den: int, start: int, budget: int) -> int:
+    """``_Walk.reach`` by trial division alone, without the size cut: the
+    reference for the table lookups."""
+    if den > budget:
+        return start
+    primes = walk.primes
+    end = bisect_right(primes, budget, start)
+    if num > 1:
+        for q in primes:
+            if q >= budget or q > num:
+                break
+            while num % q == 0:
+                num //= q
+        if num > 1 and (
+            budget <= walk.limit + 1
+            or num >= budget and search._proven_prime(num, walk.limit)
+        ):
+            return start
+    if den > 1:
+        for j in range(start, end):
+            q = primes[j]
+            if q > den:
+                break
+            v = 0
+            while den % q == 0:
+                den //= q
+                v += 1
+            if v:
+                if q**v > budget:
+                    return start
+                end = min(end, j + 1)
+        if den > 1:
+            return start
+    return end
+
+
+def size_cut(num: int, den: int, budget: int) -> bool:
+    size = budget.bit_length()
+    return num.bit_length() - den.bit_length() > size * (size - 1)
+
+
+REACH_BOUNDS = [SearchBounds(600), SearchBounds(600, max_prime=7)]
+
+
+@pytest.mark.parametrize("top_max", [64, 1 << 16])
+@pytest.mark.parametrize("bounds", REACH_BOUNDS, ids=repr)
+def test_table_reach_matches_trial_division(bounds, top_max, monkeypatch):
+    # at T = 64 values up to 64 are looked up and larger ones divided, so
+    # both regimes meet in one walk; at the default T = 600 all but the
+    # numerators above 600 are looked up.  Every num in 1..3000 meets den 1
+    # and a den that runs through 1..budget; the size cut only ever cuts
+    monkeypatch.setattr(search, "_TOP_MAX", top_max)
+    walk = search._Walk(bounds)
+    assert walk.tabled == min(600, top_max)
+    count = len(walk.primes)
+    cuts = 0
+    for budget in (1, 3, 7, 8, 12, 65, 600):
+        for start in sorted({0, 1, count // 2, count}):
+            for num in range(1, 3001):
+                for den in (1, 1 + num * 7919 % budget):
+                    want = loop_reach(walk, num, den, start, budget)
+                    got = walk.reach(num, den, start, budget)
+                    if got != want:
+                        assert got == start and size_cut(num, den, budget), (num, den, start, budget)
+                        cuts += 1
+    assert cuts
+
+
+@pytest.mark.parametrize("bounds", REACH_BOUNDS, ids=repr)
+def test_prune_differential_with_both_node_regimes(bounds, monkeypatch):
+    monkeypatch.setattr(search, "_TOP_MAX", 64)
+    plain = plain_witnesses(bounds)
+    rng = random.Random(23)
+    targets = rng.sample(sorted(plain), 40) + [
+        Fraction(rng.randint(1, 200), rng.randint(1, 200)) for _ in range(40)
+    ]
+    for a in targets:
+        assert [w.group for w in find_exact(a, bounds)] == plain.get(a, []), a
+
+
+def test_f_is_bounded_by_the_endomorphism_count():
+    # |Aut H| <= |End H| <= |H|^rank(H) and rank(H) <= log2 |H|, so with
+    # L = |H|.bit_length(), f(H) < 2^(L(L - 1)) past the trivial group
+    bounds = SearchBounds(4096, max_rank_per_prime=12)
+    groups = list(enumerate_groups(bounds))
+    for g in groups:
+        n = order(g)
+        size = n.bit_length()
+        assert f_exact(g) < 2 ** (size * (size - 1)) or n == 1 == f_exact(g)
+    a = f_exact(parse_group("C2^12"))
+    assert find_exact(a, bounds) == find_exact(a, bounds, prune=False)
+    assert [w.group for w in find_exact(a, bounds)] == [
+        g for g in groups if f_exact(g) == a
+    ]
+
+
+def test_node_table_stays_within_its_cap():
+    walk = search._Walk(SearchBounds(10**6))
+    assert walk.tabled == 1 << 16 and len(walk.top) == (1 << 16) + 1
+    assert find_exact(Fraction(3, 2), SearchBounds(10**6))
+    assert len(search._top) <= (1 << 16) + 1
+    # a smaller walk reads the table already built
+    assert search._Walk(SearchBounds(5000)).top is search._top
