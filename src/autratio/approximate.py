@@ -23,7 +23,7 @@ float conversion is ``LogValue.from_bounds`` of the final enclosure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, count
 from math import gcd
@@ -88,8 +88,8 @@ class ApproxResult:
     eps: Fraction
     trace: ApproxTrace
 
-    def materialize(self, stream: PrimeStream | None = None, cap: int = 10_000):
-        return self.group.materialize(stream or shared_stream(), cap)
+    def materialize(self, stream: PrimeStream | None = None):
+        return self.group.materialize(stream or shared_stream())
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
@@ -187,12 +187,7 @@ def approx_ray(
     source = PrimeRatioSource(stream)
     sel = greedy_select(source, LogTarget(Fraction(qn, qd)), eps_log, exact_cap=exact_cap)
     max_p = source.prime(sel.scanned) if sel.scanned else 0
-    kept = Selection(
-        ranges=sel.ranges, count=sel.count, status=sel.status, scanned=sel.scanned,
-        target=sel.target, eps=sel.eps, achieved=sel.achieved,
-        exact_sum=sel.exact_sum, exact_product=None, trail=sel.trail,
-    )
-    trace = ApproxTrace(n, b, eps / b, kept, max_p, below_eps)
+    trace = ApproxTrace(n, b, eps / b, replace(sel, exact_product=None), max_p, below_eps)
     if sel.status != CONVERGED:
         if below_eps:
             msg = (

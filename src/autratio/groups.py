@@ -455,6 +455,9 @@ def _add_run(runs: list[tuple[int, int]], lo: int, hi: int) -> None:
         runs.append((lo, hi))
 
 
+_DESCRIBE_RUNS = 6  # the most index runs SymbolicGroup.describe lists
+
+
 @dataclass(frozen=True, slots=True)
 class SymbolicGroup:
     """C2^two_rank x (product of C_p over the odd primes at the given indices).
@@ -506,8 +509,9 @@ class SymbolicGroup:
             parts[primes.nth_prime(i)] = [1]
         return AbelianGroup.from_primary(parts)
 
-    def describe(self, max_runs: int = 6) -> str:
-        """Short human-readable rendering, e.g. 'C2^3 x odd primes #2-#451'."""
+    def describe(self) -> str:
+        """Short human-readable rendering, e.g. 'C2^3 x odd primes #2-#451',
+        listing at most ``_DESCRIBE_RUNS`` index runs."""
         bits = []
         if self.two_rank == 1:
             bits.append("C2")
@@ -516,9 +520,9 @@ class SymbolicGroup:
         if self.odd_prime_ranges:
             runs = [
                 f"#{lo}" if lo == hi else f"#{lo}-#{hi}"
-                for lo, hi in self.odd_prime_ranges[:max_runs]
+                for lo, hi in self.odd_prime_ranges[:_DESCRIBE_RUNS]
             ]
-            more = len(self.odd_prime_ranges) - max_runs
+            more = len(self.odd_prime_ranges) - _DESCRIBE_RUNS
             if more > 0:
                 runs.append(f"... {more} more runs")
             bits.append(

@@ -5,11 +5,11 @@ supplies the indexed prime sequence p1 < p2 < ... (1-based, p1 = 2) and the
 list of primes up to a bound, growing on demand but never past its hard
 ceiling.
 
-Everything runs on the standard library.  The first window, the primes up
-to ``FIRST_WINDOW`` = 2^16, is sieved at construction; extensions past it
-sieve 2^22-wide segments.  Both mark odd numbers only, in a bytearray, and
-append the primes they find to one ``array('q')``, so a prime costs eight
-bytes whatever window it lies in.
+Everything runs on the standard library.  One routine sieves every window,
+the first ``FIRST_WINDOW`` = 2^16 at construction and 2^22-wide segments
+after: it marks odd numbers in a bytearray, crossing off the stream's own
+primes up to the window's square root (sieved first), and appends the primes
+it finds to one ``array('q')``, eight bytes a prime in every window.
 """
 
 from __future__ import annotations
@@ -61,17 +61,6 @@ def _hard_ceiling(ceiling: int | None) -> int:
     return ceiling
 
 
-def _simple_sieve(limit: int) -> array:
-    """All primes <= limit (>= 2) as an array('q')."""
-    flags = bytearray([1]) * ((limit + 1) // 2)  # flags[i] marks 2i + 1
-    flags[0] = 0
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
-    return array("q", [2, *compress(range(1, limit + 1, 2), flags)])
-
-
 def _odd_segment(lo: int, hi: int, base) -> compress:
     """The primes in [lo, hi], for odd lo > 2, with ``base`` the odd primes
     up to sqrt(hi) at least: flags[i] marks lo + 2i, and each base prime p
@@ -99,8 +88,9 @@ class PrimeStream:
     def __init__(self, ceiling: int | None = None):
         self.ceiling = _hard_ceiling(ceiling)
         self._lock = threading.Lock()
-        self._limit = min(FIRST_WINDOW, self.ceiling)
-        self._primes = _simple_sieve(self._limit)
+        self._limit = 2
+        self._primes = array("q", [2])
+        self.extend_to(FIRST_WINDOW)
 
     @property
     def limit(self) -> int:
@@ -115,16 +105,13 @@ class PrimeStream:
         limit = min(int(limit), self.ceiling)
         if limit <= self._limit:
             return
+        root = math.isqrt(limit)
+        self.extend_to(root)  # the base primes, up to sqrt(limit)
         with self._lock:
             if limit <= self._limit:
                 return
-            root = math.isqrt(limit)
-            if self._limit < root:
-                # sqrt(limit) outgrew the current sieve; rebuild the base first
-                base = _simple_sieve(root)
-            else:
-                base = self._primes[: bisect_right(self._primes, root)]
-            base = base[1:]  # the segments hold odd numbers only
+            # the segments hold odd numbers only, so the base skips 2
+            base = self._primes[1 : bisect_right(self._primes, root)]
             lo = self._limit + 1 | 1
             while lo <= limit:
                 hi = min(lo + _SEGMENT - 1, limit)

@@ -1,12 +1,14 @@
 """Greedy selection of a finite subsequence whose sum approaches a target.
 
-Given positive terms x_1, x_2, ... tending to zero with divergent sum, the
-finite subset sums are dense in [0, oo).  ``greedy_select`` realizes that
-constructively with the simplest possible rule: scan i = 1, 2, ... and take
-x_i whenever it still fits under the target.  The running sum then never
-exceeds the target, and every skip certifies that the remaining deficit was
-smaller than the skipped term, which is what drives convergence once terms
-fall below the tolerance.
+The paper's premises: positive terms x_1, x_2, ... tend to zero and their
+sum diverges.  Then the finite subset sums are dense in [0, oo), and
+``greedy_select`` realizes that constructively with the simplest possible
+rule: scan i = 1, 2, ... and take x_i whenever it still fits under the
+target.  The running sum then never exceeds the target, and every skip
+certifies that the remaining deficit was smaller than the skipped term,
+which is what drives convergence once terms fall below the tolerance.  The
+terms must also be nonincreasing (a precondition, not checked), so one
+bisection skips a whole run of too-large terms.
 
 Two kinds of term source are supported:
 
@@ -101,33 +103,18 @@ class LogTarget:
 
 
 class TermSource:
-    """Indexed positive terms i -> x_i (i >= 1) with declared metadata.
+    """Indexed positive terms i -> x_i (i >= 1).
 
     ``term(i)`` must be deterministic and return an exact Fraction.  The
-    vanishing/divergence claims are caller-supplied and unverifiable here,
-    which is exactly why the source carries a ``capacity``: the highest
-    index a greedy run may read (``DEFAULT_CAPACITY`` unless given; None
-    for no limit), so a series that does not in fact diverge still stops.
-    Setting ``nonincreasing`` lets the selector jump over non-fitting runs
-    by bisection instead of index-by-index scanning.
+    caller promises, unchecked, that the terms are nonincreasing (a skip
+    bisects on it), tend to zero and sum to infinity.  The last two are the
+    paper's premises, so the source carries a ``capacity``, the highest
+    index a run may read: a series that does not diverge still stops.
     """
 
-    def __init__(
-        self,
-        term: Callable[[int], Fraction],
-        *,
-        terms_tend_to_zero: bool,
-        series_diverges: bool,
-        nonincreasing: bool = False,
-        capacity: int | None = DEFAULT_CAPACITY,
-        description: str = "",
-    ):
+    def __init__(self, term: Callable[[int], Fraction], *, capacity: int = DEFAULT_CAPACITY):
         self._term = term
-        self.terms_tend_to_zero = terms_tend_to_zero
-        self.series_diverges = series_diverges
-        self.nonincreasing = nonincreasing
         self.capacity = capacity
-        self.description = description
 
     def term(self, i: int) -> Fraction:
         if i < 1:
@@ -142,15 +129,10 @@ class PrimeRatioSource:
     """Terms x_j = ln(p/(p-1)) over the odd primes: source index j is the
     prime p_(j+1), so the first term is ln(3/2).
 
-    Both metadata claims hold: terms vanish since p -> oo, and the series
-    diverges because the terms are asymptotically 1/p and sum 1/p diverges.
-    The stream's sieve ceiling is the source's one limit.
+    The premises hold: the terms decrease to zero since p grows, and the
+    series diverges because the terms are asymptotically 1/p and sum 1/p
+    diverges.  The stream's sieve ceiling is the source's one limit.
     """
-
-    terms_tend_to_zero = True
-    series_diverges = True
-    nonincreasing = True
-    description = "ln(p/(p-1)) over odd primes"
 
     def __init__(self, stream: PrimeStream | None = None):
         self.stream = stream or shared_stream()
@@ -269,19 +251,17 @@ def greedy_select(
 # additive sources: exact Fraction arithmetic throughout
 
 
-def _bisect_first_fitting(fits, lo: int, hi: int | None) -> int | None:
-    """Smallest j in [lo, hi] with fits(j), assuming fits is monotone in j.
-
-    Returns None when even hi fails.  With hi None the range is unbounded
-    and some j must fit.  Exponential probe from lo, then bisection, so no
-    probe lies past twice the answer's distance from lo (or past hi).
+def _bisect_first_fitting(fits, lo: int, hi: int) -> int | None:
+    """Smallest j in [lo, hi] with fits(j), assuming fits is monotone in j;
+    None when even hi fails.  Exponential probe from lo, then bisection, so
+    no probe lies past twice the answer's distance from lo (or past hi).
     """
     if fits(lo):
         return lo
     known_bad, step = lo, 1
     while True:
         mid = known_bad + step
-        if hi is not None and mid >= hi:
+        if mid >= hi:
             if known_bad >= hi or not fits(hi):
                 return None
             break
@@ -307,19 +287,14 @@ def _greedy_additive(source, target, eps, record_trail):
     i = 1
     scanned = 0
     cap = source.capacity
-    status = None
     while True:
         if target - total < eps:
             status = CONVERGED
             break
-        if cap is not None and i > cap:
+        if i > cap:
             status = CAPACITY_EXHAUSTED
             break
-        try:
-            x = source.term(i)
-        except SieveCapacityError:
-            status = CAPACITY_EXHAUSTED
-            break
+        x = source.term(i)
         scanned = i
         deficit = target - total
         if x <= deficit:
@@ -330,14 +305,9 @@ def _greedy_additive(source, target, eps, record_trail):
                 trail.append(("include", i, x, total))
             i += 1
             continue
-        if source.nonincreasing:
-            # jump the whole run of too-large terms
-            j = _bisect_first_fitting(
-                lambda m: source.term(m) <= deficit, i, cap
-            )
-            run_end = (j - 1) if j is not None else cap
-        else:
-            run_end = i
+        # the terms are nonincreasing: jump the whole run of too-large terms
+        j = _bisect_first_fitting(lambda m: source.term(m) <= deficit, i, cap)
+        run_end = cap if j is None else j - 1
         scanned = run_end
         if record_trail:
             trail.append(("skip_run", i, run_end, deficit, source.term(run_end)))

@@ -1,9 +1,9 @@
 import math
 from array import array
+from itertools import compress
 
 import pytest
 
-import autratio.primes
 from autratio.errors import SieveCapacityError
 from autratio.primes import PrimeStream
 
@@ -19,6 +19,18 @@ def trial_division_primes(limit):
 
 def is_prime_td(n):
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def reference_sieve(limit):
+    """All primes <= limit as an array('q'): one unsegmented odd-only
+    sieve, independent of the stream's."""
+    flags = bytearray([1]) * ((limit + 1) // 2)  # flags[i] marks 2i + 1
+    flags[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    return array("q", [2, *compress(range(1, limit + 1, 2), flags)])
 
 
 def test_sieve_matches_trial_division(stream):
@@ -97,31 +109,20 @@ def test_primes_upto_extends_and_refuses_past_ceiling():
         s.primes_upto(200_001)
 
 
-def test_extension_rebuilds_base_sieve_only_past_its_root(monkeypatch):
-    calls = []
-    real = autratio.primes._simple_sieve
-
-    def counted(limit):
-        calls.append(limit)
-        return real(limit)
-
-    monkeypatch.setattr(autratio.primes, "_simple_sieve", counted)
+def test_extension_rebuilds_base_sieve_only_past_its_root():
     s = PrimeStream()
-    assert calls == [1 << 16]
     s.extend_to(10**6)
     s.extend_to(4 * 10**6)
-    assert calls == [1 << 16]  # sqrt(4e6) = 2000 is inside the first sieve
     top = s.primes_upto(4 * 10**6)
     head = trial_division_primes(5000)
     assert top[: len(head)] == head
     tail = [n for n in range(4 * 10**6 - 3000, 4 * 10**6) if is_prime_td(n)]
     assert top[-len(tail) :] == tail
-    # a stream whose sieve ends below sqrt(limit) rebuilds the base once
-    s._primes, s._limit = real(100), 100
+    # a stream whose store ends below sqrt(limit) first extends to the
+    # root, so the base primes come from the stream itself
+    s._primes, s._limit = array("q", trial_division_primes(100)), 100
     s.extend_to(20_000)
-    assert calls[1:] == [141]
     assert s.primes_upto(20_000) == trial_division_primes(20_000)
-
 
 
 FIRST_WINDOW = 1 << 16
@@ -134,6 +135,21 @@ def test_first_window_matches_trial_division():
     assert s.primes_upto(FIRST_WINDOW) == ref
     assert s.count == len(ref) and s.nth_prime(len(ref)) == ref[-1]
     assert s.limit == FIRST_WINDOW
+
+
+def test_small_ceilings_match_trial_division():
+    # ceilings at the odd-only layout's edges (2 alone; first windows of
+    # one and two odd numbers), around 16^2 and around the first window's
+    # end: a stream holds exactly the primes up to its ceiling
+    ceilings = (2, 3, 4, 5, 255, 256, 257, FIRST_WINDOW - 1, FIRST_WINDOW, FIRST_WINDOW + 1)
+    ref = trial_division_primes(FIRST_WINDOW + 1)
+    for c in ceilings:
+        s = PrimeStream(ceiling=c)
+        want = [p for p in ref if p <= c]
+        assert s.primes_upto(c) == want and s.limit == c, c
+        assert s._primes.tolist() == want
+        with pytest.raises(SieveCapacityError):
+            s.nth_prime(len(want) + 1)
 
 
 def test_reads_agree_across_the_first_extension():
@@ -161,7 +177,7 @@ def test_segments_match_the_unsegmented_sieve():
     limit = FIRST_WINDOW + 2 * (1 << 22) + 12_345
     s = PrimeStream()
     s.extend_to(limit)
-    assert s._primes == autratio.primes._simple_sieve(limit)
+    assert s._primes == reference_sieve(limit)
     assert isinstance(s._primes, array)
     s = PrimeStream(ceiling=100_003)
     s.extend_to(100_000)
@@ -169,4 +185,4 @@ def test_segments_match_the_unsegmented_sieve():
     assert s.limit == 100_001 and s.nth_prime(s.count) == 99_991
     s.extend_to(100_003)
     assert s.nth_prime(s.count) == 100_003
-    assert s._primes == autratio.primes._simple_sieve(100_003)
+    assert s._primes == reference_sieve(100_003)

@@ -26,14 +26,7 @@ from autratio.subsum import (
 
 
 def harmonic(capacity=DEFAULT_CAPACITY):
-    return TermSource(
-        lambda i: Fraction(1, i),
-        terms_tend_to_zero=True,
-        series_diverges=True,
-        nonincreasing=True,
-        description="1/i",
-        capacity=capacity,
-    )
+    return TermSource(lambda i: Fraction(1, i), capacity=capacity)
 
 
 def test_target_zero_converges_empty():
@@ -80,7 +73,6 @@ def test_odd_only_index_shift(stream):
     assert src.prime(1) == 3 and src.prime(2) == 5 and src.prime(3) == 7
     with pytest.raises(ValueError):
         src.prime(0)
-    assert src.terms_tend_to_zero and src.series_diverges
 
 
 def test_eps_validation():
@@ -144,13 +136,7 @@ def test_determinism(stream):
 def test_budget_exhaustion():
     # terms 1/(i+10) limited to 3 scanned terms: the deficit cannot fall
     # below eps, and the scan stops at the declared capacity
-    src = TermSource(
-        lambda i: Fraction(1, i + 10),
-        terms_tend_to_zero=True,
-        series_diverges=True,
-        nonincreasing=True,
-        capacity=3,
-    )
+    src = TermSource(lambda i: Fraction(1, i + 10), capacity=3)
     sel = greedy_select(src, 2, Fraction(1, 10**9))
     assert sel.status == CAPACITY_EXHAUSTED
     assert sel.scanned <= 3
@@ -158,17 +144,38 @@ def test_budget_exhaustion():
 
 
 def test_capacity_exhaustion_declared_capacity():
-    src = TermSource(
-        lambda i: Fraction(1, i),
-        terms_tend_to_zero=True,
-        series_diverges=True,
-        nonincreasing=True,
-        capacity=5,
-    )
+    src = harmonic(capacity=5)
     sel = greedy_select(src, 10, Fraction(1, 10**6))
     assert sel.status == CAPACITY_EXHAUSTED
     assert sel.scanned <= 5
     assert sel.exact_sum == sum(Fraction(1, i) for i in range(1, 6))
+
+
+def test_capacity_zero_reads_no_term():
+    sel = greedy_select(harmonic(capacity=0), 1, Fraction(1, 10**6))
+    assert sel.status == CAPACITY_EXHAUSTED
+    assert sel.scanned == 0 and sel.count == 0 and sel.exact_sum == 0
+    # a target already met converges before the capacity is consulted
+    assert greedy_select(harmonic(capacity=0), 0, Fraction(1, 10**6)).status == CONVERGED
+
+
+def test_capacity_at_the_last_fitting_index():
+    # target 2.088 on 1/i: 1 + 1/2 + 1/3 + 1/4 leaves 7/1500, which first
+    # fits 1/215; after it 1/64500 is left, above eps.  A capacity of 215
+    # ends the skip run's bisection on the fitting index itself, so the
+    # run includes it and then stops; at 214 the skip runs to the capacity
+    t, eps = Fraction(2088, 1000), Fraction(1, 10**6)
+    sel = greedy_select(harmonic(capacity=215), t, eps, record_trail=True)
+    assert sel.status == CAPACITY_EXHAUSTED
+    assert sel.ranges == ((1, 4), (215, 215)) and sel.scanned == 215
+    assert t - sel.exact_sum == Fraction(1, 64500)
+    assert sel.trail[-2][:3] == ("skip_run", 5, 214)
+    check_trail_invariants(sel, harmonic(capacity=215), t)
+    sel = greedy_select(harmonic(capacity=214), t, eps)
+    assert sel.status == CAPACITY_EXHAUSTED
+    assert sel.ranges == ((1, 4),) and sel.scanned == 214
+    full = greedy_select(harmonic(), t, eps)
+    assert full.status == CONVERGED and full.ranges[:2] == ((1, 4), (215, 215))
 
 
 def test_capacity_exhaustion_prime_ceiling():
@@ -430,32 +437,12 @@ nonincreasing_sources = st.sampled_from(
     target=st.fractions(min_value=0, max_value=3),
 )
 def test_progress_guarantee(named, target):
-    name, fn = named
-    src = TermSource(
-        fn,
-        terms_tend_to_zero=True,
-        series_diverges=True,
-        nonincreasing=True,
-        description=name,
-    )
+    _, fn = named
+    src = TermSource(fn)
     sel = greedy_select(src, target, Fraction(1, 10**6))
     assert sel.status == CONVERGED
     assert target - sel.exact_sum < Fraction(1, 10**6)
     assert sel.exact_sum <= target
-
-
-@pytest.mark.parametrize(
-    "target", [Fraction(9, 4), Fraction(7, 3), Fraction(31, 10), Fraction(2, 7)]
-)
-def test_unbounded_budget_matches_bounded(target):
-    # capacity=None sends the skip-run bisection down its unbounded probe
-    eps = Fraction(1, 10**6)
-    free = greedy_select(harmonic(capacity=None), target, eps, record_trail=True)
-    capped = greedy_select(harmonic(capacity=10**7), target, eps, record_trail=True)
-    assert free.status == capped.status == CONVERGED
-    assert any(step[0] == "skip_run" for step in free.trail)
-    assert free.ranges == capped.ranges
-    assert free.trail == capped.trail
 
 
 # ---------------------------------------------------------------------------
