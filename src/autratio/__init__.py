@@ -27,7 +27,7 @@ _EXPORTS = {
         )),
         ("primes", ("PrimeStream", "shared_stream", "nth_prime")),
         ("autorder", (
-            "Ratio", "LogValue", "aut_order", "aut_order_local", "f_exact",
+            "LogValue", "aut_order", "aut_order_local", "f_exact",
             "f_prime_exact", "f_log", "two_rank_ratio",
         )),
         ("oracle", ("OracleCaps", "aut_order_bruteforce", "aut_order_bruteforce_naive")),

@@ -28,19 +28,12 @@ from fractions import Fraction
 from itertools import chain, count
 from math import gcd
 
-from . import fixedlog
+from . import fixedlog, subsum
 from .autorder import LogValue, _f_log_bounds, product_tree, two_rank_ratio
 from .errors import PrecisionRefusal, SieveCapacityError
 from .groups import SymbolicGroup, _short
 from .primes import PrimeStream, shared_stream
-from .subsum import (
-    CONVERGED,
-    DEFAULT_EXACT_CAP,
-    LogTarget,
-    PrimeRatioSource,
-    Selection,
-    greedy_select,
-)
+from .subsum import CONVERGED, LogTarget, PrimeRatioSource, Selection, greedy_select
 
 __all__ = [
     "ApproxTrace",
@@ -118,12 +111,11 @@ def approx_in_unit(
     odd_only: bool = False,
     *,
     stream: PrimeStream | None = None,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> ApproxResult:
     """``approx_ray`` for a target a in [0, 1]: f(G) in [a, a + eps)."""
     if not 0 <= Fraction(a) <= 1:
         raise ValueError("approx_in_unit needs 0 <= a <= 1")
-    return approx_ray(a, eps, odd_only=odd_only, stream=stream, exact_cap=exact_cap)
+    return approx_ray(a, eps, odd_only=odd_only, stream=stream)
 
 
 def approx_ray(
@@ -132,7 +124,6 @@ def approx_ray(
     *,
     odd_only: bool = False,
     stream: PrimeStream | None = None,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> ApproxResult:
     """Group with certified |f(G) - a| <= eps for any a >= 0; see the
     module docstring.
@@ -142,13 +133,8 @@ def approx_ray(
     within the image, so the result is a below-eps witness: certified
     f(G) < eps, flagged in the trace.  Raises SieveCapacityError (with the
     partial trace attached) when the sieve ceiling, the greedy's one
-    limit, stops convergence.
-
-    ``exact_cap`` is the number of included odd primes up to which a
-    decision that the greedy's 60-bit enclosures cannot settle is taken
-    exactly on the product, and an exact ratio is returned; past it such a
-    decision is conservative and the result is certified by its
-    enclosure.  Correctness never depends on it.
+    limit, stops convergence.  A run of at most ``subsum.EXACT_CAP``
+    odd primes returns an exact ratio, a longer one its certified enclosure.
     """
     a = Fraction(a)
     eps = Fraction(eps)
@@ -185,7 +171,7 @@ def approx_ray(
         qn, qd = _reduced(b.numerator * ad, b.denominator * an)
         eps_log = Fraction(max(lo_eps, 1), 1 << _PREC)
     source = PrimeRatioSource(stream)
-    sel = greedy_select(source, LogTarget(Fraction(qn, qd)), eps_log, exact_cap=exact_cap)
+    sel = greedy_select(source, LogTarget(Fraction(qn, qd)), eps_log)
     max_p = source.prime(sel.scanned) if sel.scanned else 0
     trace = ApproxTrace(n, b, eps / b, replace(sel, exact_product=None), max_p, below_eps)
     if sel.status != CONVERGED:
@@ -232,8 +218,8 @@ def verify_certificate(
     |f - a| <= eps (0 < f < eps for a below-eps witness), checked by
     integer cross-multiplication.  For a certified result, ln f(G) is
     enclosed and must lie inside (ln(a - eps), ln(a + eps)); so is an
-    exact claim over more than DEFAULT_EXACT_CAP primes, which no default
-    run makes and whose product would cost more than its enclosure.
+    exact claim over more than ``subsum.EXACT_CAP`` primes, which no run
+    makes and whose product would cost more than its enclosure.
 
     Both enclosures come from ``autorder._f_log_bounds`` and are judged by
     ``_decide``.  With ``prec`` None the first is the 60-bit atanh-series
@@ -247,7 +233,7 @@ def verify_certificate(
     """
     stream = stream or shared_stream()
     exact = result.exact_ratio is not None
-    if exact and result.group.index_count <= DEFAULT_EXACT_CAP:
+    if exact and result.group.index_count <= subsum.EXACT_CAP:
         return _verify_exact(result, stream)
     if prec is None:
         lo, hi = _f_log_bounds(result.group, stream, None)

@@ -32,7 +32,6 @@ from .groups import AbelianGroup, SymbolicGroup, order
 from .primes import PrimeStream, shared_stream
 
 __all__ = [
-    "Ratio",
     "LogValue",
     "aut_order_local",
     "aut_order",
@@ -42,10 +41,6 @@ __all__ = [
     "two_rank_ratio",
     "euler_phi_of_order",
 ]
-
-# Exact nonnegative rationals in lowest terms; Fraction already maintains
-# the gcd = 1 / positive-denominator invariants.
-Ratio = Fraction
 
 
 @dataclass(frozen=True, slots=True)

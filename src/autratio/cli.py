@@ -135,9 +135,10 @@ def _check_digits(what: str, **counts: int) -> None:
 def _oracle_caps():
     from .oracle import OracleCaps
 
+    default = OracleCaps()
     return OracleCaps(
-        order_cap=env_int("AUTRATIO_ORACLE_ORDER_CAP", 200, 1),
-        work_cap=env_int("AUTRATIO_ORACLE_WORK_CAP", 10**8, 1),
+        order_cap=env_int("AUTRATIO_ORACLE_ORDER_CAP", default.order_cap, 1),
+        work_cap=env_int("AUTRATIO_ORACLE_WORK_CAP", default.work_cap, 1),
     )
 
 

@@ -281,16 +281,6 @@ class AbelianGroup:
         return cls(factors)
 
     @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def partition(self, p: int) -> tuple[int, ...]:
-        for q, part in self.factors:
-            if q == p:
-                return part
-        return ()
-
-    @property
     def rank(self) -> int:
         """Total number of cyclic factors in the primary decomposition."""
         return sum(len(part) for _, part in self.factors)
@@ -456,6 +446,7 @@ def _add_run(runs: list[tuple[int, int]], lo: int, hi: int) -> None:
 
 
 _DESCRIBE_RUNS = 6  # the most index runs SymbolicGroup.describe lists
+_MATERIALIZE_CAP = 10_000  # the most prime indices SymbolicGroup.materialize expands
 
 
 @dataclass(frozen=True, slots=True)
@@ -495,12 +486,13 @@ class SymbolicGroup:
         for lo, hi in self.odd_prime_ranges:
             yield from range(lo, hi + 1)
 
-    def materialize(self, primes, cap: int = 10_000) -> AbelianGroup:
-        """Expand to an AbelianGroup; refuses above ``cap`` prime indices."""
+    def materialize(self, primes) -> AbelianGroup:
+        """Expand to an AbelianGroup; refuses above ``_MATERIALIZE_CAP``
+        prime indices."""
         n = self.index_count
-        if n > cap:
+        if n > _MATERIALIZE_CAP:
             raise ValueError(
-                f"refusing to materialize {n} prime factors (cap {cap})"
+                f"refusing to materialize {n} prime factors (cap {_MATERIALIZE_CAP})"
             )
         parts: dict[int, list[int]] = {}
         if self.two_rank:

@@ -3,13 +3,14 @@
 A shared, extendable segmented sieve is the package's one prime source: it
 supplies the indexed prime sequence p1 < p2 < ... (1-based, p1 = 2) and the
 list of primes up to a bound, growing on demand but never past its hard
-ceiling.
+ceiling.  A new stream holds only 2 and sieves on first use, as far as the
+read needs.
 
 Everything runs on the standard library.  One routine sieves every window,
-the first ``FIRST_WINDOW`` = 2^16 at construction and 2^22-wide segments
-after: it marks odd numbers in a bytearray, crossing off the stream's own
-primes up to the window's square root (sieved first), and appends the primes
-it finds to one ``array('q')``, eight bytes a prime in every window.
+in segments at most 2^22 wide: it marks odd numbers in a bytearray,
+crossing off the stream's own primes up to the window's square root (sieved
+first), and appends the primes it finds to one ``array('q')``, eight bytes
+a prime.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ __all__ = [
     "shared_stream",
     "nth_prime",
     "DEFAULT_CEILING",
-    "FIRST_WINDOW",
 ]
 
 DEFAULT_CEILING = 10**8
-FIRST_WINDOW = 1 << 16
 _SEGMENT = 1 << 22
 
 
@@ -90,7 +89,6 @@ class PrimeStream:
         self._lock = threading.Lock()
         self._limit = 2
         self._primes = array("q", [2])
-        self.extend_to(FIRST_WINDOW)
 
     @property
     def limit(self) -> int:

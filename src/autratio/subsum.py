@@ -27,11 +27,12 @@ Two kinds of term source are supported:
   inclusions, and one over its terms skips to the next included term.  U is
   built, one product tree per side, only for a comparison the enclosures
   cannot settle, which is then decided exactly while fewer than
-  ``exact_cap`` terms are included and conservatively after; and for the
-  exact product of a run of at most ``exact_cap`` terms.  Convergence is
+  ``EXACT_CAP`` terms are included and conservatively after; and for the
+  exact product of a run of at most ``EXACT_CAP`` terms.  Convergence is
   declared only when the certified deficit is below the tolerance, and
   is tested after every inclusion, so the selection does not depend on
-  how far the sieve has been extended.
+  how far the sieve has been extended: a new stream, which holds only 2,
+  selects what a stream sieved far ahead selects.
 
 The table is one ``array('q')`` per stream: entry j is the sum of the
 floor terms of source indices 1..j, so a term is the difference of two
@@ -76,14 +77,14 @@ __all__ = [
     "Selection",
     "greedy_select",
     "DEFAULT_CAPACITY",
-    "DEFAULT_EXACT_CAP",
+    "EXACT_CAP",
 ]
 
 CONVERGED = "converged"
 CAPACITY_EXHAUSTED = "capacity_exhausted"
 
 DEFAULT_CAPACITY = 10_000_000
-DEFAULT_EXACT_CAP = 10_000
+EXACT_CAP = 10_000  # the most included terms decided exactly on U
 
 _PREC = fixedlog.PREC
 _SB = fixedlog.SCALE_BITS
@@ -192,7 +193,7 @@ class Selection:
     ``ranges`` run-length encodes the chosen source indices.  For a
     prime-ratio source ``achieved`` is the integer pair (lo, hi) with the
     true selected sum in [lo, hi] * 2**-``fixedlog.PREC``: the scan's
-    60-bit enclosure, shifted.  A run of at most ``exact_cap`` included
+    60-bit enclosure, shifted.  A run of at most ``EXACT_CAP`` included
     terms also sets ``exact_product`` = prod p/(p-1) = exp(sum).  For an
     additive source ``achieved`` is None: ``exact_sum`` is the sum
     itself.  On ``converged`` the contract is  target - eps < sum <= target.
@@ -220,7 +221,6 @@ def greedy_select(
     eps,
     *,
     record_trail: bool = False,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> Selection:
     """One-sided greedy subsequence-sum selection; see the module docstring.
 
@@ -238,7 +238,7 @@ def greedy_select(
                 "prime ratio sources need a LogTarget (the terms are logs "
                 "of rationals, so the target must be one as well)"
             )
-        return _continue_fixed_point(source, target, eps, record_trail, exact_cap)
+        return _continue_fixed_point(source, target, eps, record_trail)
     if isinstance(target, LogTarget):
         raise TypeError("LogTarget requires a log-ratio source")
     target = Fraction(target)
@@ -420,7 +420,7 @@ def _extend(stream: PrimeStream) -> bool:
     return True
 
 
-def _continue_fixed_point(source, target, eps, record_trail, exact_cap):
+def _continue_fixed_point(source, target, eps, record_trail):
     """The log-ratio greedy: one scan over the stream's floor-term table.
 
     (The name is the former fixed-point continuation's, which the
@@ -431,7 +431,7 @@ def _continue_fixed_point(source, target, eps, record_trail, exact_cap):
     floor term t to ``lo`` and t + C to ``hi``.  A decision the enclosures
     and ln Q in [q_lo, q_hi] * 2**-60 settle is taken on them.  An
     ambiguous one is decided on U, rebuilt for it, while fewer than
-    ``exact_cap`` terms are included; past that, an ambiguous term is
+    ``EXACT_CAP`` terms are included; past that, an ambiguous term is
     skipped and an ambiguous convergence test fails, so the selected sum
     never exceeds the target and a declared convergence is certified.
     Convergence is tested after every inclusion, so the selection stops at
@@ -462,12 +462,12 @@ def _continue_fixed_point(source, target, eps, record_trail, exact_cap):
     while status is None:
         if q_hi - lo <= done60 or (
             q_lo - hi < eps60
-            and count <= exact_cap
+            and count <= EXACT_CAP
             and _certified_deficit_below(qn, qd, *_product(source, runs), eps)
         ):
             status = CONVERGED
             break
-        exact = count < exact_cap
+        exact = count < EXACT_CAP
         if not exact and q_lo - hi <= _C:
             raise PrecisionRefusal(
                 "tolerance sits below the accumulated fixed-point error "
@@ -511,7 +511,7 @@ def _continue_fixed_point(source, target, eps, record_trail, exact_cap):
             trail.extend(("include", j, p) for j, p in zip(range(first, scanned + 1), primes))
         i = scanned + 1
 
-    product = Fraction(*_product(source, runs)) if count <= exact_cap else None
+    product = Fraction(*_product(source, runs)) if count <= EXACT_CAP else None
     return Selection(
         ranges=tuple(runs),
         count=count,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from autratio import fixedlog
+from autratio import fixedlog, subsum
 from autratio.approximate import (
     _two_part,
     approx_in_unit,
@@ -15,7 +15,6 @@ from autratio.autorder import LogValue, f_exact, two_rank_ratio
 from autratio.errors import PrecisionRefusal, SieveCapacityError
 from autratio.groups import SymbolicGroup
 from autratio.primes import PrimeStream
-from autratio.subsum import DEFAULT_EXACT_CAP
 
 
 def independent_product(group, stream) -> Fraction:
@@ -32,12 +31,11 @@ def independent_product(group, stream) -> Fraction:
 
 
 @pytest.mark.parametrize("exact_cap", [10_000, 2])
-def test_unit_result_encloses_the_selection_pair(stream, exact_cap):
+def test_unit_result_encloses_the_selection_pair(stream, monkeypatch, exact_cap):
     # a certified result's LogValue is ln b's integer pair less the
     # selection's; an exact one encloses ln of its exact ratio
-    r = approx_in_unit(
-        Fraction(3, 10), Fraction(1, 1000), stream=stream, exact_cap=exact_cap
-    )
+    monkeypatch.setattr(subsum, "EXACT_CAP", exact_cap)
+    r = approx_in_unit(Fraction(3, 10), Fraction(1, 1000), stream=stream)
     assert r.trace.b == Fraction(1, 2) and r.trace.selection.count == 3
     assert (r.exact_ratio is None) == (exact_cap == 2)
     if r.exact_ratio is None:
@@ -223,7 +221,9 @@ def certified(stream):
     out = {}
     for a in ("1.52", "1.8", "2.0", "0.047"):
         out[a] = approx_ray(Fraction(a), EPS, stream=stream)
-    out["0"] = approx_in_unit(0, Fraction(1, 5), stream=stream, exact_cap=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subsum, "EXACT_CAP", 1)
+        out["0"] = approx_in_unit(0, Fraction(1, 5), stream=stream)
     assert out["0"].trace.below_eps_witness
     assert all(r.exact_ratio is None for r in out.values())
     return out
@@ -289,7 +289,7 @@ def test_default_verifier_makes_no_scalar_term_calls(certified, stream, monkeypa
     assert calls == []
 
 
-def test_reduced_pairs_match_the_fraction_arithmetic(stream):
+def test_reduced_pairs_match_the_fraction_arithmetic(stream, monkeypatch):
     # approx_ray and the verifier build (a + eps)/a and a +- eps as
     # gcd-reduced integer pairs: the greedy's log tolerance is the one the
     # Fraction arithmetic gives, and a certified witness with a = eps, where
@@ -299,7 +299,8 @@ def test_reduced_pairs_match_the_fraction_arithmetic(stream):
         r = approx_ray(a, EPS, stream=stream)
         lo = fixedlog.ln_fraction_bounds((a + EPS) / a)[0]
         assert r.trace.selection.eps == Fraction(max(lo, 1), 1 << fixedlog.PREC), a
-    r = approx_ray(Fraction(1, 10), Fraction(1, 10), stream=stream, exact_cap=1)
+    monkeypatch.setattr(subsum, "EXACT_CAP", 1)
+    r = approx_ray(Fraction(1, 10), Fraction(1, 10), stream=stream)
     assert r.trace.below_eps_witness and r.exact_ratio is None
     assert verify_certificate(r, stream=stream)
     assert verify_certificate(r, stream=stream, prec=384)
@@ -319,30 +320,33 @@ def test_verifier_recomputes_exact_ratio_from_the_group(stream):
 
 
 @pytest.mark.parametrize("a, cap", [("0.047", None), ("2.0", None), ("0", 1)])
-def test_continuation_encloses_the_unreduced_product(stream, a, cap):
+def test_continuation_encloses_the_unreduced_product(stream, monkeypatch, a, cap):
     # runs past the exact cap return the scan's own 60-bit enclosure of the
     # selected sum instead of a product; the result must pass both second
     # passes
     eps = Fraction(1, 5) if a == "0" else EPS
-    cap = DEFAULT_EXACT_CAP if cap is None else cap
-    r = approx_ray(Fraction(a), eps, stream=stream, exact_cap=cap)
+    if cap is not None:
+        monkeypatch.setattr(subsum, "EXACT_CAP", cap)
+    r = approx_ray(Fraction(a), eps, stream=stream)
     assert r.exact_ratio is None
     assert verify_certificate(r, stream=stream)
     assert verify_certificate(r, stream=stream, prec=384)
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, cap",
     [
-        lambda s: approx_in_unit(0, Fraction(1, 10), stream=s, exact_cap=1),
-        lambda s: approx_ray(Fraction(38, 25), Fraction(1, 1000), stream=s),
-        lambda s: approx_in_unit(Fraction(1, 25), Fraction(1, 1000), stream=s),
+        (lambda s: approx_in_unit(0, Fraction(1, 10), stream=s), 1),
+        (lambda s: approx_ray(Fraction(38, 25), Fraction(1, 1000), stream=s), None),
+        (lambda s: approx_in_unit(Fraction(1, 25), Fraction(1, 1000), stream=s), None),
     ],
     ids=["below-eps-past-cap", "ray-38/25", "unit-1/25"],
 )
-def test_selection_does_not_depend_on_sieve_history(call):
+def test_selection_does_not_depend_on_sieve_history(monkeypatch, call, cap):
     # the greedy stops at the first converged prefix, so how far the
     # stream was sieved before the call cannot move its selection
+    if cap is not None:
+        monkeypatch.setattr(subsum, "EXACT_CAP", cap)
     groups = []
     for extent in (None, 10**6, 10**7):
         s = PrimeStream()

@@ -21,6 +21,7 @@ from autratio.groups import (
     order,
     parse_group,
 )
+from autratio.primes import PrimeStream
 
 partitions = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
     lambda xs: sorted(xs)
@@ -163,10 +164,13 @@ def test_symbolic_group_validation():
         SymbolicGroup(0, ((3, 2),))
 
 
-def test_symbolic_materialize_cap(stream):
-    s = SymbolicGroup.from_indices(0, range(2, 100))
-    with pytest.raises(ValueError):
-        s.materialize(stream, cap=10)
+def test_symbolic_materialize_cap():
+    # 10,001 prime indices, one past the cap: refused before any prime is read
+    s = SymbolicGroup(0, ((2, 10_002),))
+    fresh = PrimeStream()
+    with pytest.raises(ValueError, match="10001 prime factors"):
+        s.materialize(fresh)
+    assert fresh.limit == 2
 
 
 def trial_division(n: int) -> dict[int, int]:

@@ -68,6 +68,7 @@ def test_ceiling_below_the_first_segment(monkeypatch):
     # the first segment is cut at a ceiling below it, so nothing past the
     # ceiling is ever returned (the 1000th prime is 7919)
     s = PrimeStream(ceiling=1000)
+    s.extend_to(1 << 16)
     assert s.count == 168 and s.limit == 1000
     with pytest.raises(SieveCapacityError):
         s.nth_prime(1000)
@@ -128,9 +129,19 @@ def test_extension_rebuilds_base_sieve_only_past_its_root():
 FIRST_WINDOW = 1 << 16
 
 
+def test_new_stream_sieves_nothing_until_read():
+    # construction sieves nothing; a read that 2 answers sieves nothing
+    # either, and the first read past it extends the stream as it needs
+    for s in (PrimeStream(), PrimeStream(ceiling=1000)):
+        assert s._primes.tolist() == [2] and s.limit == 2 and s.count == 1
+        assert s.nth_prime(1) == 2 and s.primes_upto(2) == [2]
+        assert s.limit == 2
+        assert s.primes_list(1, 25)[-1] == 97 and 97 <= s.limit < 1000
+
+
 def test_first_window_matches_trial_division():
     s = PrimeStream()
-    assert s.limit == FIRST_WINDOW  # nothing extended yet
+    assert s.limit == 2  # nothing sieved yet
     ref = [n for n in range(FIRST_WINDOW + 1) if is_prime_td(n)]
     assert s.primes_upto(FIRST_WINDOW) == ref
     assert s.count == len(ref) and s.nth_prime(len(ref)) == ref[-1]
@@ -154,6 +165,7 @@ def test_small_ceilings_match_trial_division():
 
 def test_reads_agree_across_the_first_extension():
     s = PrimeStream()
+    s.extend_to(FIRST_WINDOW)
     n = s.count
     before = s.primes_list(1, n)
     assert all(type(p) is int for p in before)

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autratio import subsum
 from autratio.groups import _add_run
 from autratio.primes import PrimeStream
 from autratio.subsum import (
     CAPACITY_EXHAUSTED,
     CONVERGED,
     DEFAULT_CAPACITY,
-    DEFAULT_EXACT_CAP,
+    EXACT_CAP,
     LogTarget,
     PrimeRatioSource,
     TermSource,
@@ -187,7 +188,7 @@ def test_capacity_exhaustion_prime_ceiling():
     assert sel.exact_product < 10
 
 
-def test_exact_cap_switches_to_fixed_point(stream):
+def test_exact_cap_switches_to_fixed_point(stream, monkeypatch):
     # force an early switch into the certified fixed-point continuation,
     # then re-multiply the returned selection exactly and check the full
     # contract against it
@@ -196,7 +197,8 @@ def test_exact_cap_switches_to_fixed_point(stream):
     src = PrimeRatioSource(stream)
     q = Fraction(27, 20)
     eps = Fraction(1, 10**5)
-    mixed = greedy_select(src, LogTarget(q), eps, exact_cap=3)
+    monkeypatch.setattr(subsum, "EXACT_CAP", 3)
+    mixed = greedy_select(src, LogTarget(q), eps)
     assert mixed.status == CONVERGED
     assert mixed.exact_product is None  # no longer a fully exact run
     assert mixed.count > 3
@@ -214,7 +216,8 @@ def test_exact_cap_switches_to_fixed_point(stream):
     assert mixed.achieved[0] <= hi_t
     assert mixed.achieved[1] >= lo_t
     # the fully exact run of the same instance obeys the same contract
-    exact = greedy_select(src, LogTarget(q), eps, exact_cap=10**6)
+    monkeypatch.setattr(subsum, "EXACT_CAP", 10**6)
+    exact = greedy_select(src, LogTarget(q), eps)
     assert exact.status == CONVERGED and exact.exact_product is not None
     assert exact.exact_product <= q
     _, hi2 = ln_fraction_bounds(q / exact.exact_product, PREC)
@@ -224,18 +227,19 @@ def test_exact_cap_switches_to_fixed_point(stream):
 @pytest.mark.parametrize(
     "q, exact_cap, status",
     [
-        (Fraction(27, 20), DEFAULT_EXACT_CAP, "exact"),
+        (Fraction(27, 20), EXACT_CAP, "exact"),
         (Fraction(27, 20), 3, "continuation"),
-        (Fraction(20), DEFAULT_EXACT_CAP, CAPACITY_EXHAUSTED),  # fail-fast
+        (Fraction(20), EXACT_CAP, CAPACITY_EXHAUSTED),  # fail-fast
     ],
 )
-def test_log_ratio_achieved_is_an_integer_enclosure(stream, q, exact_cap, status):
+def test_log_ratio_achieved_is_an_integer_enclosure(stream, monkeypatch, q, exact_cap, status):
     # achieved is (lo, hi) with the selected sum in [lo, hi] * 2**-PREC,
     # checked against an enclosure of the re-multiplied product at 2 * PREC
     from autratio.fixedlog import PREC, ln_fraction_bounds
 
     src = PrimeRatioSource(stream)
-    sel = greedy_select(src, LogTarget(q), Fraction(1, 10**5), exact_cap=exact_cap)
+    monkeypatch.setattr(subsum, "EXACT_CAP", exact_cap)
+    sel = greedy_select(src, LogTarget(q), Fraction(1, 10**5))
     if status == CAPACITY_EXHAUSTED:
         assert sel.status == status and sel.scanned == 0
     else:
@@ -248,13 +252,14 @@ def test_log_ratio_achieved_is_an_integer_enclosure(stream, q, exact_cap, status
     assert lo << PREC <= t_hi and t_lo <= hi << PREC
 
 
-def test_exact_hit_at_the_cap_converges_on_the_product():
+def test_exact_hit_at_the_cap_converges_on_the_product(monkeypatch):
     # Q is the product over the first ten odd primes and eps one unit of
     # the term table, so only U itself proves convergence after the tenth
     # inclusion: the cap-th inclusion's convergence test is still exact
     q = math.prod(Fraction(p, p - 1) for p in _primes_upto(31)[1:])
     src = PrimeRatioSource(PrimeStream(ceiling=10**5))
-    sel = greedy_select(src, LogTarget(q), Fraction(1, 2**60), exact_cap=10)
+    monkeypatch.setattr(subsum, "EXACT_CAP", 10)
+    sel = greedy_select(src, LogTarget(q), Fraction(1, 2**60))
     assert sel.status == CONVERGED and sel.ranges == ((1, 10),)
     assert sel.exact_product == q
 
@@ -271,7 +276,7 @@ def test_certified_deficit_below_decides_at_the_bound():
     assert _certified_deficit_below(3, 2, 3, 2, Fraction(1, 10**30))  # zero
 
 
-def test_mixed_phase_random_differential(stream):
+def test_mixed_phase_random_differential(stream, monkeypatch):
     # random targets forced through the fixed-point continuation, verified
     # by gcd-free exact re-multiplication of the returned selection
     from autratio.fixedlog import PREC, ln_fraction_bounds
@@ -293,7 +298,8 @@ def test_mixed_phase_random_differential(stream):
         if rng.random() >= 0.5 and q >= 2:
             q /= 2  # a former all-primes case: the C2 factor takes ln 2
         src = PrimeRatioSource(stream)
-        sel = greedy_select(src, LogTarget(q), eps, exact_cap=cap)
+        monkeypatch.setattr(subsum, "EXACT_CAP", cap)
+        sel = greedy_select(src, LogTarget(q), eps)
         assert sel.status == CONVERGED, (q, eps, cap)
         if sel.exact_product is None:
             n_mixed += 1
@@ -339,7 +345,6 @@ def test_windowed_fixed_point_scan_matches_one_pass(monkeypatch):
     # one include run must be the one a term-by-term pass takes, up to rooms
     # past the int64 range, and the table's growth step must not move any
     # selection
-    from autratio import subsum
     from autratio.subsum import _C
 
     rng = random.Random(5)
@@ -357,24 +362,23 @@ def test_windowed_fixed_point_scan_matches_one_pass(monkeypatch):
 
     cases = [
         (Fraction(27, 20), Fraction(1, 10**5), 5),
-        (Fraction(20, 7), Fraction(1, 10**6), DEFAULT_EXACT_CAP),
-        (1 / Fraction("0.0802"), Fraction(1, 10**6), DEFAULT_EXACT_CAP),
+        (Fraction(20, 7), Fraction(1, 10**6), EXACT_CAP),
+        (1 / Fraction("0.0802"), Fraction(1, 10**6), EXACT_CAP),
     ]
-    want = [
-        greedy_select(PrimeRatioSource(PrimeStream()), LogTarget(q), eps, exact_cap=cap)
-        for q, eps, cap in cases
-    ]
+    want = []
+    for q, eps, cap in cases:
+        monkeypatch.setattr(subsum, "EXACT_CAP", cap)
+        want.append(greedy_select(PrimeRatioSource(PrimeStream()), LogTarget(q), eps))
     monkeypatch.setattr(subsum, "_GROW", 7)
     for (q, eps, cap), w in zip(cases, want):
-        got = greedy_select(
-            PrimeRatioSource(PrimeStream()), LogTarget(q), eps, exact_cap=cap
-        )
+        monkeypatch.setattr(subsum, "EXACT_CAP", cap)
+        got = greedy_select(PrimeRatioSource(PrimeStream()), LogTarget(q), eps)
         assert got == w
 
 
 @pytest.mark.parametrize("eps60", [1, 40])
-def test_refusal_fires_where_the_run_enters_the_error_zone(eps60):
-    # past exact_cap, with eps60 <= TERM_ERR60 = C (eps <= 2**-54), a run may
+def test_refusal_fires_where_the_run_enters_the_error_zone(monkeypatch, eps60):
+    # past EXACT_CAP, with eps60 <= TERM_ERR60 = C (eps <= 2**-54), a run may
     # leave the certain deficit q_lo - hi in [eps60, C], where the refusal
     # check fires.  The one bisection over [i, sieve limit] ends the run at
     # that term, since the next term exceeds C and cannot fit, so the check
@@ -402,10 +406,12 @@ def test_refusal_fires_where_the_run_enters_the_error_zone(eps60):
     assert eps60 <= q_lo - (floor_sum + n * C) <= C
     eps = Fraction(eps60, 1 << 60)
     with pytest.raises(PrecisionRefusal, match="accumulated fixed-point error") as info:
-        greedy_select(src, LogTarget(q), eps, exact_cap=0)
+        monkeypatch.setattr(subsum, "EXACT_CAP", 0)
+        greedy_select(src, LogTarget(q), eps)
     assert f"<= {float(Fraction(q_hi - floor_sum, 1 << 60)):.3e})" in str(info.value)
-    # with the run inside exact_cap, U decides instead, and nothing more fits
-    sel = greedy_select(src, LogTarget(q), eps, exact_cap=n + 1)
+    # with the run inside EXACT_CAP, U decides instead, and nothing more fits
+    monkeypatch.setattr(subsum, "EXACT_CAP", n + 1)
+    sel = greedy_select(src, LogTarget(q), eps)
     assert sel.status == CAPACITY_EXHAUSTED and sel.ranges == ((1, n),)
 
 
@@ -580,13 +586,14 @@ def _exact_ratio(ranges):
 
 @pytest.mark.parametrize("q, eps, ray", _DIFF_CASES)
 @pytest.mark.parametrize("exact_cap", [1, 50, 300, None])
-def test_exact_phase_matches_plain_exact_greedy(q, eps, ray, exact_cap):
+def test_exact_phase_matches_plain_exact_greedy(monkeypatch, q, eps, ray, exact_cap):
     from autratio.fixedlog import PREC, ln_quotient_bounds
 
-    cap = DEFAULT_EXACT_CAP if exact_cap is None else exact_cap
+    cap = EXACT_CAP if exact_cap is None else exact_cap
+    monkeypatch.setattr(subsum, "EXACT_CAP", cap)
     # a fresh stream, so that inclusion runs meet the sieve's extent
     src = PrimeRatioSource(PrimeStream())
-    got = greedy_select(src, LogTarget(q), eps, exact_cap=cap, record_trail=True)
+    got = greedy_select(src, LogTarget(q), eps, record_trail=True)
     want = exact_greedy(q, eps, None, cap)
     if "switch" in want:
         # up to the cap the run is the plain exact greedy's
@@ -606,9 +613,7 @@ def test_exact_phase_matches_plain_exact_greedy(q, eps, ray, exact_cap):
         assert lo << PREC <= t_lo and t_hi <= hi << PREC
     else:
         assert {k: getattr(got, k) for k in want} == want
-    untraced = greedy_select(
-        PrimeRatioSource(PrimeStream()), LogTarget(q), eps, exact_cap=cap
-    )
+    untraced = greedy_select(PrimeRatioSource(PrimeStream()), LogTarget(q), eps)
     assert untraced.trail is None
     assert dataclasses.replace(untraced, trail=got.trail) == got
 
@@ -623,9 +628,36 @@ def test_exact_phase_ceiling_cut_matches_plain_exact_greedy():
             PrimeRatioSource(PrimeStream(ceiling=ceiling)), LogTarget(q), eps,
             record_trail=True,
         )
-        want = exact_greedy(q, eps, limit, DEFAULT_EXACT_CAP)
+        want = exact_greedy(q, eps, limit, EXACT_CAP)
         assert got.status == CAPACITY_EXHAUSTED and got.scanned == limit
         assert {k: getattr(got, k) for k in want} == want
+
+
+@pytest.mark.parametrize(
+    "q, eps, ceiling, kind",
+    [
+        (Fraction(27, 20), Fraction(1, 10**5), None, "exact"),
+        # the odd part of ray target 1.52, Q = 21/a: 378,351 inclusions
+        (21 / Fraction("1.52"), Fraction(1, 10**5), None, "past-cap"),
+        (3 / (2 * Fraction(1, 15)), Fraction(1), None, "below-eps"),
+        (Fraction(6), Fraction(1, 10**7), 5281, CAPACITY_EXHAUSTED),
+    ],
+    ids=["exact", "past-cap-ray-1.52", "below-eps", "ceiling-cut"],
+)
+def test_selection_does_not_depend_on_a_presieved_stream(q, eps, ceiling, kind):
+    # a new stream holds only 2 and grows as the scan reads; one sieved to
+    # 2^16 first gives the same Selection, every field and the trail
+    ahead = PrimeStream(ceiling)
+    ahead.extend_to(1 << 16)
+    sels = [
+        greedy_select(PrimeRatioSource(s), LogTarget(q), eps, record_trail=True)
+        for s in (PrimeStream(ceiling), ahead)
+    ]
+    assert sels[0] == sels[1]
+    sel = sels[0]
+    assert sel.status == (CAPACITY_EXHAUSTED if kind == CAPACITY_EXHAUSTED else CONVERGED)
+    assert (sel.exact_product is None) == (kind == "past-cap")
+    assert (sel.count > EXACT_CAP) == (kind == "past-cap")
 
 
 def test_stream_term_table_layout():
@@ -645,7 +677,7 @@ def test_stream_term_table_layout():
         assert src.prime(i) == s.nth_prime(i + 1)
 
 
-def test_product_state_encloses_ln_u(stream):
+def test_product_state_encloses_ln_u(stream, monkeypatch):
     # the scan keeps only the included runs and [lo, hi]; past the cap it
     # returns that pair, which must enclose ln U of U rebuilt from the runs
     from autratio.fixedlog import PREC, ln_quotient_bounds
@@ -659,7 +691,8 @@ def test_product_state_encloses_ln_u(stream):
             if halve and q >= 2:
                 q /= 2  # a former all-primes case: the C2 factor takes ln 2
             eps = Fraction(1, 10 ** rng.randint(2, 4))
-            sel = greedy_select(src, LogTarget(q), eps, exact_cap=rng.choice([0, 3, 40]))
+            monkeypatch.setattr(subsum, "EXACT_CAP", rng.choice([0, 3, 40]))
+            sel = greedy_select(src, LogTarget(q), eps)
             if sel.exact_product is not None:
                 continue
             lo, hi = sel.achieved
@@ -674,7 +707,6 @@ def test_product_state_encloses_ln_u(stream):
 def test_term60_cache_grows_in_place():
     # past the sieve's first window and by more than one growth step, the
     # table stays one array, grown in place
-    from autratio import subsum
     from autratio.fixedlog import term_block_fp60
 
     s = PrimeStream()
@@ -739,6 +771,7 @@ def test_first_window_table_grows_to_what_is_read():
     assert len(s._term60_sums) == 3001
     # a greedy reads the sums no further than twice past what it scans
     s = PrimeStream()
+    s.extend_to(1 << 16)
     sel = greedy_select(PrimeRatioSource(s), LogTarget(Fraction(3)), Fraction(1, 1000))
     assert sel.status == CONVERGED and sel.scanned < s.count // 4
     assert len(s._term60_sums) <= 2 * sel.scanned + 2
