@@ -25,7 +25,7 @@ _EXPORTS = {
             "AbelianGroup", "SymbolicGroup", "TRIVIAL", "cyclic", "order",
             "direct_product", "invariant_factors", "parse_group", "format_group",
         )),
-        ("primes", ("PrimeStream", "shared_stream", "nth_prime")),
+        ("primes", ("PrimeStream", "shared_stream")),
         ("autorder", (
             "LogValue", "aut_order", "aut_order_local", "f_exact",
             "f_prime_exact", "f_log", "two_rank_ratio",

@@ -81,9 +81,6 @@ class ApproxResult:
     eps: Fraction
     trace: ApproxTrace
 
-    def materialize(self, stream: PrimeStream | None = None):
-        return self.group.materialize(stream or shared_stream())
-
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
     """num/den in lowest terms, for den > 0: the pair Fraction would hold."""
@@ -268,9 +265,7 @@ def _decide(lo: int, hi: int, prec: int, result: ApproxResult) -> bool | None:
 
 def _verify_exact(result: ApproxResult, stream: PrimeStream) -> bool:
     g = result.group
-    primes: list[int] = []
-    for lo, hi in g.odd_prime_ranges:
-        primes += stream.primes_list(lo, hi)
+    primes = g.odd_primes(stream)
     b = two_rank_ratio(g.two_rank)
     num = b.numerator * product_tree([p - 1 for p in primes])
     den = b.denominator * product_tree(primes)

@@ -223,8 +223,11 @@ def _f_log_bounds(
     explicit ``prec`` each prime is enclosed at ``prec`` bits by
     ``fixedlog.log_ratio_term_bounds``.  This is the one enclosure of
     ln f(G) from a group: ``f_log`` and both passes of
-    ``approximate.verify_certificate`` use it.
+    ``approximate.verify_certificate`` use it.  An explicit ``prec`` below
+    ``fixedlog._RED_BITS`` (5), which the log table reads, raises ValueError.
     """
+    if prec is not None and prec < fixedlog._RED_BITS:
+        raise ValueError(f"prec must be at least {fixedlog._RED_BITS} bits, got {prec}")
     p_used = prec or fixedlog.PREC
     b = two_rank_ratio(s.two_rank)
     b_lo, b_hi = fixedlog.ln_quotient_bounds(b.numerator, b.denominator, p_used)
@@ -237,8 +240,8 @@ def _f_log_bounds(
         shift = p_used - fixedlog.SCALE_BITS
         t_lo, t_hi = t_lo << shift, t_hi << shift
     else:
-        for i in s.iter_indices():
-            lo, hi = fixedlog.log_ratio_term_bounds(stream.nth_prime(i), prec)
+        for p in s.odd_primes(stream):
+            lo, hi = fixedlog.log_ratio_term_bounds(p, prec)
             t_lo += lo
             t_hi += hi
     return (b_lo - t_hi, b_hi - t_lo)

@@ -218,7 +218,7 @@ def _cmd_approx(args):
     ]
     if args.materialize:
         try:
-            lines.append("literal: " + format_group(res.materialize(stream)))
+            lines.append("literal: " + format_group(res.group.materialize(stream)))
         except ValueError as exc:
             lines.append(f"literal: not materialized ({exc})")
     inputs = {
@@ -259,6 +259,9 @@ def _cmd_table(args):
     return inputs, {"rows": rows, "path": args.out}, [f"{rows} rows"], None
 
 
+_MAX_RANK_HELP = "most cyclic factors per prime; floor(log2 N) lists every group of order <= N"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="autratio",
@@ -295,12 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="exact rational, e.g. 21 or 1/2")
     p.add_argument("--max-order", dest="max_order", type=int, default=100)
     p.add_argument("--max-prime", dest="max_prime", type=int, default=None)
-    p.add_argument("--max-rank", dest="max_rank", type=int, default=8)
+    p.add_argument("--max-rank", dest="max_rank", type=int, default=8, help=_MAX_RANK_HELP)
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("table", help="write the exact f-table for all groups")
     p.add_argument("--max-order", dest="max_order", type=int, default=100)
-    p.add_argument("--max-rank", dest="max_rank", type=int, default=8)
+    p.add_argument("--max-rank", dest="max_rank", type=int, default=8, help=_MAX_RANK_HELP)
     p.add_argument("--out", default="f-table.tsv")
     p.set_defaults(fn=_cmd_table)
 

@@ -79,34 +79,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _proven_prime(n: int, divided_to: int = 1) -> bool:
+    """Whether n > 1, with no prime factor up to ``divided_to``, is proven
+    prime: below (divided_to + 1)**2, or by _is_prime below _MR_PROVEN_BELOW."""
+    return n < (divided_to + 1) ** 2 or n < _MR_PROVEN_BELOW and _is_prime(n)
+
+
 # Trial division removes every prime factor below this before Pollard-Brent
 # sees a cofactor; rho finds small factors slower than dividing does.
 _TRIAL_LIMIT = 1 << 10
 
 
-def _trial_divide(n: int, out: dict[int, int]) -> tuple[int, bool]:
+def _trial_divide(n: int, out: dict[int, int]) -> int:
     """Divide out of n every prime factor below _TRIAL_LIMIT, counting them
-    in ``out``.
-
-    Stops early once the cofactor is proven prime (below _MR_PROVEN_BELOW).
-    Returns the cofactor and whether it is known to be 1 or prime; when it
-    is not, it has no prime factor below _TRIAL_LIMIT.
-    """
+    in ``out``, and return the cofactor.  Division stops at sqrt(n), so a
+    cofactor is 1, a prime, or has no prime factor below _TRIAL_LIMIT."""
     for p in (2, 3):
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
     f = 5
-    cofactor_prime = n < _MR_PROVEN_BELOW and _is_prime(n)
-    while f * f <= n and not cofactor_prime and f < _TRIAL_LIMIT:
+    while f * f <= n and f < _TRIAL_LIMIT:
         for p in (f, f + 2):
-            if n % p == 0:
-                while n % p == 0:
-                    n //= p
-                    out[p] = out.get(p, 0) + 1
-                cofactor_prime = n < _MR_PROVEN_BELOW and _is_prime(n)
+            while n % p == 0:
+                n //= p
+                out[p] = out.get(p, 0) + 1
         f += 6
-    return n, cofactor_prime or f * f > n
+    return n
 
 
 # The most rho steps (iterations of x -> x^2 + c) that factorize spends on
@@ -167,28 +166,24 @@ MAX_COFACTOR_BITS = 4096
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1, as {prime: exponent}.
 
-    Trial division removes the factors below _TRIAL_LIMIT and stops as
-    soon as the cofactor is proven prime.  A cofactor that Miller-Rabin
-    finds composite (a proof at any size) is split by Pollard-Brent and
-    both parts are factored in turn, the smaller first, so a product of
-    two large primes costs about the fourth root of n steps.  Each prime
-    found is divided out of every pending part, so a repeated prime costs
-    one split and one test, not one per power.  A cofactor that passes
-    Miller-Rabin at or above _MR_PROVEN_BELOW is only probably prime, and
-    proving it prime or composite is out of reach here (trial division
-    would cost sqrt(n) steps), so factorize raises InputLimitExceeded; so
-    it does when Pollard-Brent spends its step budget on a cofactor
-    without splitting it, and, before any test, when the cofactor left by
-    trial division has more than MAX_COFACTOR_BITS bits.
+    Trial division removes the factors below _TRIAL_LIMIT.  A cofactor
+    that Miller-Rabin finds composite (a proof at any size) is split by
+    Pollard-Brent and both parts are factored in turn, the smaller first,
+    so a product of two large primes costs about the fourth root of n
+    steps.  Each prime found is divided out of every pending part, so a
+    repeated prime costs one split and one test, not one per power.  A
+    cofactor that passes Miller-Rabin at or above _MR_PROVEN_BELOW is only
+    probably prime, and proving it prime or composite is out of reach here
+    (trial division would cost sqrt(n) steps), so factorize raises
+    InputLimitExceeded; so it does when Pollard-Brent spends its step
+    budget on a cofactor without splitting it, and, before any test, when
+    the cofactor left by trial division has more than MAX_COFACTOR_BITS
+    bits.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
-    m, known = _trial_divide(n, out)
-    if known:
-        if m > 1:
-            out[m] = 1  # a prime above every factor divided out
-        return out
+    m = _trial_divide(n, out)
     if m.bit_length() > MAX_COFACTOR_BITS:
         raise InputLimitExceeded(
             f"cannot factor {_short(n)}: its cofactor after trial division "
@@ -200,7 +195,14 @@ def factorize(n: int) -> dict[int, int]:
         m = todo.pop()
         if m == 1:
             continue
-        if not _is_prime(m):
+        if not _proven_prime(m):
+            if m >= _MR_PROVEN_BELOW and _is_prime(m):
+                raise InputLimitExceeded(
+                    f"cannot factor {_short(n)}: a cofactor of {m.bit_length()} "
+                    f"bits passes Miller-Rabin to the bases 2..37 but lies at "
+                    f"or above psi_12 = {_MR_PROVEN_BELOW}, the limit below which "
+                    f"that test proves primality"
+                )
             d = _pollard_brent(m)
             if d is None:
                 raise InputLimitExceeded(
@@ -211,13 +213,6 @@ def factorize(n: int) -> dict[int, int]:
                 )
             todo += sorted((d, m // d), reverse=True)  # the smaller is popped first
             continue
-        if m >= _MR_PROVEN_BELOW:
-            raise InputLimitExceeded(
-                f"cannot factor {_short(n)}: a cofactor of {m.bit_length()} "
-                f"bits passes Miller-Rabin to the bases 2..37 but lies at "
-                f"or above psi_12 = {_MR_PROVEN_BELOW}, the limit below which "
-                f"that test proves primality"
-            )
         e = 1
         for k, c in enumerate(todo):
             while c % m == 0:
@@ -255,8 +250,8 @@ class AbelianGroup:
         for p, part in self.factors:
             if p <= last_p:
                 raise ValueError(f"primes not strictly increasing: {self.factors}")
-            if not _is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            if not _proven_prime(p):
+                raise ValueError(f"{p} is not a proven prime")
             if not part:
                 raise ValueError(f"empty partition for prime {p}")
             if any(e < 1 for e in part) or list(part) != sorted(part):
@@ -482,11 +477,14 @@ class SymbolicGroup:
     def index_count(self) -> int:
         return sum(hi - lo + 1 for lo, hi in self.odd_prime_ranges)
 
-    def iter_indices(self):
+    def odd_primes(self, stream) -> list[int]:
+        """The group's odd primes, ascending, read from ``stream``."""
+        primes: list[int] = []
         for lo, hi in self.odd_prime_ranges:
-            yield from range(lo, hi + 1)
+            primes += stream.primes_list(lo, hi)
+        return primes
 
-    def materialize(self, primes) -> AbelianGroup:
+    def materialize(self, stream) -> AbelianGroup:
         """Expand to an AbelianGroup; refuses above ``_MATERIALIZE_CAP``
         prime indices."""
         n = self.index_count
@@ -494,11 +492,9 @@ class SymbolicGroup:
             raise ValueError(
                 f"refusing to materialize {n} prime factors (cap {_MATERIALIZE_CAP})"
             )
-        parts: dict[int, list[int]] = {}
+        parts = {p: [1] for p in self.odd_primes(stream)}
         if self.two_rank:
             parts[2] = [1] * self.two_rank
-        for i in self.iter_indices():
-            parts[primes.nth_prime(i)] = [1]
         return AbelianGroup.from_primary(parts)
 
     def describe(self) -> str:

@@ -27,7 +27,6 @@ from .errors import SieveCapacityError
 __all__ = [
     "PrimeStream",
     "shared_stream",
-    "nth_prime",
     "DEFAULT_CEILING",
 ]
 
@@ -173,8 +172,3 @@ def shared_stream() -> PrimeStream:
             if _shared is None:
                 _shared = PrimeStream()
     return _shared
-
-
-def nth_prime(i: int, stream: PrimeStream | None = None) -> int:
-    return (stream or shared_stream()).nth_prime(i)
-

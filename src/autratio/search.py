@@ -98,7 +98,7 @@ from typing import Iterator
 
 from .autorder import aut_order_local, f_exact
 from .errors import InputLimitExceeded
-from .groups import _MR_PROVEN_BELOW, AbelianGroup, _is_prime
+from .groups import AbelianGroup, _proven_prime
 from .primes import shared_stream
 
 __all__ = [
@@ -449,11 +449,6 @@ class _Walk:
     def _table(self, j: int) -> tuple:
         table = self.tables[j] = _child_table(self.primes[j], self.rank, self.max_order)
         return table
-
-
-def _proven_prime(n: int, limit: int) -> bool:
-    """Whether n, which has no prime factor up to ``limit``, is proven prime."""
-    return n < (limit + 1) ** 2 or n < _MR_PROVEN_BELOW and _is_prime(n)
 
 
 # Witnesses handed out, by factors.  A group has one f value, so its

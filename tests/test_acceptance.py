@@ -86,8 +86,7 @@ def test_criterion_4_unit_density(stream):
         assert dt <= 5.0, (a, dt)
         # independent re-multiplication over the returned index set
         prod = two_rank_ratio(res.group.two_rank)
-        for i in res.group.iter_indices():
-            p = stream.nth_prime(i)
+        for p in res.group.odd_primes(stream):
             prod *= Fraction(p - 1, p)
         assert a <= prod < a + eps, (a, prod)
         if res.exact_ratio is not None:

@@ -24,8 +24,7 @@ def independent_product(group, stream) -> Fraction:
         from autratio.autorder import two_rank_ratio
 
         prod *= two_rank_ratio(group.two_rank)
-    for i in group.iter_indices():
-        p = stream.nth_prime(i)
+    for p in group.odd_primes(stream):
         prod *= Fraction(p - 1, p)
     return prod
 
@@ -161,7 +160,7 @@ def test_ray_coprimality_structure(stream):
 
 def test_ray_materialized_ratio_matches_certificate(stream):
     r = approx_ray(Fraction(5, 4), Fraction(1, 100), stream=stream)
-    g = r.materialize(stream)
+    g = r.group.materialize(stream)
     f = f_exact(g)
     assert abs(f - Fraction(5, 4)) <= Fraction(1, 100)
     if r.exact_ratio is not None:
@@ -254,6 +253,14 @@ def test_fast_and_scalar_verifiers_agree(certified, stream, a, shift):
     fast = verify_certificate(r, stream=stream)
     assert fast is (shift == 0)
     assert verify_certificate(r, stream=stream, prec=384) is fast
+
+
+@pytest.mark.parametrize("prec", [0, 1, 4])
+def test_verifier_refuses_a_precision_below_the_table_bits(certified, stream, prec):
+    # below five bits the scalar enclosure is not defined: a refusal, never
+    # a verdict from a 192-bit 2-part mixed with a 0-bit odd part
+    with pytest.raises(ValueError, match="prec must be at least 5 bits"):
+        verify_certificate(certified["1.52"], stream=stream, prec=prec)
 
 
 def fast_enclosure_mid(r, stream) -> float:

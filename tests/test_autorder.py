@@ -334,3 +334,45 @@ def test_from_bounds_rounds_as_the_fraction_reference():
     for lo, hi, prec in cases:
         got = LogValue.from_bounds(lo, hi, prec)
         assert repr(got) == repr(fraction_from_bounds(lo, hi, prec)), (lo, hi, prec)
+
+
+def partitions_descending(n: int, largest: int):
+    """Every partition of n with parts at most ``largest``, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in partitions_descending(n - k, k):
+            yield (k,) + rest
+
+
+@pytest.mark.parametrize(
+    "p, top", [(2, 24), (3, 14), (5, 14), (7, 14)], ids=["p2", "p3", "p5", "p7"]
+)
+def test_hall_identity_over_the_groups_of_order_p_to_the_n(p, top):
+    # P. Hall (1938): the sum of 1/|Aut G| over the abelian groups of order
+    # p^n is p^-n * prod_{i <= n} (1 - p^-i)^-1
+    for n in range(1, top + 1):
+        total = sum(
+            Fraction(1, aut_order_local(p, part[::-1]))
+            for part in partitions_descending(n, n)
+        )
+        want = Fraction(1, p**n) * math.prod(
+            Fraction(p**i, p**i - 1) for i in range(1, n + 1)
+        )
+        assert total == want, (p, n)
+
+
+@pytest.mark.parametrize("prec", [0, 1, 4])
+def test_f_log_refuses_a_precision_below_the_table_bits(stream, prec):
+    with pytest.raises(ValueError, match="prec must be at least 5 bits"):
+        f_log(SymbolicGroup(2, ((2, 5),)), stream=stream, prec=prec)
+
+
+def test_f_log_at_the_least_precision_encloses_the_ratio(stream):
+    # C2^2 x C3 x C5 x C7 x C11: f = 3/2 * 2/3 * 4/5 * 6/7 * 10/11 = 48/77
+    s = SymbolicGroup(2, ((2, 5),))
+    assert f_exact(s.materialize(stream)) == Fraction(48, 77)
+    lo, hi = f_log(s, stream=stream, prec=5).interval()
+    assert math.exp(lo) <= 48 / 77 * (1 + 1e-12)
+    assert 48 / 77 <= math.exp(hi) * (1 + 1e-12)

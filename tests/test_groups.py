@@ -146,12 +146,11 @@ def test_symbolic_group_basics(stream):
     s = SymbolicGroup.from_indices(3, [2, 3, 4, 7])
     assert s.odd_prime_ranges == ((2, 4), (7, 7))
     assert s.index_count == 4
-    assert list(s.iter_indices()) == [2, 3, 4, 7]
+    assert s.odd_primes(stream) == [3, 5, 7, 17]  # p2, p3, p4, p7
     for indices in ([2, 3, 3], [2, 5, 4]):
         with pytest.raises(ValueError, match="strictly increasing"):
             SymbolicGroup.from_indices(0, indices)
     g = s.materialize(stream)
-    # p2, p3, p4, p7 = 3, 5, 7, 17
     assert g == parse_group("C2^3 x C3 x C5 x C7 x C17")
 
 
@@ -237,6 +236,45 @@ def test_factorize_refuses_probable_primes_above_psi12(n):
     with pytest.raises(InputLimitExceeded, match="psi_12 = 318665857834031151167461"):
         factorize(n)
     assert time.perf_counter() - start < 1.0
+
+
+def accepted_as_prime(n: int) -> bool:
+    try:
+        AbelianGroup(((n, (1,)),))
+    except ValueError:
+        return False
+    return True
+
+
+def factored_as_prime(n: int) -> bool:
+    try:
+        return factorize(n) == {n: 1}
+    except InputLimitExceeded:
+        return False
+
+
+def test_abelian_group_and_factorize_agree_on_what_is_prime(stream):
+    # C_n is a valid primary factor exactly when factorize calls n prime;
+    # both refuse psi_12 (composite) and 2^89 - 1 (prime, but above psi_12)
+    psi12, m89 = 399165290221 * 798330580441, 2**89 - 1
+    rng = random.Random(26)
+    small = stream.primes_upto(1 << 20)
+    primes = [2, 3] + rng.sample(small, 20)
+    for _ in range(20):  # seeded primes in (2^39, 2^40), by trial division
+        n = rng.randrange(1 << 39, 1 << 40) | 1
+        while not all(n % p for p in small):
+            n += 2
+        primes.append(n)
+    refused = [psi12, m89, 9, 4] + [p * q for p, q in zip(
+        rng.sample(small, 40), rng.sample(small, 40)
+    )]
+    randoms = [rng.randrange(2, 1 << 40) for _ in range(200)]
+    for n in primes + refused + randoms:
+        assert accepted_as_prime(n) == factored_as_prime(n), n
+    assert all(map(accepted_as_prime, primes))
+    assert not any(map(accepted_as_prime, refused))
+    with pytest.raises(ValueError, match="is not a proven prime"):
+        AbelianGroup(((psi12, (1,)),))
 
 
 def test_factorize_below_psi12_is_a_proof():

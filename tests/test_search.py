@@ -789,3 +789,41 @@ def test_node_table_stays_within_its_cap():
     assert len(search._top) <= (1 << 16) + 1
     # a smaller walk reads the table already built
     assert search._Walk(SearchBounds(5000)).top is search._top
+
+
+def hall_failures(bounds: SearchBounds) -> tuple[int, list[int]]:
+    """The table's row count and the orders N whose rows break P. Hall's
+    identity: the sum of 1/f(G) over the abelian groups of order N is
+    prod over p^e || N of prod_{i <= e} (1 - p^-i)^-1."""
+    rows = render_table(bounds).decode().splitlines()[1:]  # under the header
+    sums: dict[int, Fraction] = {}
+    for row in rows:
+        _, n, aut, _ = row.split("\t")
+        sums[int(n)] = sums.get(int(n), 0) + Fraction(int(n), int(aut))
+    assert sorted(sums) == list(range(1, bounds.max_order + 1))
+    failures = []
+    for n, total in sums.items():
+        want, m, p = Fraction(1), n, 2
+        while m > 1:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+                want *= Fraction(p**e, p**e - 1)
+            p += 1
+        if total != want:
+            failures.append(n)
+    return len(rows), sorted(failures)
+
+
+def test_full_rank_table_meets_hall_identity_at_every_order():
+    # rank 13 = floor(log2 10^4) admits every abelian group of order <= 10^4
+    assert hall_failures(SearchBounds(10**4, max_rank_per_prime=13)) == (22184, [])
+
+
+def test_default_rank_table_misses_groups_only_at_orders_divisible_by_2_to_the_9():
+    # the default rank bound 8 leaves out the p-groups of rank 9 and more,
+    # which at orders <= 10^4 are the 2-groups of order 2^9 and up
+    rows, failures = hall_failures(SearchBounds(10**4))
+    assert rows == 22134
+    assert failures == [512 * k for k in range(1, 20)]

@@ -1,11 +1,13 @@
 """The benchmark (``perfbench/``) reaches autratio by name: its tracer
-wraps functions by module and name, and its workloads import public names.
-Renaming or deleting one of them breaks ``perfbench/run.py``; these tests
-catch that here."""
+wraps functions by module and name, and its workloads import public names
+and read attributes of the results.  Renaming or deleting one of them
+breaks ``perfbench/run.py``; these tests catch that here."""
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,3 +35,20 @@ def test_benchmark_imports_resolve():
                     assert hasattr(module, alias.name), (path.name, node.module, alias.name)
                     names.append(alias.name)
     assert "approx_ray" in names and "render_table" in names
+
+
+@pytest.mark.parametrize("name", ["ray-certify", "search-roundtrip", "table-build", "evaluate"])
+def test_tiny_workload_round_answers_and_checks(monkeypatch, name):
+    # the workloads also read attributes of results (res.group.two_rank,
+    # res.trace.below_eps_witness, res.achieved.interval(), ...) that the
+    # name checks above do not see; one tiny round reaches them all
+    pytest.importorskip("numpy")  # perfbench/reference.py needs it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    worker = importlib.import_module("worker")
+    wl = workloads.build(name, 1, tiny=True)
+    (rd,) = worker.Loop(wl).run_rounds(1)
+    assert set(rd["kinds"]) == {"ok"}
+    assert wl.check(rd["inputs"], rd["outputs"]) == []
+    assert wl.digest_lines(rd["inputs"], rd["outputs"])
+    assert wl.cli_expect()
