@@ -35,7 +35,7 @@ _EXPORTS = {
             "TermSource", "PrimeRatioSource", "LogTarget", "Selection",
             "greedy_select", "CONVERGED", "CAPACITY_EXHAUSTED",
         )),
-        ("approximate", ("ApproxResult", "approx_in_unit", "approx_ray", "verify_certificate")),
+        ("approximate", ("ApproxResult", "approx_ray", "verify_certificate")),
         ("search", ("SearchBounds", "Witness", "enumerate_groups", "find_exact", "build_f_table")),
         ("errors", (
             "AutratioError", "GroupParseError", "SieveCapacityError",

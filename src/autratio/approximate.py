@@ -38,7 +38,6 @@ from .subsum import CONVERGED, LogTarget, PrimeRatioSource, Selection, greedy_se
 __all__ = [
     "ApproxTrace",
     "ApproxResult",
-    "approx_in_unit",
     "approx_ray",
     "verify_certificate",
 ]
@@ -51,16 +50,13 @@ class ApproxTrace:
     """Everything needed to replay and audit one approximation run.
 
     The group is C2^two_rank times the odd primes of ``selection``, whose
-    source index j is the odd prime p_(j+1).  ``b`` is f(C2^two_rank) and
-    ``eps_inner`` = eps/b the tolerance left to the odd part.  A returned
-    result's ``selection`` has ``exact_product`` None: the result's
-    ``exact_ratio`` (b/exact_product) already carries that number, which
-    for a run of thousands of primes is worth keeping only once.
+    source index j is the odd prime p_(j+1); its 2-part, with b =
+    f(C2^two_rank), is read from the group.  A returned result's
+    ``selection`` has ``exact_product`` None: the result's ``exact_ratio``
+    (b/exact_product) already carries that number, which for a run of
+    thousands of primes is worth keeping only once.
     """
 
-    two_rank: int
-    b: Fraction
-    eps_inner: Fraction
     selection: Selection
     max_prime_scanned: int
     below_eps_witness: bool = False
@@ -100,19 +96,6 @@ def _two_part(a: Fraction | int, odd_only: bool) -> tuple[int, Fraction]:
         b = two_rank_ratio(n)
         if b.numerator * ad >= an * b.denominator:
             return n, b
-
-
-def approx_in_unit(
-    a,
-    eps,
-    odd_only: bool = False,
-    *,
-    stream: PrimeStream | None = None,
-) -> ApproxResult:
-    """``approx_ray`` for a target a in [0, 1]: f(G) in [a, a + eps)."""
-    if not 0 <= Fraction(a) <= 1:
-        raise ValueError("approx_in_unit needs 0 <= a <= 1")
-    return approx_ray(a, eps, odd_only=odd_only, stream=stream)
 
 
 def approx_ray(
@@ -170,7 +153,7 @@ def approx_ray(
     source = PrimeRatioSource(stream)
     sel = greedy_select(source, LogTarget(Fraction(qn, qd)), eps_log)
     max_p = source.prime(sel.scanned) if sel.scanned else 0
-    trace = ApproxTrace(n, b, eps / b, replace(sel, exact_product=None), max_p, below_eps)
+    trace = ApproxTrace(replace(sel, exact_product=None), max_p, below_eps)
     if sel.status != CONVERGED:
         if below_eps:
             msg = (

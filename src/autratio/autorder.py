@@ -167,6 +167,7 @@ _VECTOR_THRESHOLD = 65536
 # index, so a range sum reads two checkpoints and at most two partial
 # blocks, and the table takes a 128th of the prime store's memory.
 _CHECKPOINT = 256
+_SCALAR_BLOCK = 1 << 12  # the most primes an explicit-prec enclosure reads at once
 _atanh_lock = threading.Lock()
 
 
@@ -220,10 +221,10 @@ def _f_log_bounds(
     ln f = ln f(C2^two_rank) - sum over the odd primes of ln(p/(p-1)).  With
     ``prec`` None the sum comes from ``fixedlog.term_block_atanh60`` over
     the index ranges, read through the stream's checkpoints; with an
-    explicit ``prec`` each prime is enclosed at ``prec`` bits by
-    ``fixedlog.log_ratio_term_bounds``.  This is the one enclosure of
-    ln f(G) from a group: ``f_log`` and both passes of
-    ``approximate.verify_certificate`` use it.  An explicit ``prec`` below
+    explicit ``prec`` each prime, read ``_SCALAR_BLOCK`` at a time, is
+    enclosed at ``prec`` bits by ``fixedlog.log_ratio_term_bounds``.  This
+    is the one enclosure of ln f(G) from a group: ``f_log`` and both passes
+    of ``approximate.verify_certificate`` use it.  An explicit ``prec`` below
     ``fixedlog._RED_BITS`` (5), which the log table reads, raises ValueError.
     """
     if prec is not None and prec < fixedlog._RED_BITS:
@@ -240,10 +241,12 @@ def _f_log_bounds(
         shift = p_used - fixedlog.SCALE_BITS
         t_lo, t_hi = t_lo << shift, t_hi << shift
     else:
-        for p in s.odd_primes(stream):
-            lo, hi = fixedlog.log_ratio_term_bounds(p, prec)
-            t_lo += lo
-            t_hi += hi
+        for i0, i1 in s.odd_prime_ranges:
+            for j in range(i0, i1 + 1, _SCALAR_BLOCK):
+                for p in stream.primes_list(j, min(j + _SCALAR_BLOCK - 1, i1)):
+                    lo, hi = fixedlog.log_ratio_term_bounds(p, prec)
+                    t_lo += lo
+                    t_hi += hi
     return (b_lo - t_hi, b_hi - t_lo)
 
 

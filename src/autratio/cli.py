@@ -31,7 +31,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .autorder import aut_order, f_exact, f_prime_exact
+from .autorder import aut_order, f_exact, f_prime_exact, two_rank_ratio
 from .errors import (
     GroupParseError,
     InputLimitExceeded,
@@ -172,10 +172,11 @@ def _cmd_approx(args):
     stream = shared_stream()
     res = approximate.approx_ray(a, eps, odd_only=args.odd_only, stream=stream)
     verified = approximate.verify_certificate(res, stream=stream)
+    b = two_rank_ratio(res.group.two_rank)
     trace = {
-        "two_rank": res.trace.two_rank,
-        "b": _ratio_str(res.trace.b),
-        "eps_inner": _ratio_str(res.trace.eps_inner),
+        "two_rank": res.group.two_rank,
+        "b": _ratio_str(b),
+        "eps_inner": _ratio_str(eps / b),
         "below_eps_witness": res.trace.below_eps_witness,
         "scanned": res.trace.selection.scanned,
         "status": res.trace.selection.status,

@@ -466,13 +466,6 @@ class SymbolicGroup:
                 raise ValueError(f"bad index ranges {self.odd_prime_ranges}")
             last = hi
 
-    @classmethod
-    def from_indices(cls, two_rank: int, indices) -> "SymbolicGroup":
-        runs: list[tuple[int, int]] = []
-        for i in indices:
-            _add_run(runs, i, i)
-        return cls(two_rank, tuple(runs))
-
     @property
     def index_count(self) -> int:
         return sum(hi - lo + 1 for lo, hi in self.odd_prime_ranges)

@@ -31,6 +31,8 @@ from .groups import AbelianGroup, order
 
 __all__ = ["OracleCaps", "aut_order_bruteforce", "aut_order_bruteforce_naive"]
 
+_NAIVE_MAX_TUPLES = 500_000  # the most image tuples the literal scan tries
+
 
 @dataclass(frozen=True)
 class OracleCaps:
@@ -118,9 +120,7 @@ def aut_order_bruteforce(g: AbelianGroup, caps: OracleCaps = OracleCaps()) -> in
     return total
 
 
-def aut_order_bruteforce_naive(
-    g: AbelianGroup, caps: OracleCaps = OracleCaps(), max_tuples: int = 500_000
-) -> int:
+def aut_order_bruteforce_naive(g: AbelianGroup, caps: OracleCaps = OracleCaps()) -> int:
     """Literal scan over all image tuples; exponential, for cross-checks only."""
     _check_caps(g, caps)
     if g.is_trivial:
@@ -151,7 +151,7 @@ def aut_order_bruteforce_naive(
         return all((d * q) % r == 0 for d, r in zip(digits_of(x), radices))
 
     allowed = [[x for x in range(n) if elem_order_divides(x, q)] for q in radices]
-    if prod(len(a) for a in allowed) > max_tuples:
+    if prod(len(a) for a in allowed) > _NAIVE_MAX_TUPLES:
         raise OracleCapExceeded("naive oracle tuple space too large")
 
     def generates(images) -> bool:

@@ -190,7 +190,10 @@ def _term60_sums(stream: PrimeStream, j: int) -> array:
 class Selection:
     """Result of a greedy run.
 
-    ``ranges`` run-length encodes the chosen source indices.  For a
+    ``ranges`` run-length encodes the chosen source indices and
+    ``scanned`` is the last index read; with the source they replay the
+    scan, since each gap between included indices, and the stretch after
+    the last one up to ``scanned``, was skipped as one run.  For a
     prime-ratio source ``achieved`` is the integer pair (lo, hi) with the
     true selected sum in [lo, hi] * 2**-``fixedlog.PREC``: the scan's
     60-bit enclosure, shifted.  A run of at most ``EXACT_CAP`` included
@@ -208,20 +211,9 @@ class Selection:
     achieved: tuple[int, int] | None
     exact_sum: Fraction | None = None
     exact_product: Fraction | None = None
-    trail: tuple | None = None
-
-    def indices(self):
-        for lo, hi in self.ranges:
-            yield from range(lo, hi + 1)
 
 
-def greedy_select(
-    source,
-    target,
-    eps,
-    *,
-    record_trail: bool = False,
-) -> Selection:
+def greedy_select(source, target, eps) -> Selection:
     """One-sided greedy subsequence-sum selection; see the module docstring.
 
     ``eps`` must be positive.  The scan's one limit is the source's: the
@@ -238,13 +230,13 @@ def greedy_select(
                 "prime ratio sources need a LogTarget (the terms are logs "
                 "of rationals, so the target must be one as well)"
             )
-        return _continue_fixed_point(source, target, eps, record_trail)
+        return _continue_fixed_point(source, target, eps)
     if isinstance(target, LogTarget):
         raise TypeError("LogTarget requires a log-ratio source")
     target = Fraction(target)
     if target < 0:
         raise ValueError("target must be >= 0")
-    return _greedy_additive(source, target, eps, record_trail)
+    return _greedy_additive(source, target, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +271,10 @@ def _bisect_first_fitting(fits, lo: int, hi: int) -> int | None:
     return hi
 
 
-def _greedy_additive(source, target, eps, record_trail):
+def _greedy_additive(source, target, eps):
     total = Fraction(0)
     runs: list[tuple[int, int]] = []
     count = 0
-    trail: list[tuple] = []
     i = 1
     scanned = 0
     cap = source.capacity
@@ -301,16 +292,12 @@ def _greedy_additive(source, target, eps, record_trail):
             total += x
             _add_run(runs, i, i)
             count += 1
-            if record_trail:
-                trail.append(("include", i, x, total))
             i += 1
             continue
         # the terms are nonincreasing: jump the whole run of too-large terms
         j = _bisect_first_fitting(lambda m: source.term(m) <= deficit, i, cap)
         run_end = cap if j is None else j - 1
         scanned = run_end
-        if record_trail:
-            trail.append(("skip_run", i, run_end, deficit, source.term(run_end)))
         i = run_end + 1
 
     return Selection(
@@ -322,7 +309,6 @@ def _greedy_additive(source, target, eps, record_trail):
         eps=eps,
         achieved=None,
         exact_sum=total,
-        trail=tuple(trail) if record_trail else None,
     )
 
 
@@ -420,7 +406,7 @@ def _extend(stream: PrimeStream) -> bool:
     return True
 
 
-def _continue_fixed_point(source, target, eps, record_trail):
+def _continue_fixed_point(source, target, eps):
     """The log-ratio greedy: one scan over the stream's floor-term table.
 
     (The name is the former fixed-point continuation's, which the
@@ -447,7 +433,6 @@ def _continue_fixed_point(source, target, eps, record_trail):
     done60 = ((eps.numerator << _SB) // eps.denominator) - 1
     runs: list[tuple[int, int]] = []  # the included indices
     count = lo = hi = 0
-    trail: list[tuple] = []
     i, scanned = 1, 0
     status = None
     avail = _ceiling_upper_bound(stream.ceiling)
@@ -492,9 +477,6 @@ def _continue_fixed_point(source, target, eps, record_trail):
             while first is None and _extend(stream):
                 start, limit = limit + 1, stream.count - 1
                 first = _first_included(source, start, limit, runs, lo, hi, q, exact)
-            end = limit if first is None else first - 1
-            if end >= i and record_trail:
-                trail.append(("skip_run", i, end))
             if first is None:
                 scanned = limit
                 status = CAPACITY_EXHAUSTED
@@ -506,9 +488,6 @@ def _continue_fixed_point(source, target, eps, record_trail):
         scanned = first + n - 1
         _add_run(runs, first, scanned)
         count += n
-        if record_trail:
-            primes = stream.primes_list(first + 1, scanned + 1)
-            trail.extend(("include", j, p) for j, p in zip(range(first, scanned + 1), primes))
         i = scanned + 1
 
     product = Fraction(*_product(source, runs)) if count <= EXACT_CAP else None
@@ -521,5 +500,4 @@ def _continue_fixed_point(source, target, eps, record_trail):
         eps=eps,
         achieved=(lo << (_PREC - _SB), hi << (_PREC - _SB)),
         exact_product=product,
-        trail=tuple(trail) if record_trail else None,
     )

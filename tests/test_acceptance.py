@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from autratio.approximate import approx_in_unit, approx_ray, verify_certificate
+from autratio.approximate import approx_ray, verify_certificate
 from autratio.autorder import aut_order, f_exact, two_rank_ratio
 from autratio.groups import cyclic, format_group, order, parse_group
 from autratio.oracle import OracleCaps, aut_order_bruteforce
@@ -19,6 +19,7 @@ from autratio.search import (
     find_exact,
 )
 from autratio.subsum import CONVERGED, TermSource, greedy_select
+from selections import trail
 
 ACCEPT_CAPS = OracleCaps(order_cap=200, work_cap=10**12)
 
@@ -81,7 +82,7 @@ def test_criterion_4_unit_density(stream):
     for k in range(1, 10):
         a = Fraction(k, 10)
         t0 = time.time()
-        res = approx_in_unit(a, eps, stream=stream)
+        res = approx_ray(a, eps, stream=stream)
         dt = time.time() - t0
         assert dt <= 5.0, (a, dt)
         # independent re-multiplication over the returned index set
@@ -124,11 +125,11 @@ def test_criterion_6_greedy_contract():
     rng = random.Random(6)
     for _ in range(100):
         t = Fraction(rng.uniform(0, 3))
-        sel = greedy_select(src, t, eps, record_trail=True)
+        sel = greedy_select(src, t, eps)
         assert sel.status == CONVERGED
         assert t - eps < sel.exact_sum <= t
         running = Fraction(0)
-        for entry in sel.trail:
+        for entry in trail(sel, src):
             if entry[0] == "include":
                 running += entry[2]
                 assert running <= t  # one-sided throughout

@@ -7,7 +7,6 @@ import pytest
 from autratio import fixedlog, subsum
 from autratio.approximate import (
     _two_part,
-    approx_in_unit,
     approx_ray,
     verify_certificate,
 )
@@ -34,11 +33,12 @@ def test_unit_result_encloses_the_selection_pair(stream, monkeypatch, exact_cap)
     # a certified result's LogValue is ln b's integer pair less the
     # selection's; an exact one encloses ln of its exact ratio
     monkeypatch.setattr(subsum, "EXACT_CAP", exact_cap)
-    r = approx_in_unit(Fraction(3, 10), Fraction(1, 1000), stream=stream)
-    assert r.trace.b == Fraction(1, 2) and r.trace.selection.count == 3
+    r = approx_ray(Fraction(3, 10), Fraction(1, 1000), stream=stream)
+    b = two_rank_ratio(r.group.two_rank)
+    assert b == Fraction(1, 2) and r.trace.selection.count == 3
     assert (r.exact_ratio is None) == (exact_cap == 2)
     if r.exact_ratio is None:
-        b_lo, b_hi = fixedlog.ln_fraction_bounds(r.trace.b)
+        b_lo, b_hi = fixedlog.ln_fraction_bounds(b)
         lo, hi = r.trace.selection.achieved
         assert r.achieved == LogValue.from_bounds(b_lo - hi, b_hi - lo, fixedlog.PREC)
     else:
@@ -47,21 +47,21 @@ def test_unit_result_encloses_the_selection_pair(stream, monkeypatch, exact_cap)
 
 
 def test_unit_exact_one(stream):
-    r = approx_in_unit(1, Fraction(1, 10**6), stream=stream)
+    r = approx_ray(1, Fraction(1, 10**6), stream=stream)
     assert r.exact_ratio == 1
     assert r.group.two_rank == 0 and r.group.index_count == 0
     assert r.achieved.log_value == 0.0 and r.achieved.abs_error == 0.0
 
 
 def test_unit_exact_half(stream):
-    r = approx_in_unit(Fraction(1, 2), Fraction(1, 10**9), stream=stream)
+    r = approx_ray(Fraction(1, 2), Fraction(1, 10**9), stream=stream)
     assert r.exact_ratio == Fraction(1, 2)
     assert r.group.two_rank == 1 and r.group.index_count == 0
 
 
 def test_unit_generic_target(stream):
     a, eps = Fraction(3, 10), Fraction(1, 10**3)
-    r = approx_in_unit(a, eps, stream=stream)
+    r = approx_ray(a, eps, stream=stream)
     P = r.exact_ratio
     assert P is not None
     assert a <= P < a + eps
@@ -73,25 +73,23 @@ def test_unit_generic_target(stream):
 
 def test_unit_rejects_bad_inputs(stream):
     with pytest.raises(ValueError):
-        approx_in_unit(Fraction(3, 2), Fraction(1, 10), stream=stream)
-    with pytest.raises(ValueError):
-        approx_in_unit(Fraction(1, 2), 0, stream=stream)
+        approx_ray(Fraction(1, 2), 0, stream=stream)
 
 
 def test_unit_odd_only_no_two_part(stream):
-    r = approx_in_unit(Fraction(2, 3), Fraction(1, 10**6), odd_only=True, stream=stream)
+    r = approx_ray(Fraction(2, 3), Fraction(1, 10**6), odd_only=True, stream=stream)
     assert r.group.two_rank == 0
     assert all(lo >= 2 for lo, _ in r.group.odd_prime_ranges)
     assert r.exact_ratio == Fraction(2, 3)  # p = 3 alone hits exactly
 
 
 def test_below_eps_witness(stream):
-    r = approx_in_unit(0, Fraction(1, 10), stream=stream)
+    r = approx_ray(0, Fraction(1, 10), stream=stream)
     assert r.trace.below_eps_witness
     assert r.exact_ratio is not None and 0 < r.exact_ratio < Fraction(1, 10)
     assert verify_certificate(r, stream=stream)
     # a <= eps routes the same way
-    r2 = approx_in_unit(Fraction(1, 100), Fraction(5, 100), stream=stream)
+    r2 = approx_ray(Fraction(1, 100), Fraction(5, 100), stream=stream)
     assert r2.trace.below_eps_witness
 
 
@@ -133,7 +131,7 @@ def test_ray_exact_two_group_short_circuit(stream):
     r = approx_ray(Fraction(3, 2), Fraction(1, 10**9), stream=stream)
     assert r.exact_ratio == Fraction(3, 2)
     assert r.group.two_rank == 2 and r.group.index_count == 0
-    assert r.trace.b == Fraction(3, 2)
+    assert two_rank_ratio(r.group.two_rank) == Fraction(3, 2)
     assert r.trace.selection.ranges == () and r.trace.selection.scanned == 0
     r = approx_ray(21, Fraction(1, 10**9), stream=stream)
     assert r.exact_ratio == 21 and r.group.two_rank == 3
@@ -143,7 +141,8 @@ def test_ray_generic_target(stream):
     a, eps = Fraction(2), Fraction(1, 10**3)
     r = approx_ray(a, eps, stream=stream)
     assert r.group.two_rank == 3
-    assert r.trace.b == 21 and r.trace.eps_inner == Fraction(1, 21000)
+    b = two_rank_ratio(r.group.two_rank)
+    assert b == 21 and r.eps / b == Fraction(1, 21000)
     assert verify_certificate(r, stream=stream)
     lo, hi = r.achieved.interval()
     # the certified interval sits inside (a - eps, a + eps)
@@ -170,7 +169,7 @@ def test_ray_materialized_ratio_matches_certificate(stream):
 def test_refuses_eps_below_arithmetic_resolution(stream):
     # ln(1 + eps/a) underflows the 192-bit working precision
     with pytest.raises(PrecisionRefusal):
-        approx_in_unit(Fraction(1, 3), Fraction(1, 2**200), stream=stream)
+        approx_ray(Fraction(1, 3), Fraction(1, 2**200), stream=stream)
     # an exact hit needs no tolerance: the greedy selects nothing
     for b in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
         assert approx_ray(b, Fraction(1, 2**200), stream=stream).exact_ratio == b
@@ -222,7 +221,7 @@ def certified(stream):
         out[a] = approx_ray(Fraction(a), EPS, stream=stream)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subsum, "EXACT_CAP", 1)
-        out["0"] = approx_in_unit(0, Fraction(1, 5), stream=stream)
+        out["0"] = approx_ray(0, Fraction(1, 5), stream=stream)
     assert out["0"].trace.below_eps_witness
     assert all(r.exact_ratio is None for r in out.values())
     return out
@@ -343,9 +342,9 @@ def test_continuation_encloses_the_unreduced_product(stream, monkeypatch, a, cap
 @pytest.mark.parametrize(
     "call, cap",
     [
-        (lambda s: approx_in_unit(0, Fraction(1, 10), stream=s), 1),
+        (lambda s: approx_ray(0, Fraction(1, 10), stream=s), 1),
         (lambda s: approx_ray(Fraction(38, 25), Fraction(1, 1000), stream=s), None),
-        (lambda s: approx_in_unit(Fraction(1, 25), Fraction(1, 1000), stream=s), None),
+        (lambda s: approx_ray(Fraction(1, 25), Fraction(1, 1000), stream=s), None),
     ],
     ids=["below-eps-past-cap", "ray-38/25", "unit-1/25"],
 )
@@ -367,4 +366,4 @@ def test_selection_does_not_depend_on_sieve_history(monkeypatch, call, cap):
 def test_sieve_ceiling_below_the_first_segment_is_honoured():
     # 9277 is past the ceiling, so no group may contain it
     with pytest.raises(SieveCapacityError):
-        approx_in_unit(Fraction(1, 10), Fraction(1, 10**6), stream=PrimeStream(ceiling=1000))
+        approx_ray(Fraction(1, 10), Fraction(1, 10**6), stream=PrimeStream(ceiling=1000))

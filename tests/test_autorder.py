@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autratio import autorder
+from autratio import autorder, oracle
 from autratio.autorder import (
     LogValue,
     aut_order,
@@ -29,6 +29,7 @@ from autratio.groups import (
 )
 from autratio.oracle import OracleCaps, aut_order_bruteforce, aut_order_bruteforce_naive
 from autratio.search import SearchBounds, enumerate_groups
+from selections import runs_of
 
 BIG_CAPS = OracleCaps(order_cap=200, work_cap=10**12)
 
@@ -140,13 +141,14 @@ def test_naive_and_fast_oracle_agree():
         ), lit
 
 
-def test_coset_collapsed_oracle_matches_the_literal_scan():
+def test_coset_collapsed_oracle_matches_the_literal_scan(monkeypatch):
     # every group of order <= 32 whose tuple space the scan takes in; among
     # them are groups where one coset of S n G[q_j] holds several images
+    monkeypatch.setattr(oracle, "_NAIVE_MAX_TUPLES", 10_000)
     checked = set()
     for g in enumerate_groups(SearchBounds(max_order=32)):
         try:
-            naive = aut_order_bruteforce_naive(g, BIG_CAPS, max_tuples=10_000)
+            naive = aut_order_bruteforce_naive(g, BIG_CAPS)
         except OracleCapExceeded:
             continue
         assert aut_order_bruteforce(g, BIG_CAPS) == naive, g
@@ -212,7 +214,7 @@ def test_f_log_examples(stream):
     lv = f_log(SymbolicGroup(1, ()), stream=stream)
     assert abs(lv.log_value - math.log(0.5)) <= lv.abs_error + 1e-15
 
-    lv = f_log(SymbolicGroup.from_indices(0, [2]), stream=stream)  # C3, f = 2/3
+    lv = f_log(SymbolicGroup(0, runs_of([2])), stream=stream)  # C3, f = 2/3
     assert abs(lv.log_value - math.log(2 / 3)) <= lv.abs_error + 1e-15
 
 
@@ -222,7 +224,7 @@ def test_f_log_examples(stream):
     idx=st.lists(st.integers(2, 40), min_size=0, max_size=6, unique=True),
 )
 def test_f_log_agrees_with_exact(stream, n, idx):
-    s = SymbolicGroup.from_indices(n, sorted(idx))
+    s = SymbolicGroup(n, runs_of(sorted(idx)))
     lv = f_log(s, stream=stream)
     f = f_exact(s.materialize(stream))
     # |log_value - ln f| <= abs_error, verified through exact rationals
@@ -234,7 +236,7 @@ def test_f_log_agrees_with_exact(stream, n, idx):
 
 
 def test_f_log_doubled_precision_pass(stream):
-    s = SymbolicGroup.from_indices(2, [2, 3, 5, 8, 13])
+    s = SymbolicGroup(2, runs_of([2, 3, 5, 8, 13]))
     first = f_log(s, stream=stream)
     second = f_log(s, stream=stream, prec=384)
     # the reported error saturates at float granularity, so only <= holds
@@ -258,7 +260,7 @@ def assert_bulk_enclosure(s, stream):
     "s",
     [
         SymbolicGroup(0, ((2, 2),)),
-        SymbolicGroup.from_indices(2, [2, 3, 5, 8, 13]),
+        SymbolicGroup(2, runs_of([2, 3, 5, 8, 13])),
         SymbolicGroup(3, ((2, 400), (600, 900))),
     ],
 )
@@ -376,3 +378,26 @@ def test_f_log_at_the_least_precision_encloses_the_ratio(stream):
     lo, hi = f_log(s, stream=stream, prec=5).interval()
     assert math.exp(lo) <= 48 / 77 * (1 + 1e-12)
     assert 48 / 77 <= math.exp(hi) * (1 + 1e-12)
+
+
+def test_explicit_prec_enclosure_reads_primes_in_blocks():
+    # 100,000 odd primes at prec 8: the enclosure reads them a block at a
+    # time rather than as one list, and sums the same per-prime bounds
+    import tracemalloc
+
+    from autratio import fixedlog
+    from autratio.primes import PrimeStream
+
+    s = SymbolicGroup(0, ((2, 100_001),))
+    stream = PrimeStream()
+    primes = stream.primes_list(2, 100_001)  # sieves the stream first
+    t_lo, t_hi = map(sum, zip(*(fixedlog.log_ratio_term_bounds(p, 8) for p in primes)))
+    del primes
+    tracemalloc.start()
+    try:
+        got = autorder._f_log_bounds(s, stream, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert got == (-t_hi, -t_lo)  # ln f(C1) = 0 exactly

@@ -22,6 +22,7 @@ from autratio.groups import (
     parse_group,
 )
 from autratio.primes import PrimeStream
+from selections import runs_of
 
 partitions = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
     lambda xs: sorted(xs)
@@ -143,13 +144,13 @@ def test_canonical_equality_is_isomorphism():
 
 
 def test_symbolic_group_basics(stream):
-    s = SymbolicGroup.from_indices(3, [2, 3, 4, 7])
+    s = SymbolicGroup(3, runs_of([2, 3, 4, 7]))
     assert s.odd_prime_ranges == ((2, 4), (7, 7))
     assert s.index_count == 4
     assert s.odd_primes(stream) == [3, 5, 7, 17]  # p2, p3, p4, p7
     for indices in ([2, 3, 3], [2, 5, 4]):
         with pytest.raises(ValueError, match="strictly increasing"):
-            SymbolicGroup.from_indices(0, indices)
+            SymbolicGroup(0, runs_of(indices))
     g = s.materialize(stream)
     assert g == parse_group("C2^3 x C3 x C5 x C7 x C17")
 

@@ -827,3 +827,23 @@ def test_default_rank_table_misses_groups_only_at_orders_divisible_by_2_to_the_9
     rows, failures = hall_failures(SearchBounds(10**4))
     assert rows == 22134
     assert failures == [512 * k for k in range(1, 20)]
+
+
+def test_witness_table_is_cleared_when_full(monkeypatch):
+    # with room for four witnesses, searches that find 7, 10 and 9 groups
+    # clear the table as they go and still return what the plain scan does
+    most = []
+
+    class Table(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            most.append(len(self))
+
+    monkeypatch.setattr(search, "_WITNESSES_MAX", 4)
+    monkeypatch.setattr(search, "_WITNESSES", Table())
+    bounds = SearchBounds(max_order=200)
+    for a in (Fraction(1, 2), Fraction(2, 3), Fraction(4, 5)):
+        hits = find_exact(a, bounds)
+        assert len(hits) > 4
+        assert hits == find_exact(a, bounds, prune=False)
+    assert max(most) == 4 and 1 in most[1:]

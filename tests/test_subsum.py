@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import functools
 import math
 import random
@@ -12,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autratio import subsum
-from autratio.groups import _add_run
 from autratio.primes import PrimeStream
 from autratio.subsum import (
     CAPACITY_EXHAUSTED,
@@ -24,6 +22,7 @@ from autratio.subsum import (
     TermSource,
     greedy_select,
 )
+from selections import indices, runs_of, trail
 
 
 def harmonic(capacity=DEFAULT_CAPACITY):
@@ -40,7 +39,7 @@ def test_target_zero_converges_empty():
 def test_harmonic_exact_hit():
     sel = greedy_select(harmonic(), Fraction(3, 2), Fraction(1, 10**6))
     assert sel.status == CONVERGED
-    assert list(sel.indices()) == [1, 2]
+    assert indices(sel) == [1, 2]
     assert sel.exact_sum == Fraction(3, 2)
     # exhaustive oracle over the first 20 terms: {1, 2} is an exact hit,
     # and no subset achieves a sum in (3/2, 3/2] beyond it (one-sidedness)
@@ -65,7 +64,7 @@ def test_prime_log_target_ln2(stream):
     assert sel.ranges == () and sel.exact_product == 1
     sel = greedy_select(src, LogTarget(Fraction(3, 2)), Fraction(1, 10**9))
     assert sel.status == CONVERGED
-    assert list(sel.indices()) == [1]
+    assert indices(sel) == [1]
     assert sel.exact_product == Fraction(3, 2)  # selected sum is exactly ln(3/2)
 
 
@@ -96,7 +95,7 @@ def check_trail_invariants(sel, source, target):
     """Per-step contract: running sum never exceeds the target, and every
     skipped term was larger than the deficit at that moment."""
     running = Fraction(0)
-    for entry in sel.trail:
+    for entry in trail(sel, source):
         if entry[0] == "include":
             _, i, x, after = entry
             running += x
@@ -114,7 +113,7 @@ def test_trail_invariants_random_targets():
     rng = random.Random(20250808)
     for _ in range(30):
         t = Fraction(rng.uniform(0, 3)).limit_denominator(10**6)
-        sel = greedy_select(harmonic(), t, Fraction(1, 10**6), record_trail=True)
+        sel = greedy_select(harmonic(), t, Fraction(1, 10**6))
         assert sel.status == CONVERGED
         check_trail_invariants(sel, harmonic(), t)
         assert t - sel.exact_sum < Fraction(1, 10**6)
@@ -166,11 +165,11 @@ def test_capacity_at_the_last_fitting_index():
     # ends the skip run's bisection on the fitting index itself, so the
     # run includes it and then stops; at 214 the skip runs to the capacity
     t, eps = Fraction(2088, 1000), Fraction(1, 10**6)
-    sel = greedy_select(harmonic(capacity=215), t, eps, record_trail=True)
+    sel = greedy_select(harmonic(capacity=215), t, eps)
     assert sel.status == CAPACITY_EXHAUSTED
     assert sel.ranges == ((1, 4), (215, 215)) and sel.scanned == 215
     assert t - sel.exact_sum == Fraction(1, 64500)
-    assert sel.trail[-2][:3] == ("skip_run", 5, 214)
+    assert trail(sel, harmonic(capacity=215))[-2][:3] == ("skip_run", 5, 214)
     check_trail_invariants(sel, harmonic(capacity=215), t)
     sel = greedy_select(harmonic(capacity=214), t, eps)
     assert sel.status == CAPACITY_EXHAUSTED
@@ -188,6 +187,20 @@ def test_capacity_exhaustion_prime_ceiling():
     assert sel.exact_product < 10
 
 
+@pytest.mark.parametrize("ceiling, k", [(1000, 167), (200, 45)])
+def test_every_odd_prime_under_the_ceiling_fits(ceiling, k):
+    # Q is 1 % above the product over all k odd primes under the ceiling, so
+    # the scan includes each of them and stops after the last sieved index.
+    # At 1000 the Mertens bound leaves the target possible; below 285 there
+    # is no bound to consult
+    assert (subsum._ceiling_upper_bound(ceiling) is None) == (ceiling < 285)
+    q = math.prod(Fraction(p, p - 1) for p in _primes_upto(ceiling)[1:]) * Fraction(101, 100)
+    src = PrimeRatioSource(PrimeStream(ceiling=ceiling))
+    sel = greedy_select(src, LogTarget(q), Fraction(1, 1000))
+    assert sel.status == CAPACITY_EXHAUSTED
+    assert sel.ranges == ((1, k),) and sel.scanned == k
+
+
 def test_exact_cap_switches_to_fixed_point(stream, monkeypatch):
     # force an early switch into the certified fixed-point continuation,
     # then re-multiply the returned selection exactly and check the full
@@ -203,7 +216,7 @@ def test_exact_cap_switches_to_fixed_point(stream, monkeypatch):
     assert mixed.exact_product is None  # no longer a fully exact run
     assert mixed.count > 3
     recomputed = Fraction(1)
-    for i in mixed.indices():
+    for i in indices(mixed):
         p = src.prime(i)
         recomputed *= Fraction(p, p - 1)
     # one-sided: the true product never exceeds the target ratio
@@ -247,7 +260,7 @@ def test_log_ratio_achieved_is_an_integer_enclosure(stream, monkeypatch, q, exac
         assert (sel.exact_product is not None) == (status == "exact")
     lo, hi = sel.achieved
     assert type(lo) is int and type(hi) is int and lo <= hi
-    product = math.prod(Fraction(p, p - 1) for p in map(src.prime, sel.indices()))
+    product = math.prod(Fraction(p, p - 1) for p in map(src.prime, indices(sel)))
     t_lo, t_hi = ln_fraction_bounds(product, 2 * PREC)
     assert lo << PREC <= t_hi and t_lo <= hi << PREC
 
@@ -305,7 +318,7 @@ def test_mixed_phase_random_differential(stream, monkeypatch):
             n_mixed += 1
         if sel.count > 120_000:
             continue  # exact recheck gets expensive; smaller cases cover it
-        ps = [src.prime(i) for i in sel.indices()]
+        ps = [src.prime(i) for i in indices(sel)]
         un, ud = tree_prod(ps), tree_prod([p - 1 for p in ps])
         assert un * q.denominator <= ud * q.numerator  # one-sided, exactly
         if un * q.denominator != ud * q.numerator:
@@ -470,14 +483,6 @@ def _ref_primes():
     return _primes_upto(1 << 22)
 
 
-def runs_of(indices) -> tuple[tuple[int, int], ...]:
-    """Strictly increasing indices as (lo, hi) runs."""
-    runs: list[tuple[int, int]] = []
-    for i in indices:
-        _add_run(runs, i, i)
-    return tuple(runs)
-
-
 def exact_greedy(q, eps, limit, exact_cap):
     """The greedy's exact phase one odd prime at a time, in integers only.
 
@@ -495,7 +500,7 @@ def exact_greedy(q, eps, limit, exact_cap):
     primes = _ref_primes()[1:]
     qn, qd = q.numerator, q.denominator
     un = ud = 1
-    included, trail = [], []
+    included, steps = [], []
     i, scanned, check = 1, 0, True
     while True:
         if check:
@@ -513,13 +518,13 @@ def exact_greedy(q, eps, limit, exact_cap):
             status = CAPACITY_EXHAUSTED
             break
         if len(included) >= exact_cap:
-            return {"switch": (un, ud, list(runs_of(included)), trail, i, scanned)}
+            return {"switch": (un, ud, list(runs_of(included)), steps, i, scanned)}
         p = primes[i - 1]
         scanned = i
         if un * p * qd <= ud * (p - 1) * qn:
             un, ud = un * p, ud * (p - 1)
             included.append(i)
-            trail.append(("include", i, p))
+            steps.append(("include", i, p))
             i, check = i + 1, True
             continue
         gap = qn * ud - qd * un
@@ -528,7 +533,7 @@ def exact_greedy(q, eps, limit, exact_cap):
         assert j <= len(primes), "reference prime list too short"
         end = j - 1 if limit is None or j <= limit else limit
         scanned = max(scanned, end)
-        trail.append(("skip_run", i, end))
+        steps.append(("skip_run", i, end))
         if end != j - 1:
             status = CAPACITY_EXHAUSTED
             break
@@ -539,8 +544,13 @@ def exact_greedy(q, eps, limit, exact_cap):
         "scanned": scanned,
         "status": status,
         "exact_product": Fraction(un, ud),
-        "trail": tuple(trail),
+        "trail": tuple(steps),
     }
+
+
+def fields(sel, source, keys):
+    """The named fields of ``sel``, with "trail" replayed from its ranges."""
+    return {k: trail(sel, source) if k == "trail" else getattr(sel, k) for k in keys}
 
 
 # (Q, eps, ray): ``ray`` marks the odd part of a ray target a > 1, Q = b/a
@@ -593,13 +603,13 @@ def test_exact_phase_matches_plain_exact_greedy(monkeypatch, q, eps, ray, exact_
     monkeypatch.setattr(subsum, "EXACT_CAP", cap)
     # a fresh stream, so that inclusion runs meet the sieve's extent
     src = PrimeRatioSource(PrimeStream())
-    got = greedy_select(src, LogTarget(q), eps, record_trail=True)
+    got = greedy_select(src, LogTarget(q), eps)
     want = exact_greedy(q, eps, None, cap)
     if "switch" in want:
         # up to the cap the run is the plain exact greedy's
-        _, _, runs, trail, i, _ = want["switch"]
+        _, _, runs, want_trail, i, _ = want["switch"]
         assert [(lo, min(hi, i - 1)) for lo, hi in got.ranges if lo < i] == runs
-        assert got.trail[: len(trail)] == tuple(trail)
+        assert trail(got, src)[: len(want_trail)] == tuple(want_trail)
         # past it, the contract holds by exact re-multiplication
         assert got.status == CONVERGED and got.count > cap
         assert got.exact_product is None
@@ -612,10 +622,9 @@ def test_exact_phase_matches_plain_exact_greedy(monkeypatch, q, eps, ray, exact_
         lo, hi = got.achieved
         assert lo << PREC <= t_lo and t_hi <= hi << PREC
     else:
-        assert {k: getattr(got, k) for k in want} == want
-    untraced = greedy_select(PrimeRatioSource(PrimeStream()), LogTarget(q), eps)
-    assert untraced.trail is None
-    assert dataclasses.replace(untraced, trail=got.trail) == got
+        assert fields(got, src, want) == want
+    again = greedy_select(PrimeRatioSource(PrimeStream()), LogTarget(q), eps)
+    assert again == got
 
 
 def test_exact_phase_ceiling_cut_matches_plain_exact_greedy():
@@ -624,13 +633,11 @@ def test_exact_phase_ceiling_cut_matches_plain_exact_greedy():
     # to the ceiling and stops as the plain greedy cut at that index does
     q, eps = Fraction(6), Fraction(1, 10**7)
     for ceiling, limit in ((5281, 700), (48619, 5000)):
-        got = greedy_select(
-            PrimeRatioSource(PrimeStream(ceiling=ceiling)), LogTarget(q), eps,
-            record_trail=True,
-        )
+        src = PrimeRatioSource(PrimeStream(ceiling=ceiling))
+        got = greedy_select(src, LogTarget(q), eps)
         want = exact_greedy(q, eps, limit, EXACT_CAP)
         assert got.status == CAPACITY_EXHAUSTED and got.scanned == limit
-        assert {k: getattr(got, k) for k in want} == want
+        assert fields(got, src, want) == want
 
 
 @pytest.mark.parametrize(
@@ -646,11 +653,11 @@ def test_exact_phase_ceiling_cut_matches_plain_exact_greedy():
 )
 def test_selection_does_not_depend_on_a_presieved_stream(q, eps, ceiling, kind):
     # a new stream holds only 2 and grows as the scan reads; one sieved to
-    # 2^16 first gives the same Selection, every field and the trail
+    # 2^16 first gives the same Selection, every field
     ahead = PrimeStream(ceiling)
     ahead.extend_to(1 << 16)
     sels = [
-        greedy_select(PrimeRatioSource(s), LogTarget(q), eps, record_trail=True)
+        greedy_select(PrimeRatioSource(s), LogTarget(q), eps)
         for s in (PrimeStream(ceiling), ahead)
     ]
     assert sels[0] == sels[1]
@@ -697,7 +704,7 @@ def test_product_state_encloses_ln_u(stream, monkeypatch):
                 continue
             lo, hi = sel.achieved
             assert type(lo) is int and type(hi) is int
-            ps = [src.prime(k) for k in sel.indices()]
+            ps = [src.prime(k) for k in indices(sel)]
             t_lo, t_hi = ln_quotient_bounds(math.prod(ps), math.prod(p - 1 for p in ps), PREC)
             assert lo <= t_lo and t_hi <= hi
             n_past += 1

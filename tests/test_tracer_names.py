@@ -5,6 +5,7 @@ breaks ``perfbench/run.py``; these tests catch that here."""
 
 import ast
 import importlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,20 @@ def test_tiny_workload_round_answers_and_checks(monkeypatch, name):
     assert wl.check(rd["inputs"], rd["outputs"]) == []
     assert wl.digest_lines(rd["inputs"], rd["outputs"])
     assert wl.cli_expect()
+
+
+def test_certified_ray_results_pass_the_workload_check(monkeypatch):
+    # every tiny ray-certify target ends exact, so the round above never
+    # reads what check reads from a certified result (achieved.interval());
+    # with the exact cap at 1 the same op ends certified
+    pytest.importorskip("numpy")
+    from autratio import subsum
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(subsum, "EXACT_CAP", 1)
+    wl = workloads.build("ray-certify", 1, tiny=True)
+    targets = [Fraction(23, 10), Fraction(7, 10)]
+    results = [wl.op(a) for a in targets]
+    assert [res.exact_ratio for res in results] == [None, None]
+    assert wl.check(targets, results) == []
