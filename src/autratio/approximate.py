@@ -23,12 +23,12 @@ float conversion is ``LogValue.from_bounds`` of the final enclosure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, count
 from math import gcd
 
 from . import fixedlog, subsum
+from ._record import record, replace
 from .autorder import LogValue, _f_log_bounds, product_tree, two_rank_ratio
 from .errors import PrecisionRefusal, SieveCapacityError
 from .groups import SymbolicGroup, _short
@@ -45,7 +45,7 @@ __all__ = [
 _PREC = fixedlog.PREC
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ApproxTrace:
     """Everything needed to replay and audit one approximation run.
 
@@ -62,7 +62,7 @@ class ApproxTrace:
     below_eps_witness: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ApproxResult:
     """A synthesized group with a certified ratio enclosure.
 

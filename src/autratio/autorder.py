@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import threading
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import inf, nextafter, prod
 
 from . import fixedlog
+from ._record import record
 from .groups import AbelianGroup, SymbolicGroup, order
 from .primes import PrimeStream, shared_stream
 
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LogValue:
     """ln of a positive quantity together with a certified absolute error.
 

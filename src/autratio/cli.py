@@ -16,10 +16,10 @@ fails its own check (oracle mismatch, rejected certificate) keeps both
 and exits 3.  The oracle alias reports "command": "aut".  Without --json
 the lines go to stdout, or "error: <message>" to stderr.
 
-Each command imports the modules it needs when it runs: ``search`` and
-``table`` the search module, ``approx`` the approximation modules and
-``aut --oracle`` (with its alias) the oracle.  Every command runs on the
-standard library alone.
+Each command imports what it needs when it runs: ``search`` and ``table``
+the search module, ``approx`` the approximation modules, ``aut --oracle``
+(and its alias) the oracle.  Every command runs on the standard library
+alone, and none loads the dataclass module or ``inspect`` (see ``_record``).
 """
 
 from __future__ import annotations

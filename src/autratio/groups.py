@@ -21,11 +21,11 @@ factors that expanding them is not an option.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log2, prod
 from typing import NoReturn
 
+from ._record import record
 from .errors import GroupParseError, InputLimitExceeded
 
 __all__ = [
@@ -235,7 +235,7 @@ def _short(x: int | Fraction) -> str:
     return f"a rational with a {n}-bit numerator and a {d}-bit denominator"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AbelianGroup:
     """Primary decomposition: ((p, (e1 <= e2 <= ...)), ...) with p ascending.
 
@@ -444,7 +444,7 @@ _DESCRIBE_RUNS = 6  # the most index runs SymbolicGroup.describe lists
 _MATERIALIZE_CAP = 10_000  # the most prime indices SymbolicGroup.materialize expands
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SymbolicGroup:
     """C2^two_rank x (product of C_p over the odd primes at the given indices).
 

@@ -23,9 +23,9 @@ suite checks the two against each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 
+from ._record import record
 from .errors import OracleCapExceeded
 from .groups import AbelianGroup, order
 
@@ -34,7 +34,7 @@ __all__ = ["OracleCaps", "aut_order_bruteforce", "aut_order_bruteforce_naive"]
 _NAIVE_MAX_TUPLES = 500_000  # the most image tuples the literal scan tries
 
 
-@dataclass(frozen=True)
+@record
 class OracleCaps:
     """Refusal thresholds: group order and |G|**rank tuple-space size."""
 

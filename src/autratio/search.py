@@ -88,7 +88,6 @@ import os
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -96,6 +95,7 @@ from itertools import islice
 from math import gcd, isqrt, prod
 from typing import Iterator
 
+from ._record import record
 from .autorder import aut_order_local, f_exact
 from .errors import InputLimitExceeded
 from .groups import AbelianGroup, _proven_prime
@@ -121,7 +121,7 @@ TABLE_HEADER_PREFIX = "# autratio f-table v1"
 MAX_SEARCH_PARTS = 1 << 19
 
 
-@dataclass(frozen=True)
+@record
 class SearchBounds:
     """Finite search region: order, largest usable prime, per-prime rank."""
 
@@ -143,7 +143,7 @@ class SearchBounds:
         return min(p, self.max_order)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Witness:
     group: AbelianGroup
     f_value: Fraction

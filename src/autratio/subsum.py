@@ -57,12 +57,12 @@ from __future__ import annotations
 import math
 import threading
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Callable
 
 from . import fixedlog
+from ._record import record
 from .autorder import product_tree
 from .errors import PrecisionRefusal, SieveCapacityError
 from .groups import _add_run
@@ -91,7 +91,7 @@ _SB = fixedlog.SCALE_BITS
 _C = fixedlog.TERM_ERR60
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LogTarget:
     """Target sum ln(ratio) for a rational ratio >= 1."""
 
@@ -186,7 +186,7 @@ def _term60_sums(stream: PrimeStream, j: int) -> array:
     return sums
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Selection:
     """Result of a greedy run.
 

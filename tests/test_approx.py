@@ -1,10 +1,10 @@
-import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from autratio import fixedlog, subsum
+from autratio._record import replace
 from autratio.approximate import (
     _two_part,
     approx_ray,
@@ -246,9 +246,9 @@ def test_fast_and_scalar_verifiers_agree(certified, stream, a, shift):
     if shift:
         target = r.target + shift * r.eps
         if target >= 0:
-            r = dataclasses.replace(r, target=target)
+            r = replace(r, target=target)
         else:  # the witness: shrink eps below f(G) instead
-            r = dataclasses.replace(r, eps=r.eps / 1000)
+            r = replace(r, eps=r.eps / 1000)
     fast = verify_certificate(r, stream=stream)
     assert fast is (shift == 0)
     assert verify_certificate(r, stream=stream, prec=384) is fast
@@ -280,7 +280,7 @@ def test_straddling_enclosure_falls_back_to_scalar(certified, stream, monkeypatc
     # where only the scalar path can decide
     r = certified["1.8"]
     x = Fraction(math.exp(fast_enclosure_mid(r, stream)))
-    r = dataclasses.replace(r, target=x - end * EPS)
+    r = replace(r, target=x - end * EPS)
     scalar = verify_certificate(r, stream=stream, prec=384)
     calls = count_scalar_terms(monkeypatch)
     assert verify_certificate(r, stream=stream) is scalar
@@ -318,11 +318,11 @@ def test_verifier_recomputes_exact_ratio_from_the_group(stream):
     assert verify_certificate(r, stream=stream)
     # a claimed ratio that is not f(G) is rejected even when it meets the target
     assert not verify_certificate(
-        dataclasses.replace(r, exact_ratio=r.target), stream=stream
+        replace(r, exact_ratio=r.target), stream=stream
     )
     # so is a group that is not the one the ratio came from
     fewer = SymbolicGroup(r.group.two_rank, r.group.odd_prime_ranges[:-1])
-    assert not verify_certificate(dataclasses.replace(r, group=fewer), stream=stream)
+    assert not verify_certificate(replace(r, group=fewer), stream=stream)
 
 
 @pytest.mark.parametrize("a, cap", [("0.047", None), ("2.0", None), ("0", 1)])

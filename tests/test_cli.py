@@ -206,6 +206,24 @@ def test_no_command_imports_numpy(tmp_path, argv):
     assert "numpy" not in imported
 
 
+def test_no_command_imports_dataclasses_or_inspect():
+    # -S keeps site-packages' .pth imports out of the modules counted
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import autratio.cli, autratio.approximate, autratio.search, autratio.oracle\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = set(proc.stdout.split())
+    assert "autratio.search" in imported
+    assert imported.isdisjoint({"dataclasses", "inspect"}), sorted(imported)
+
+
 def test_gigantic_literal_is_refused_before_it_is_expanded():
     # C2^100000000 would expand to a list of 10^8 exponents
     for argv in (["aut", "C2^100000000"], ["f", "C2^100000000", "--json"]):
