@@ -33,9 +33,11 @@ def main() -> None:
             print(f"{float(a):10.4f}  capacity exhausted: {exc}")
             continue
         ok = verify_certificate(res, stream=stream)
+        scanned = res.trace.selection.scanned
+        max_p = stream.nth_prime(scanned + 1) if scanned else 0
         print(
             f"{float(a):10.4f}  {res.group.two_rank:5d}  "
-            f"{res.group.index_count:10d}  {res.trace.max_prime_scanned:10d}  "
+            f"{res.group.index_count:10d}  {max_p:10d}  "
             f"{'yes' if res.exact_ratio is not None else 'no':>5}  "
             f"{'ok' if ok else 'FAIL':>8}  {time.time()-t0:6.2f}s"
         )

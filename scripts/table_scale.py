@@ -36,7 +36,7 @@ digest = hashlib.sha256()
 with open(path, "rb") as fh:
     for chunk in iter(lambda: fh.read(1 << 20), b""):
         digest.update(chunk)
-print(json.dumps({"max_order": n, "seconds": round(seconds, 3),
+print(json.dumps({"max_order": n, "seconds": round(seconds, 6),
                   "peak_rss_mb": round(peak_kb / 1024, 1), "rows": rows,
                   "sha256": digest.hexdigest()}))
 """

@@ -28,7 +28,7 @@ from itertools import chain, count
 from math import gcd
 
 from . import fixedlog, subsum
-from ._record import record, replace
+from ._record import record
 from .autorder import LogValue, _f_log_bounds, product_tree, two_rank_ratio
 from .errors import PrecisionRefusal, SieveCapacityError
 from .groups import SymbolicGroup, _short
@@ -51,14 +51,11 @@ class ApproxTrace:
 
     The group is C2^two_rank times the odd primes of ``selection``, whose
     source index j is the odd prime p_(j+1); its 2-part, with b =
-    f(C2^two_rank), is read from the group.  A returned result's
-    ``selection`` has ``exact_product`` None: the result's ``exact_ratio``
-    (b/exact_product) already carries that number, which for a run of
-    thousands of primes is worth keeping only once.
+    f(C2^two_rank), is read from the group.  The largest prime the scan
+    read is p_(scanned+1), 0 when it read none.
     """
 
     selection: Selection
-    max_prime_scanned: int
     below_eps_witness: bool = False
 
 
@@ -114,7 +111,8 @@ def approx_ray(
     f(G) < eps, flagged in the trace.  Raises SieveCapacityError (with the
     partial trace attached) when the sieve ceiling, the greedy's one
     limit, stops convergence.  A run of at most ``subsum.EXACT_CAP``
-    odd primes returns an exact ratio, a longer one its certified enclosure.
+    odd primes returns an exact ratio, b/U with U multiplied here, once,
+    from the selection's runs; a longer one its certified enclosure.
     """
     a = Fraction(a)
     eps = Fraction(eps)
@@ -152,8 +150,7 @@ def approx_ray(
         eps_log = Fraction(max(lo_eps, 1), 1 << _PREC)
     source = PrimeRatioSource(stream)
     sel = greedy_select(source, LogTarget(Fraction(qn, qd)), eps_log)
-    max_p = source.prime(sel.scanned) if sel.scanned else 0
-    trace = ApproxTrace(replace(sel, exact_product=None), max_p, below_eps)
+    trace = ApproxTrace(sel, below_eps)
     if sel.status != CONVERGED:
         if below_eps:
             msg = (
@@ -166,8 +163,10 @@ def approx_ray(
                 f"{sel.status} after scanning {sel.scanned} terms"
             )
         raise SieveCapacityError(msg, partial=trace)
-    if sel.exact_product is not None:
-        exact = b / sel.exact_product
+    if sel.count <= subsum.EXACT_CAP:
+        # f = b/U, U = un/ud the product over the selected primes
+        un, ud = subsum._product(source, sel.ranges)
+        exact = Fraction(b.numerator * ud, b.denominator * un)
         lo, hi = fixedlog.ln_quotient_bounds(exact.numerator, exact.denominator, _PREC)
     else:
         # ln f = ln b - (selected sum), both integer pairs at 2**-PREC

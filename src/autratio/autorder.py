@@ -19,7 +19,6 @@ log-space result for groups too large for exact rationals.
 
 from __future__ import annotations
 
-import threading
 from array import array
 from fractions import Fraction
 from functools import lru_cache
@@ -159,38 +158,27 @@ def two_rank_ratio(n: int) -> Fraction:
     return Fraction(aut_order_local(2, (1,) * n), 2**n) if n else Fraction(1)
 
 
-# Above this many odd-prime factors, f_log sums the atanh kernel
-# instead of one scalar enclosure per prime.
-_VECTOR_THRESHOLD = 65536
-
 # The atanh kernel's running sums are kept at every _CHECKPOINT-th prime
 # index, so a range sum reads two checkpoints and at most two partial
 # blocks, and the table takes a 128th of the prime store's memory.
 _CHECKPOINT = 256
 _SCALAR_BLOCK = 1 << 12  # the most primes an explicit-prec enclosure reads at once
-_atanh_lock = threading.Lock()
 
 
-def _atanh_checkpoints(stream: PrimeStream, c: int) -> array:
-    """The stream's running sums of ``fixedlog.term_block_atanh60``, grown
-    to hold checkpoint c: entries 2j and 2j + 1 are the (lo, hi) enclosure
-    of the sum over prime indices 2..j * _CHECKPOINT (checkpoint 0 is
-    empty).  The table grows one block at a time; an entry never changes
-    once written, so reads take no lock."""
-    sums = getattr(stream, "_atanh60_sums", None)
-    if sums is not None and 2 * c + 1 < len(sums):
-        return sums
-    stream.nth_prime(c * _CHECKPOINT)
-    with _atanh_lock:
-        sums = getattr(stream, "_atanh60_sums", None)
-        if sums is None:
-            sums = stream._atanh60_sums = array("q", [0, 0])
-        while len(sums) <= 2 * c:
-            j = len(sums) // 2
-            block = stream.primes_list(max(2, (j - 1) * _CHECKPOINT + 1), j * _CHECKPOINT)
-            lo, hi = fixedlog.term_block_atanh60(block)
-            sums.extend((sums[-2] + lo, sums[-1] + hi))
-    return sums
+def _checkpoints60(stream: PrimeStream, sums: array, n: int) -> None:
+    """Fill of the stream's running sums of ``fixedlog.term_block_atanh60``,
+    grown to n entries: entries 2c and 2c + 1 are the (lo, hi) enclosure
+    of the sum over prime indices 2..c * _CHECKPOINT (checkpoint 0 is
+    empty).  The sieve is extended to the last checkpoint's prime first,
+    then the table grows one block at a time."""
+    stream.nth_prime(max((n - 1) // 2 * _CHECKPOINT, 1))
+    if not sums:
+        sums.extend((0, 0))
+    while len(sums) < n:
+        c = len(sums) // 2
+        block = stream.primes_list(max(2, (c - 1) * _CHECKPOINT + 1), c * _CHECKPOINT)
+        lo, hi = fixedlog.term_block_atanh60(block)
+        sums.extend((sums[-2] + lo, sums[-1] + hi))
 
 
 def _atanh_range(stream: PrimeStream, i0: int, i1: int) -> tuple[int, int]:
@@ -202,7 +190,7 @@ def _atanh_range(stream: PrimeStream, i0: int, i1: int) -> tuple[int, int]:
     c1 = i1 // _CHECKPOINT
     if c0 >= c1:
         return fixedlog.term_block_atanh60(stream.primes_list(i0, i1))
-    sums = _atanh_checkpoints(stream, c1)
+    sums = stream.table(_checkpoints60, 2 * c1 + 2)
     ends = stream.primes_list(i0, c0 * _CHECKPOINT) if c0 * _CHECKPOINT >= i0 else []
     if i1 > c1 * _CHECKPOINT:
         ends += stream.primes_list(c1 * _CHECKPOINT + 1, i1)
@@ -260,15 +248,13 @@ def f_log(
 
     ln f = ln f(C2^two_rank) + sum over selected odd primes of ln((p-1)/p),
     with every term enclosed by directed fixed-point arithmetic and the
-    per-term bounds summed into abs_error.  Up to 65,536 odd primes each
-    term is enclosed at 192 bits; above that the sum comes from the 60-bit
-    atanh kernel ``fixedlog.term_block_atanh60`` (``term_block_fp60`` is the
-    greedy's kernel, not an enclosure of f).  Pass ``prec`` (fractional
-    bits) to force per-term evaluation, e.g. for a doubled-precision
-    second pass.
+    per-term bounds summed into abs_error.  With ``prec`` None the sum
+    comes from the 60-bit atanh kernel ``fixedlog.term_block_atanh60``,
+    read through the stream's checkpoints, as in the verifier's first
+    enclosure (``term_block_fp60`` is the greedy's kernel, not an enclosure
+    of f).  Pass ``prec`` (fractional bits) to enclose each term at that
+    precision instead, e.g. for a doubled-precision second pass.
     """
     stream = stream or shared_stream()
-    if prec is None and s.index_count <= _VECTOR_THRESHOLD:
-        prec = fixedlog.PREC
     lo, hi = _f_log_bounds(s, stream, prec)
     return LogValue.from_bounds(lo, hi, prec or fixedlog.PREC)

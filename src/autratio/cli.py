@@ -173,14 +173,15 @@ def _cmd_approx(args):
     res = approximate.approx_ray(a, eps, odd_only=args.odd_only, stream=stream)
     verified = approximate.verify_certificate(res, stream=stream)
     b = two_rank_ratio(res.group.two_rank)
+    sel = res.trace.selection
     trace = {
         "two_rank": res.group.two_rank,
         "b": _ratio_str(b),
         "eps_inner": _ratio_str(eps / b),
         "below_eps_witness": res.trace.below_eps_witness,
-        "scanned": res.trace.selection.scanned,
-        "status": res.trace.selection.status,
-        "max_prime_scanned": res.trace.max_prime_scanned,
+        "scanned": sel.scanned,
+        "status": sel.status,
+        "max_prime_scanned": stream.nth_prime(sel.scanned + 1) if sel.scanned else 0,
     }
     result = {
         "group": {

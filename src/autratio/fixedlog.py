@@ -42,8 +42,8 @@ overshoots the stored one by strictly less than TERM_ERR60 units of
 2**-60).  The greedy sums them into an integer enclosure of its selected
 sum and takes its decisions on it.  ``term_block_atanh60`` sums a
 different series into one enclosure per block; it encloses ln f(G) for the
-second pass and for ``autorder.f_log`` above 65,536 odd primes, so an
-error in one kernel cannot hide in both the greedy and its verifier.
+second pass and for ``autorder.f_log`` without an explicit precision, so
+an error in one kernel cannot hide in both the greedy and its verifier.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ in segments at most 2^22 wide: it marks odd numbers in a bytearray,
 crossing off the stream's own primes up to the window's square root (sieved
 first), and appends the primes it finds to one ``array('q')``, eight bytes
 a prime.
+
+A stream also owns what other modules derive from its primes, such as the
+greedy's running term sums: ``PrimeStream.table``, one grow-only
+``array('q')`` per fill function.
 """
 
 from __future__ import annotations
@@ -78,16 +82,20 @@ def _odd_segment(lo: int, hi: int, base) -> compress:
 class PrimeStream:
     """All primes up to a growing sieve limit, index base 1 (p1 = 2).
 
-    Reads are lock-free: the prime store, one array('q'), only grows, and
-    an entry never changes once written.  Extension is serialized, so
-    concurrent callers may share one stream.
+    Reads are lock-free: the prime store and each derived table, one
+    array('q') apiece, only grow, and an entry never changes once written.
+    Extension is serialized, so concurrent callers may share one stream.
     """
+
+    __slots__ = ("ceiling", "_lock", "_limit", "_primes", "_tables", "_tables_lock")
 
     def __init__(self, ceiling: int | None = None):
         self.ceiling = _hard_ceiling(ceiling)
         self._lock = threading.Lock()
         self._limit = 2
         self._primes = array("q", [2])
+        self._tables: dict = {}
+        self._tables_lock = threading.Lock()
 
     @property
     def limit(self) -> int:
@@ -158,6 +166,20 @@ class PrimeStream:
         self.extend_to(n)
         primes = self._primes
         return primes[: bisect_right(primes, n)].tolist()
+
+    def table(self, fill, n: int) -> array:
+        """The stream's table for ``fill``, grown to at least n entries.
+
+        The table is one array('q'), empty until ``fill(stream, table, n)``
+        appends entries to hold n, under the stream's one table lock.  An
+        entry never changes once written, so reads take no lock."""
+        t = self._tables.get(fill)
+        if t is None or len(t) < n:
+            with self._tables_lock:
+                t = self._tables.setdefault(fill, array("q"))
+                if len(t) < n:
+                    fill(self, t, n)
+        return t
 
 
 _shared: PrimeStream | None = None

@@ -27,19 +27,19 @@ Two kinds of term source are supported:
   inclusions, and one over its terms skips to the next included term.  U is
   built, one product tree per side, only for a comparison the enclosures
   cannot settle, which is then decided exactly while fewer than
-  ``EXACT_CAP`` terms are included and conservatively after; and for the
-  exact product of a run of at most ``EXACT_CAP`` terms.  Convergence is
-  declared only when the certified deficit is below the tolerance, and
+  ``EXACT_CAP`` terms are included and conservatively after.  Convergence
+  is declared only when the certified deficit is below the tolerance, and
   is tested after every inclusion, so the selection does not depend on
   how far the sieve has been extended: a new stream, which holds only 2,
   selects what a stream sieved far ahead selects.
 
-The table is one ``array('q')`` per stream: entry j is the sum of the
-floor terms of source indices 1..j, so a term is the difference of two
-entries and so is a run's sum.  It grows in place to the entries read, a
-bounded number of terms at a time, by the same standard-library code in
-every sieve window.  A skip's probes compute a term past the table alone,
-and U is multiplied from Python-int lists of primes.
+The table is the stream's ``table(_sums60, n)``, one ``array('q')`` per
+stream: entry j is the sum of the floor terms of source indices 1..j, so a
+term is the difference of two entries and so is a run's sum.  It grows in
+place to the entries read, a bounded number of terms at a time, by the
+same standard-library code in every sieve window.  A skip's probes compute
+a term past the table alone, and U is multiplied from Python-int lists of
+primes.
 
 Each source has one limit on the scan: a ``TermSource``'s ``capacity``
 and a ``PrimeRatioSource``'s sieve ceiling.  A run that reaches it before
@@ -48,14 +48,14 @@ converging ends with status ``capacity_exhausted``.
 A log-ratio run returns its enclosure of the selected sum as one integer
 pair (lo, hi) at scale 2**-``fixedlog.PREC``, the form ``fixedlog``
 returns, and its certified convergence tests compare integers by
-cross-multiplication.  A caller that wants a tighter enclosure of an
-exact run logs its ``exact_product`` itself.
+cross-multiplication.  A caller that wants the exact product of a run of at
+most ``EXACT_CAP`` terms, or a tighter enclosure of it, builds it from the
+selection's ranges with ``_product``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -147,43 +147,34 @@ class PrimeRatioSource:
     def sum60(self, j: int) -> int:
         """Sum of the floor terms of source indices 1..j (0 for j = 0), read
         from the stream's table of running sums, which grows to hold it."""
-        return _term60_sums(self.stream, j)[j]
+        return self.stream.table(_sums60, j + 1)[j]
 
     def term60(self, j: int) -> int:
         """Floor term of source index j: the difference of two running sums
         when the table holds j, else computed for that prime alone, leaving
         the table as it is."""
-        sums = getattr(self.stream, "_term60_sums", None)
-        if sums is not None and j < len(sums):
+        sums = self.stream.table(_sums60, 0)
+        if j < len(sums):
             return sums[j] - sums[j - 1]
         return fixedlog.term_block_fp60([self.prime(j)])[0]
 
 
-_term60_lock = threading.Lock()
 _GROW = 1 << 16  # the most terms the table computes at once
 
 
-def _term60_sums(stream: PrimeStream, j: int) -> array:
-    """The stream's running sums of floor terms, grown to hold entry j:
+def _sums60(stream: PrimeStream, sums: array, n: int) -> None:
+    """Fill of the stream's running sums of floor terms, grown to n entries:
     entry j is the sum of the terms of source indices 1..j, the odd primes
-    p_2..p_(j+1), and entry 0 is 0.
-
-    The table is one array('q') grown in place to the entries read, at most
-    _GROW terms at a time, so the kernel's list stays at that size.  An
-    entry never changes once written, so reads take no lock."""
-    sums = getattr(stream, "_term60_sums", None)
-    if sums is not None and j < len(sums):
-        return sums
-    stream.nth_prime(j + 1)
-    with _term60_lock:
-        sums = getattr(stream, "_term60_sums", None)
-        if sums is None:
-            sums = stream._term60_sums = array("q", [0])
-        while len(sums) <= j:
-            have = len(sums) - 1
-            terms = fixedlog.term_block_fp60(stream.primes_list(have + 2, min(j, have + _GROW) + 1))
-            sums.extend(islice(accumulate(terms, initial=sums[-1]), 1, None))
-    return sums
+    p_2..p_(j+1), and entry 0 is 0.  The sieve is extended to the last
+    prime first, then the kernel computes at most _GROW terms at a time, so
+    its list stays at that size."""
+    stream.nth_prime(n)
+    if not sums:
+        sums.append(0)
+    while len(sums) < n:
+        have = len(sums) - 1
+        terms = fixedlog.term_block_fp60(stream.primes_list(have + 2, min(n - 1, have + _GROW) + 1))
+        sums.extend(islice(accumulate(terms, initial=sums[-1]), 1, None))
 
 
 @record
@@ -196,10 +187,9 @@ class Selection:
     the last one up to ``scanned``, was skipped as one run.  For a
     prime-ratio source ``achieved`` is the integer pair (lo, hi) with the
     true selected sum in [lo, hi] * 2**-``fixedlog.PREC``: the scan's
-    60-bit enclosure, shifted.  A run of at most ``EXACT_CAP`` included
-    terms also sets ``exact_product`` = prod p/(p-1) = exp(sum).  For an
-    additive source ``achieved`` is None: ``exact_sum`` is the sum
-    itself.  On ``converged`` the contract is  target - eps < sum <= target.
+    60-bit enclosure, shifted.  For an additive source ``achieved`` is
+    None: ``exact_sum`` is the sum itself.  On ``converged`` the contract
+    is  target - eps < sum <= target.
     """
 
     ranges: tuple[tuple[int, int], ...]
@@ -210,7 +200,6 @@ class Selection:
     eps: Fraction
     achieved: tuple[int, int] | None
     exact_sum: Fraction | None = None
-    exact_product: Fraction | None = None
 
 
 def greedy_select(source, target, eps) -> Selection:
@@ -422,7 +411,8 @@ def _continue_fixed_point(source, target, eps):
     never exceeds the target and a declared convergence is certified.
     Convergence is tested after every inclusion, so the selection stops at
     the first converged prefix whatever the sieve's extent.  The scan
-    extends the sieve as it needs and ends at its ceiling.
+    extends the sieve, at the loop's top, only once it has read every
+    sieved index, and ends at the ceiling.
     """
     stream = source.stream
     qn, qd = target.ratio.numerator, target.ratio.denominator
@@ -472,15 +462,11 @@ def _continue_fixed_point(source, target, eps):
             hi += run + n * _C
         else:
             # the front term is not a certain fit: skip to the first index
-            # the greedy includes, extending the sieve as the skip needs
+            # under the sieve the greedy includes, or past the sieve if none
             first = _first_included(source, i, limit, runs, lo, hi, q, exact)
-            while first is None and _extend(stream):
-                start, limit = limit + 1, stream.count - 1
-                first = _first_included(source, start, limit, runs, lo, hi, q, exact)
             if first is None:
-                scanned = limit
-                status = CAPACITY_EXHAUSTED
-                break
+                scanned, i = limit, limit + 1
+                continue
             n = 1
             t = source.term60(first)
             lo += t
@@ -490,7 +476,6 @@ def _continue_fixed_point(source, target, eps):
         count += n
         i = scanned + 1
 
-    product = Fraction(*_product(source, runs)) if count <= EXACT_CAP else None
     return Selection(
         ranges=tuple(runs),
         count=count,
@@ -499,5 +484,4 @@ def _continue_fixed_point(source, target, eps):
         target=target,
         eps=eps,
         achieved=(lo << (_PREC - _SB), hi << (_PREC - _SB)),
-        exact_product=product,
     )

@@ -8,6 +8,7 @@ included index to ``scanned`` when the scan ends there.
 
 from fractions import Fraction
 
+from autratio import subsum
 from autratio.groups import _add_run
 from autratio.subsum import PrimeRatioSource
 
@@ -23,6 +24,15 @@ def runs_of(indices) -> tuple[tuple[int, int], ...]:
 def indices(sel) -> list[int]:
     """The selected source indices, ascending."""
     return [i for lo, hi in sel.ranges for i in range(lo, hi + 1)]
+
+
+def exact_product(sel, source):
+    """U = prod p/(p-1) over a prime-ratio selection of at most
+    ``subsum.EXACT_CAP`` included terms, as ``approximate.approx_ray``
+    builds it for an exact result; None for a longer one."""
+    if sel.count > subsum.EXACT_CAP:
+        return None
+    return Fraction(*subsum._product(source, sel.ranges))
 
 
 def trail(sel, source) -> tuple:

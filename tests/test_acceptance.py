@@ -108,7 +108,7 @@ def test_criterion_5_ray_density(stream):
         assert dt <= 30.0, (float(a), dt)
         sel = res.trace.selection
         assert sel is None or sel.status == CONVERGED
-        assert res.trace.max_prime_scanned <= 10**8
+        assert (stream.nth_prime(sel.scanned + 1) if sel.scanned else 0) <= 10**8
         if res.exact_ratio is not None:
             assert abs(res.exact_ratio - a) <= eps
         else:

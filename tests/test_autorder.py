@@ -264,8 +264,7 @@ def assert_bulk_enclosure(s, stream):
         SymbolicGroup(3, ((2, 400), (600, 900))),
     ],
 )
-def test_f_log_bulk_branch_small_groups(stream, monkeypatch, s):
-    monkeypatch.setattr(autorder, "_VECTOR_THRESHOLD", 0)
+def test_f_log_bulk_branch_small_groups(stream, s):
     assert_bulk_enclosure(s, stream)
     lo, hi = f_log(s, stream=stream).interval()
     f = f_exact(s.materialize(stream))
@@ -275,7 +274,6 @@ def test_f_log_bulk_branch_small_groups(stream, monkeypatch, s):
 
 def test_f_log_bulk_branch_above_threshold(stream):
     s = SymbolicGroup(1, ((2, 70_000),))
-    assert s.index_count > autorder._VECTOR_THRESHOLD
     assert_bulk_enclosure(s, stream)
 
 
@@ -301,7 +299,7 @@ def test_atanh_range_sums_match_the_direct_per_prime_sum(monkeypatch, spacing):
     ranges += [tuple(sorted(rng.sample(range(2, 4001), 2))) for _ in range(300)]
     for i0, i1 in ranges:
         assert autorder._atanh_range(s, i0, i1) == direct(i0, i1), (i0, i1)
-    table = s._atanh60_sums
+    table = s.table(autorder._checkpoints60, 0)
     assert table.typecode == "q" and len(table) <= 2 * (4000 // k + 1)
 
 

@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import json
 import os
 import subprocess
@@ -94,6 +95,27 @@ def test_approx_certified(capsys):
     assert Fraction(res["trace"]["b"]) == 21
     assert Fraction(res["trace"]["eps_inner"]) == Fraction("1/21000")
     assert res["achieved"]["abs_error"] >= 0
+
+
+# exit code and sha256 of the --json stdout for the exact, certified,
+# below-eps, refused (the fail-fast bound, twice) and odd-only outcomes
+APPROX_JSON = {
+    ("9/2", "--eps", "1/1000"): (0, "60d8866e9d6d213d5a7f5928daf36809508a5f9a32a86112ee32c93c5f26480c"),
+    ("2", "--eps", "1e-3"): (0, "66a6053201e8b01883812d57d9b1520e950f3b45e2cbce2f5df4eb9dd90abc65"),
+    ("0", "--eps", "1/10"): (0, "899e2db890812ad3f1c2356a13e872398f8052fbda0ed722d6d3e481aaa01e0f"),
+    ("1/50", "--eps", "1/1000"): (2, "38412aacb3627933c26f0f71cf583d787b99947d720a257e735913637f1fa49a"),
+    ("0.5", "--eps", "1e-9", "--odd-only"): (
+        0,
+        "f130b9a66d891b0cc4c9adb7608abadb8bedea4a22d55bc031d39404079f8266",
+    ),
+    ("29.146", "--eps", "1/1000"): (2, "1ace6825de6238cefba439281ed34d451822e4e8a1c86dbfe66068a66f51fc0b"),
+}
+
+
+@pytest.mark.parametrize("argv", APPROX_JSON, ids=" ".join)
+def test_approx_json_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, "approx", *argv, "--json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == APPROX_JSON[argv]
 
 
 def test_approx_materialize(capsys):

@@ -198,3 +198,33 @@ def test_segments_match_the_unsegmented_sieve():
     s.extend_to(100_003)
     assert s.nth_prime(s.count) == 100_003
     assert s._primes == reference_sieve(100_003)
+
+
+def test_streams_refuse_undeclared_attributes():
+    # a stream's state is its declared slots, and what other modules derive
+    # from its primes lives in its tables: no module attaches state to it
+    s = PrimeStream()
+    assert not hasattr(s, "__dict__")
+    with pytest.raises(AttributeError):
+        s._sums = array("q")
+
+
+def test_table_grows_once_per_fill_to_what_is_read():
+    calls = []
+
+    def squares(stream, t, n):
+        calls.append(n)
+        while len(t) < n:
+            t.append(stream.nth_prime(len(t) + 1) ** 2)
+
+    s = PrimeStream()
+    t = s.table(squares, 3)
+    assert t.typecode == "q" and t.tolist() == [4, 9, 25] and calls == [3]
+    # a read the table already holds fills nothing; a longer one grows it
+    # in place
+    assert s.table(squares, 2) is t and s.table(squares, 0) is t and calls == [3]
+    assert s.table(squares, 5) is t and t.tolist() == [4, 9, 25, 49, 121]
+    assert calls == [3, 5]
+    # each fill owns its own table, and so does each stream
+    assert len(s.table(lambda stream, t, n: t.extend(range(n)), 0)) == 0
+    assert len(PrimeStream().table(squares, 0)) == 0

@@ -25,7 +25,7 @@ SELECTION = Selection(
     eps=Fraction(1, 100),
     achieved=(5, 6),
 )
-TRACE = ApproxTrace(SELECTION, 7)
+TRACE = ApproxTrace(SELECTION)
 LOG = LogValue(1.5, 0.25)
 SYMBOLIC = SymbolicGroup(3, ((2, 43), (55, 55)))
 
@@ -52,13 +52,13 @@ CASES = [
         SELECTION,
         "Selection(ranges=((2, 3),), count=2, status='converged', scanned=4, "
         "target=Fraction(15, 8), eps=Fraction(1, 100), achieved=(5, 6), "
-        "exact_sum=None, exact_product=None)",
-        "exact_product",
+        "exact_sum=None)",
+        "exact_sum",
         Fraction(15, 8),
     ),
     (
         TRACE,
-        f"ApproxTrace(selection={SELECTION!r}, max_prime_scanned=7, below_eps_witness=False)",
+        f"ApproxTrace(selection={SELECTION!r}, below_eps_witness=False)",
         "below_eps_witness",
         True,
     ),
@@ -146,7 +146,7 @@ def test_defaults_fill_missing_arguments():
     assert OracleCaps(work_cap=5) == OracleCaps(200, 5)
     assert AbelianGroup() == AbelianGroup(())
     assert SymbolicGroup() == SymbolicGroup(0, ())
-    assert ApproxTrace(SELECTION, 7) == ApproxTrace(SELECTION, 7, False)
+    assert ApproxTrace(SELECTION) == ApproxTrace(SELECTION, False)
     assert Selection(*field_values(SELECTION)[:7]) == SELECTION
     for cls in (LogValue, Witness, LogTarget, ApproxResult, SearchBounds):
         with pytest.raises(TypeError):

@@ -22,7 +22,7 @@ from autratio.subsum import (
     TermSource,
     greedy_select,
 )
-from selections import indices, runs_of, trail
+from selections import exact_product, indices, runs_of, trail
 
 
 def harmonic(capacity=DEFAULT_CAPACITY):
@@ -61,11 +61,11 @@ def test_prime_log_target_ln2(stream):
     src = PrimeRatioSource(stream)
     sel = greedy_select(src, LogTarget(Fraction(1)), Fraction(1, 10**9))
     assert sel.status == CONVERGED
-    assert sel.ranges == () and sel.exact_product == 1
+    assert sel.ranges == () and exact_product(sel, src) == 1
     sel = greedy_select(src, LogTarget(Fraction(3, 2)), Fraction(1, 10**9))
     assert sel.status == CONVERGED
     assert indices(sel) == [1]
-    assert sel.exact_product == Fraction(3, 2)  # selected sum is exactly ln(3/2)
+    assert exact_product(sel, src) == Fraction(3, 2)  # selected sum is exactly ln(3/2)
 
 
 def test_odd_only_index_shift(stream):
@@ -184,7 +184,7 @@ def test_capacity_exhaustion_prime_ceiling():
     # needs U > 10, i.e. log-sum ln 10, far beyond odd primes <= 1000
     sel = greedy_select(src, LogTarget(Fraction(10)), Fraction(1, 100))
     assert sel.status == CAPACITY_EXHAUSTED
-    assert sel.exact_product < 10
+    assert exact_product(sel, src) < 10
 
 
 @pytest.mark.parametrize("ceiling, k", [(1000, 167), (200, 45)])
@@ -213,7 +213,7 @@ def test_exact_cap_switches_to_fixed_point(stream, monkeypatch):
     monkeypatch.setattr(subsum, "EXACT_CAP", 3)
     mixed = greedy_select(src, LogTarget(q), eps)
     assert mixed.status == CONVERGED
-    assert mixed.exact_product is None  # no longer a fully exact run
+    assert exact_product(mixed, src) is None  # no longer a fully exact run
     assert mixed.count > 3
     recomputed = Fraction(1)
     for i in indices(mixed):
@@ -231,9 +231,9 @@ def test_exact_cap_switches_to_fixed_point(stream, monkeypatch):
     # the fully exact run of the same instance obeys the same contract
     monkeypatch.setattr(subsum, "EXACT_CAP", 10**6)
     exact = greedy_select(src, LogTarget(q), eps)
-    assert exact.status == CONVERGED and exact.exact_product is not None
-    assert exact.exact_product <= q
-    _, hi2 = ln_fraction_bounds(q / exact.exact_product, PREC)
+    assert exact.status == CONVERGED and exact_product(exact, src) is not None
+    assert exact_product(exact, src) <= q
+    _, hi2 = ln_fraction_bounds(q / exact_product(exact, src), PREC)
     assert Fraction(hi2, 1 << PREC) < eps
 
 
@@ -257,7 +257,7 @@ def test_log_ratio_achieved_is_an_integer_enclosure(stream, monkeypatch, q, exac
         assert sel.status == status and sel.scanned == 0
     else:
         assert sel.status == CONVERGED
-        assert (sel.exact_product is not None) == (status == "exact")
+        assert (exact_product(sel, src) is not None) == (status == "exact")
     lo, hi = sel.achieved
     assert type(lo) is int and type(hi) is int and lo <= hi
     product = math.prod(Fraction(p, p - 1) for p in map(src.prime, indices(sel)))
@@ -274,7 +274,7 @@ def test_exact_hit_at_the_cap_converges_on_the_product(monkeypatch):
     monkeypatch.setattr(subsum, "EXACT_CAP", 10)
     sel = greedy_select(src, LogTarget(q), Fraction(1, 2**60))
     assert sel.status == CONVERGED and sel.ranges == ((1, 10),)
-    assert sel.exact_product == q
+    assert exact_product(sel, src) == q
 
 
 def test_certified_deficit_below_decides_at_the_bound():
@@ -314,7 +314,7 @@ def test_mixed_phase_random_differential(stream, monkeypatch):
         monkeypatch.setattr(subsum, "EXACT_CAP", cap)
         sel = greedy_select(src, LogTarget(q), eps)
         assert sel.status == CONVERGED, (q, eps, cap)
-        if sel.exact_product is None:
+        if exact_product(sel, src) is None:
             n_mixed += 1
         if sel.count > 120_000:
             continue  # exact recheck gets expensive; smaller cases cover it
@@ -549,8 +549,10 @@ def exact_greedy(q, eps, limit, exact_cap):
 
 
 def fields(sel, source, keys):
-    """The named fields of ``sel``, with "trail" replayed from its ranges."""
-    return {k: trail(sel, source) if k == "trail" else getattr(sel, k) for k in keys}
+    """The named fields of ``sel``, with "trail" replayed from its ranges
+    and "exact_product" multiplied from them."""
+    derived = {"trail": trail, "exact_product": exact_product}
+    return {k: derived[k](sel, source) if k in derived else getattr(sel, k) for k in keys}
 
 
 # (Q, eps, ray): ``ray`` marks the odd part of a ray target a > 1, Q = b/a
@@ -612,7 +614,7 @@ def test_exact_phase_matches_plain_exact_greedy(monkeypatch, q, eps, ray, exact_
         assert trail(got, src)[: len(want_trail)] == tuple(want_trail)
         # past it, the contract holds by exact re-multiplication
         assert got.status == CONVERGED and got.count > cap
-        assert got.exact_product is None
+        assert exact_product(got, src) is None
         un, ud = _exact_ratio(got.ranges)
         assert un * q.denominator <= ud * q.numerator
         if un * q.denominator != ud * q.numerator:
@@ -663,8 +665,13 @@ def test_selection_does_not_depend_on_a_presieved_stream(q, eps, ceiling, kind):
     assert sels[0] == sels[1]
     sel = sels[0]
     assert sel.status == (CAPACITY_EXHAUSTED if kind == CAPACITY_EXHAUSTED else CONVERGED)
-    assert (sel.exact_product is None) == (kind == "past-cap")
+    assert (exact_product(sel, PrimeRatioSource(ahead)) is None) == (kind == "past-cap")
     assert (sel.count > EXACT_CAP) == (kind == "past-cap")
+
+
+def sums60(s):
+    """The stream's table of running floor-term sums, as far as it is filled."""
+    return s.table(subsum._sums60, 0)
 
 
 def test_stream_term_table_layout():
@@ -672,9 +679,9 @@ def test_stream_term_table_layout():
 
     s = PrimeStream()
     src = PrimeRatioSource(s)
-    assert not hasattr(s, "_term60_sums")  # made on first read
+    assert len(sums60(s)) == 0  # filled on first read
     total = src.sum60(5000)
-    table = s._term60_sums
+    table = sums60(s)
     assert isinstance(table, array) and table.typecode == "q" and len(table) == 5001
     # entry j sums the terms of the first j odd primes, p_2..p_(j+1)
     terms = term_block_fp60(s.primes_list(2, 5001))
@@ -682,6 +689,31 @@ def test_stream_term_table_layout():
     assert [src.term60(j) for j in range(1, 5001)] == terms
     for i in [1, 2, 255, 256, 257, 2999, 3000]:
         assert src.prime(i) == s.nth_prime(i + 1)
+
+
+def test_empty_sum_reads_no_prime():
+    s = PrimeStream()
+    assert PrimeRatioSource(s).sum60(0) == 0
+    assert s.count == 1 and s.limit == 2 and sums60(s).tolist() == [0]
+
+
+def test_two_streams_grow_their_tables_independently():
+    from autratio import autorder
+
+    a, b = PrimeStream(), PrimeStream()
+    PrimeRatioSource(a).sum60(3000)
+    PrimeRatioSource(b).sum60(100)
+    assert len(sums60(a)) == 3001 and len(sums60(b)) == 101
+    assert sums60(b).tolist() == sums60(a)[:101].tolist()
+    k = autorder._CHECKPOINT
+    autorder._atanh_range(a, 2, 5 * k)
+    assert len(a.table(autorder._checkpoints60, 0)) == 12
+    # growing one stream's tables writes nothing into the other's
+    head = sums60(b).tolist()
+    PrimeRatioSource(a).sum60(9000)
+    assert len(sums60(a)) == 9001 and sums60(a) is not sums60(b)
+    assert sums60(b).tolist() == head
+    assert len(b.table(autorder._checkpoints60, 0)) == 0
 
 
 def test_product_state_encloses_ln_u(stream, monkeypatch):
@@ -700,7 +732,7 @@ def test_product_state_encloses_ln_u(stream, monkeypatch):
             eps = Fraction(1, 10 ** rng.randint(2, 4))
             monkeypatch.setattr(subsum, "EXACT_CAP", rng.choice([0, 3, 40]))
             sel = greedy_select(src, LogTarget(q), eps)
-            if sel.exact_product is not None:
+            if exact_product(sel, src) is not None:
                 continue
             lo, hi = sel.achieved
             assert type(lo) is int and type(hi) is int
@@ -719,12 +751,12 @@ def test_term60_cache_grows_in_place():
     s = PrimeStream()
     src = PrimeRatioSource(s)
     src.sum60(1000)
-    table = s._term60_sums
+    table = sums60(s)
     head = table.tolist()
     s.extend_to(10**6)
     assert 70_000 > subsum._GROW
     src.sum60(70_000)
-    assert s._term60_sums is table and len(table) == 70_001
+    assert sums60(s) is table and len(table) == 70_001
     assert table[:1001].tolist() == head
     assert table.tolist() == [0, *accumulate(term_block_fp60(s.primes_list(2, 70_001)))]
 
@@ -770,18 +802,18 @@ def test_first_window_table_grows_to_what_is_read():
     s = PrimeStream()
     src = PrimeRatioSource(s)
     assert src.sum60(164) - src.sum60(100) == sum(src.term60(j) for j in range(101, 165))
-    assert len(s._term60_sums) == 165
+    assert len(sums60(s)) == 165
     # a probe past the table computes its term alone and leaves the table
     t = src.term60(3000)
-    assert len(s._term60_sums) == 165
+    assert len(sums60(s)) == 165
     assert src.sum60(3000) - src.sum60(2999) == t == src.term60(3000)
-    assert len(s._term60_sums) == 3001
+    assert len(sums60(s)) == 3001
     # a greedy reads the sums no further than twice past what it scans
     s = PrimeStream()
     s.extend_to(1 << 16)
     sel = greedy_select(PrimeRatioSource(s), LogTarget(Fraction(3)), Fraction(1, 1000))
     assert sel.status == CONVERGED and sel.scanned < s.count // 4
-    assert len(s._term60_sums) <= 2 * sel.scanned + 2
+    assert len(sums60(s)) <= 2 * sel.scanned + 2
 
 
 def test_first_window_table_grows_safely_under_threads():
@@ -814,7 +846,7 @@ def test_first_window_table_grows_safely_under_threads():
             if src.term60(j) != terms[j - 1]:
                 wrong.append((seed, "term", j))
             c = rng.randrange(len(checkpoints))
-            got = autorder._atanh_checkpoints(src.stream, c)[2 * c : 2 * c + 2]
+            got = src.stream.table(autorder._checkpoints60, 2 * c + 2)[2 * c : 2 * c + 2]
             if tuple(got) != checkpoints[c]:
                 wrong.append((seed, "checkpoint", c))
 
@@ -830,9 +862,9 @@ def test_first_window_table_grows_safely_under_threads():
             for t in threads:
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
-            assert isinstance(s._term60_sums, array)
-            assert s._term60_sums.tolist() == ref[: len(s._term60_sums)]
-            got = s._atanh60_sums.tolist()
+            assert isinstance(sums60(s), array)
+            assert sums60(s).tolist() == ref[: len(sums60(s))]
+            got = s.table(autorder._checkpoints60, 0).tolist()
             assert list(zip(got[::2], got[1::2])) == checkpoints[: len(got) // 2]
     finally:
         sys.setswitchinterval(interval)
