@@ -45,12 +45,12 @@ ratios), in lowest terms, through them.  A node is dead when (``reach``):
   2^L (f = 1 for the trivial group).
 
 The two prime tests factor a value up to T = min(max_order, 2^16, sieve
-ceiling) by lookup in one largest-prime table, P(n) at index n
-(``_top_table``: built to the largest T asked for, never past 2^16 + 1
-entries, and shared by later walks); larger values are divided by the
-primes in turn.  With P = P(rn), the numerator cut is P >= budget when
-budget <= limit + 1, and past that P >= budget with no prime of rn / P
-above the limit, so that the part of rn above the limit is the prime P.
+ceiling) by lookup in the prime stream's largest-prime table, P(n) at
+index n (``PrimeStream.table``: grown to the largest T asked for, never
+past 2^16 + 1 entries); larger values are divided by the primes in turn.
+With P = P(rn), the numerator cut is P >= budget when budget <= limit + 1,
+and past that P >= budget with no prime of rn / P above the limit, so that
+the part of rn above the limit is the prime P.
 rd is read largest prime first: the largest must be within the limit, and
 the smallest, at or past the node's first prime, sets the end.
 
@@ -75,11 +75,14 @@ change.  A child that passes is divided and pushed only when it can still
 hit or branch, with its end index.  f is multiplicative and the local
 factor depends only on p and e, so a level is a pure function of (p, w,
 rank): it is built once, never changed, and kept in a bounded cache that
-later calls, enumeration and the f-table share.  Two threads can at most
-build the same level twice, and both copies are equal.  A bound whose
-p = 2 alone would need more than ``MAX_SEARCH_PARTS`` p-parts is refused
-before any is built.  All cuts are conservative; the differential test
-against the unpruned scan is part of the contract.
+later calls, enumeration and the f-table share.  The last walk is kept
+(``_walk``, one per bounds and stream): its primes and, per prime, its
+levels up to max_order, filled on first read, so a repeated search builds
+none of them.  Two threads can at most build the same level or table
+twice, and both copies are equal.  A bound whose p = 2 alone would need
+more than ``MAX_SEARCH_PARTS`` p-parts is refused before any is built, on
+every call.  All cuts are conservative; the differential test against the
+unpruned scan is part of the contract.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ from ._record import record
 from .autorder import aut_order_local, f_exact
 from .errors import InputLimitExceeded
 from .groups import AbelianGroup, _proven_prime
-from .primes import shared_stream
+from .primes import PrimeStream, shared_stream
 
 __all__ = [
     "SearchBounds",
@@ -169,7 +172,6 @@ def _partitions(weight: int, max_len: int) -> list[tuple]:
     return out
 
 
-@lru_cache(maxsize=64)
 def _part_count(weights: int, rank: int) -> int:
     """The partitions of 1, ..., ``weights`` into at most ``rank`` parts, in
     all, counted until the sum passes MAX_SEARCH_PARTS."""
@@ -197,20 +199,14 @@ def _largest_primes(primes: list[int], max_order: int) -> array:
     return top
 
 
-# The node tests' largest-prime table: one array, grown to the largest T a
-# walk has asked for and shared by every later walk, at most _TOP_MAX + 1
-# entries (256 KB).  A walk keeps the table it read if another replaces it.
+# The node tests factor values up to at most _TOP_MAX by lookup.
 _TOP_MAX = 1 << 16
-_top = array("I")
 
 
-def _top_table(size: int, stream) -> array:
-    """``_largest_primes`` up to at least ``size``, from ``stream``."""
-    global _top
-    top = _top
-    if len(top) <= size:
-        top = _top = _largest_primes(stream.primes_upto(size), size)
-    return top
+def _top_fill(stream: PrimeStream, top: array, n: int) -> None:
+    """Fill of the stream's largest-prime table, grown to n entries:
+    ``_largest_primes`` up to n - 1, appended past what it holds."""
+    top.extend(islice(_largest_primes(stream.primes_upto(n - 1), n - 1), len(top), None))
 
 
 def _heap_orders(primes: list[int], max_order: int) -> Iterator[tuple[int, int]]:
@@ -295,8 +291,8 @@ def _smooth_part(n: int, p: int, primes: list[int]) -> int:
 # come only from small primes at large weights, which MAX_SEARCH_PARTS
 # bounds per search but not across searches at other ranks, so the p-parts
 # built are counted too: before they pass _PARTS_MAX, the level cache and
-# the child tables that hold its levels are cleared, as _WITNESSES is when
-# full.  A walk in progress keeps the tables it already read.
+# the cached walk, whose child tables hold its levels, are cleared, as
+# _WITNESSES is when full.  A walk in progress keeps the tables it read.
 _LEVELS_MAX = 1 << 12
 _PARTS_MAX = 2 * MAX_SEARCH_PARTS
 _parts_built = 0  # p-parts built since the caches were last cleared
@@ -304,9 +300,10 @@ _parts_lock = threading.Lock()
 
 
 def _clear_levels() -> None:
-    """Empty the level cache and the child tables that hold its levels."""
+    """Empty the level cache and the cached walk, whose child tables hold
+    its levels."""
     global _parts_built
-    _child_table.cache_clear()
+    _walk.cache_clear()
     _level.cache_clear()
     _parts_built = 0
 
@@ -337,17 +334,6 @@ def _level(p: int, w: int, rank: int) -> tuple:
     return tuple(kids)
 
 
-@lru_cache(maxsize=1 << 10)
-def _child_table(p: int, rank: int, max_order: int) -> tuple:
-    """``(p**w, _level(p, w, rank))`` for w = 1, 2, ... while p**w <=
-    max_order, so a walk reads a prime's levels with one cache hit."""
-    table, pw, w = [], p, 1
-    while pw <= max_order:
-        table.append((pw, _level(p, w, rank)))
-        pw, w = pw * p, w + 1
-    return tuple(table)
-
-
 @lru_cache(maxsize=1 << 14)
 def _cyclic_pair(p: int) -> tuple:
     """The factor (p, (1,)) of C_p, one object shared by every hit."""
@@ -355,14 +341,15 @@ def _cyclic_pair(p: int) -> tuple:
 
 
 class _Walk:
-    """The pruned search's primes and child tables for one ``SearchBounds``.
+    """The pruned search's primes and child tables for one ``SearchBounds``
+    and prime stream.
 
     A node is a group, the index of the next prime it may include, the
     order budget left and r = rn/rd in lowest terms, what the rest must
     still make of the target (see the module docstring)."""
 
-    def __init__(self, bounds: SearchBounds):
-        self.primes = shared_stream().primes_upto(bounds.prime_limit)
+    def __init__(self, bounds: SearchBounds, stream: PrimeStream):
+        self.primes = stream.primes_upto(bounds.prime_limit)
         self.limit = bounds.prime_limit
         self.rank = bounds.max_rank_per_prime
         self.max_order = bounds.max_order
@@ -371,12 +358,11 @@ class _Walk:
                 f"search bounds need more than MAX_SEARCH_PARTS = "
                 f"{MAX_SEARCH_PARTS} p-parts of p = 2 at rank {self.rank}"
             )
-        self.tables: dict[int, tuple] = {}  # prime index -> its _child_table
+        self.tables: dict[int, tuple] = {}  # prime index -> its (p**w, level)s
         # node values up to T are factored by lookup; T stays within the
         # sieve ceiling, as the table's primes come from the stream
-        stream = shared_stream()
         self.tabled = min(self.max_order, _TOP_MAX, stream.ceiling)
-        self.top = _top_table(self.tabled, stream)
+        self.top = stream.table(_top_fill, self.tabled + 1)
 
     def reach(self, num: int, den: int, start: int, budget: int) -> int:
         """End of the prime indices worth including at node r = num/den:
@@ -447,8 +433,20 @@ class _Walk:
             yield end - 1, _cyclic_pair(p), rn // (p - 1), rd // p, budget // p
 
     def _table(self, j: int) -> tuple:
-        table = self.tables[j] = _child_table(self.primes[j], self.rank, self.max_order)
+        p = pw = self.primes[j]
+        table, w = [], 1
+        while pw <= self.max_order:
+            table.append((pw, _level(p, w, self.rank)))
+            pw, w = pw * p, w + 1
+        table = self.tables[j] = tuple(table)
         return table
+
+
+# The last walk, kept after its search with its prime list (2.7 MB at a
+# prime limit of 10^6), the largest-prime table it read and the child tables
+# it built, so a repeated search reads them again.  A refused bound raises
+# on every call, as nothing is cached for it.
+_walk = lru_cache(maxsize=1)(_Walk)
 
 
 # Witnesses handed out, by factors.  A group has one f value, so its
@@ -488,7 +486,7 @@ def find_exact(
         ]
     if a == 0:
         return []  # f is strictly positive on every finite group
-    walk = _Walk(bounds)
+    walk = _walk(bounds, shared_stream())
     rn, rd, budget = a.numerator, a.denominator, bounds.max_order
     hits = [()] if a == 1 else []
     stack = [(0, walk.reach(rn, rd, 0, budget), budget, (), rn, rd)]

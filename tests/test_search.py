@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, prod
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from autratio.autorder import aut_order, aut_order_local, f_exact
 from autratio.errors import InputLimitExceeded, SieveCapacityError
 from autratio.groups import AbelianGroup, format_group, order, parse_group
 from autratio.oracle import OracleCaps, aut_order_bruteforce
-from autratio.primes import PrimeStream
+from autratio.primes import PrimeStream, shared_stream
 from autratio.search import (
     TABLE_HEADER_PREFIX,
     SearchBounds,
@@ -458,11 +459,12 @@ def test_search_past_the_sieve_ceiling_needs_only_the_prime_limit(monkeypatch):
     ws = find_exact(11664, SPARSE_BOUNDS[0])
     assert len(ws) == 320
     assert all(f_exact(w.group) == 11664 for w in ws)
-    # the node tests' table, built afresh, stays within a ceiling below its
-    # 2^16 cap
-    monkeypatch.setattr(autratio.primes, "_shared", PrimeStream(ceiling=1000))
-    monkeypatch.setattr(search, "_top", search._top[:0])
+    # the node tests' table, built afresh by a new stream, stays within a
+    # ceiling below its 2^16 cap
+    stream = PrimeStream(ceiling=1000)
+    monkeypatch.setattr(autratio.primes, "_shared", stream)
     assert find_exact(11664, SPARSE_BOUNDS[0]) == ws
+    assert len(stream.table(search._top_fill, 0)) == 1001
 
 
 def clear_levels():
@@ -518,8 +520,9 @@ def test_child_tables_grow_safely_under_threads():
             for t in threads:
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
-            for p in (2, 3, 5, 7):
-                weights = [pw for pw, _ in search._child_table(p, 8, 6000)]
+            walk = search._walk(bounds[3], shared_stream())
+            for j, p in enumerate((2, 3, 5, 7)):
+                weights = [pw for pw, _ in walk.tables.get(j) or walk._table(j)]
                 assert weights == [p**w for w in range(1, len(weights) + 1)]
     finally:
         sys.setswitchinterval(interval)
@@ -646,7 +649,7 @@ def test_integer_tests_leave_out_only_dead_children(bounds):
     # a child the walk leaves out before dividing must be one that reach
     # cuts, reach(r / ratio, j + 1, budget // p**w) == j + 1, and that is no
     # hit; a child it keeps carries r / ratio in lowest terms and its budget
-    walk = search._Walk(bounds)
+    walk = search._Walk(bounds, shared_stream())
     primes, rank = walk.primes, bounds.max_rank_per_prime
     rng = random.Random(15)
     groups = list(enumerate_groups(SearchBounds(
@@ -738,7 +741,7 @@ def test_table_reach_matches_trial_division(bounds, top_max, monkeypatch):
     # numerators above 600 are looked up.  Every num in 1..3000 meets den 1
     # and a den that runs through 1..budget; the size cut only ever cuts
     monkeypatch.setattr(search, "_TOP_MAX", top_max)
-    walk = search._Walk(bounds)
+    walk = search._Walk(bounds, shared_stream())
     assert walk.tabled == min(600, top_max)
     count = len(walk.primes)
     cuts = 0
@@ -757,6 +760,9 @@ def test_table_reach_matches_trial_division(bounds, top_max, monkeypatch):
 @pytest.mark.parametrize("bounds", REACH_BOUNDS, ids=repr)
 def test_prune_differential_with_both_node_regimes(bounds, monkeypatch):
     monkeypatch.setattr(search, "_TOP_MAX", 64)
+    # an empty walk cache for this test: a walk cached at the default T
+    # would be reused, and one cached here would outlive the patch
+    monkeypatch.setattr(search, "_walk", lru_cache(maxsize=1)(search._Walk))
     plain = plain_witnesses(bounds)
     rng = random.Random(23)
     targets = rng.sample(sorted(plain), 40) + [
@@ -764,6 +770,8 @@ def test_prune_differential_with_both_node_regimes(bounds, monkeypatch):
     ]
     for a in targets:
         assert [w.group for w in find_exact(a, bounds)] == plain.get(a, []), a
+    assert search._walk(bounds, shared_stream()).tabled == 64
+    assert search._walk.cache_info().misses == 1
 
 
 def test_f_is_bounded_by_the_endomorphism_count():
@@ -783,12 +791,117 @@ def test_f_is_bounded_by_the_endomorphism_count():
 
 
 def test_node_table_stays_within_its_cap():
-    walk = search._Walk(SearchBounds(10**6))
+    stream = shared_stream()
+    walk = search._Walk(SearchBounds(10**6), stream)
     assert walk.tabled == 1 << 16 and len(walk.top) == (1 << 16) + 1
     assert find_exact(Fraction(3, 2), SearchBounds(10**6))
-    assert len(search._top) <= (1 << 16) + 1
+    top = stream.table(search._top_fill, 0)
+    assert len(top) <= (1 << 16) + 1
     # a smaller walk reads the table already built
-    assert search._Walk(SearchBounds(5000)).top is search._top
+    assert search._Walk(SearchBounds(5000), stream).top is top
+
+
+def test_stream_owns_the_node_table(monkeypatch):
+    stream = PrimeStream()
+    assert len(stream.table(search._top_fill, 0)) == 0  # a fresh stream's is empty
+    monkeypatch.setattr(autratio.primes, "_shared", stream)
+    for n in (5000, 9000, 10**6):
+        assert find_exact(Fraction(3, 2), SearchBounds(n))
+        top = stream.table(search._top_fill, 0)
+        T = min(n, 1 << 16)
+        assert len(top) == T + 1 <= (1 << 16) + 1
+        assert top.tolist() == search._largest_primes(stream.primes_upto(T), T).tolist()
+    # a search at a smaller T reads the same table, not a copy
+    assert search._walk(SearchBounds(5000), stream).top is top
+    assert len(PrimeStream().table(search._top_fill, 0)) == 0
+
+
+def count_walks(monkeypatch) -> list:
+    """The (bounds, stream) of each walk built from here on."""
+    built, init = [], search._Walk.__init__
+
+    def counted(self, bounds, stream):
+        built.append((bounds, stream))
+        init(self, bounds, stream)
+
+    monkeypatch.setattr(search._Walk, "__init__", counted)
+    return built
+
+
+def test_repeated_search_reuses_its_walk(monkeypatch):
+    bounds, a = SearchBounds(5000), Fraction(48, 5)
+    want = find_exact(a, bounds)
+    assert want
+    sieved, primes_upto = [], PrimeStream.primes_upto
+    monkeypatch.setattr(
+        PrimeStream, "primes_upto", lambda self, n: sieved.append(n) or primes_upto(self, n)
+    )
+    built = count_walks(monkeypatch)
+    assert find_exact(a, bounds) == want
+    assert sieved == [] and built == []
+    # other bounds, or a new shared stream, get a new walk
+    old, other = shared_stream(), SearchBounds(5000, max_rank_per_prime=2)
+    assert [w.group for w in find_exact(a, other)] == plain_witnesses(other).get(a, [])
+    assert find_exact(a, bounds) == want
+    fresh = PrimeStream()
+    monkeypatch.setattr(autratio.primes, "_shared", fresh)
+    assert find_exact(a, bounds) == want
+    assert built == [(other, old), (bounds, old), (bounds, fresh)]
+
+
+def test_refused_bound_is_refused_on_every_call(monkeypatch):
+    bounds = SearchBounds(5000)
+    find_exact(Fraction(3, 2), bounds)
+    built = count_walks(monkeypatch)
+    refused = SearchBounds(10**30, max_prime=2)
+    for _ in range(2):
+        with pytest.raises(InputLimitExceeded, match="MAX_SEARCH_PARTS"):
+            find_exact(5, refused)
+    assert built == [(refused, shared_stream())] * 2
+    assert search._walk(bounds, shared_stream()).max_order == 5000  # still cached
+
+
+def test_clear_levels_empties_the_walk_cache():
+    find_exact(Fraction(3, 2), SearchBounds(5000))
+    assert search._walk.cache_info().currsize == 1
+    search._clear_levels()
+    assert search._walk.cache_info().currsize == 0
+
+
+def test_threads_share_one_walk_whose_tables_fill_lazily():
+    # eight threads start at once on one bounds; the walk is built first,
+    # empty, so all of them read it and fill its per-prime tables together
+    bounds = SearchBounds(6000)
+    plain = plain_witnesses(bounds)
+    targets = sorted(plain)[::max(1, len(plain) // 24)] + [Fraction(7, 2), Fraction(21)]
+    clear_levels()
+    walk = search._walk(bounds, shared_stream())
+    assert walk.tables == {}
+    start, wrong = threading.Barrier(8), []
+
+    def worker(k):
+        start.wait(timeout=60)
+        for a in targets[k:] + targets[:k]:
+            if [w.group for w in find_exact(a, bounds)] != plain.get(a, []):
+                wrong.append((k, a))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert search._walk(bounds, shared_stream()) is walk and walk.tables
+    for j, table in walk.tables.items():
+        p = walk.primes[j]
+        assert [pw for pw, _ in table] == [p**w for w in range(1, len(table) + 1)]
+        assert p ** (len(table) + 1) > bounds.max_order
 
 
 def hall_failures(bounds: SearchBounds) -> tuple[int, list[int]]:
